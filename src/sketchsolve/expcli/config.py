@@ -57,6 +57,11 @@ def _as_int(value, path: str, minimum: int | None = None) -> int:
     return value
 
 
+def _optional_int(section: dict, key: str) -> int | None:
+    value = section.get(key)
+    return None if value is None else _as_int(value, f"matrix.{key}", 1)
+
+
 def _as_float(value, path: str, positive: bool = False) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigError(f"{path}: expected number, got {value!r}")
@@ -182,9 +187,9 @@ def _parse_matrix(section: dict) -> MatrixSource:
             kind=kind,
             label=Path(path).stem,
             path=path,
-            n_features=section.get("n_features"),
-            rows=section.get("rows"),
-            cols=section.get("cols"),
+            n_features=_optional_int(section, "n_features"),
+            rows=_optional_int(section, "rows"),
+            cols=_optional_int(section, "cols"),
         )
     raise ConfigError(f"matrix.kind: unknown kind {kind!r}")
 
@@ -197,7 +202,6 @@ class ExperimentConfig:
     families: list[str]
     k_list: list[int]
     s_list: list[int] = field(default_factory=list)
-    leverage_C: float = 1.0
     runs: int = 100
     tail: int = 50
     max_iters: int = 1000
@@ -249,9 +253,6 @@ def parse_config(raw: dict, experiment: str | None = None) -> ExperimentConfig:
             raise ConfigError(f"sketch.families: unknown family {fam!r}")
     k_list = _as_int_list(_require(sk, "k", "sketch"), "sketch.k", 1)
     s_list = _as_int_list(sk["s"], "sketch.s", 0) if "s" in sk else []
-    leverage_C = _as_float(sk.get("leverage_C", 1.0), "sketch.leverage_C", positive=True)
-    if leverage_C < 1.0:
-        raise ConfigError("sketch.leverage_C: must be >= 1")
 
     run = raw.get("run", {})
     cfg = ExperimentConfig(
@@ -261,7 +262,6 @@ def parse_config(raw: dict, experiment: str | None = None) -> ExperimentConfig:
         families=families,
         k_list=k_list,
         s_list=s_list,
-        leverage_C=leverage_C,
         runs=_as_int(run.get("runs", 100), "run.runs", 1),
         tail=_as_int(run.get("tail", 50), "run.tail", 1),
         max_iters=_as_int(run.get("max_iters", 1000), "run.max_iters", 1),

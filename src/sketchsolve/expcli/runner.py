@@ -150,7 +150,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, threads: int = 1) -> dict[str
         system = cfg.build_system()
         save_matrix_csv(out / "matrix.csv", system.A)  # cache of the built A
         leverage_p = (
-            build_less_distribution(system.A, cfg.leverage_C).probabilities
+            build_less_distribution(system.A).probabilities
             if _needs_leverage(cfg)
             else None
         )
@@ -189,7 +189,6 @@ def _exp_rate_sweep(cfg, system, leverage_p, threads):
                                   seed_stream=child_seed(spec.seed_stream, 3))
             err = err_monte_carlo(system.A, cell.k - 1, err_spec, cfg.err_trials)
             bounds = rate_bound_set(sigma, cell.k, err.mean)
-            report.bounds["set"] = bounds
             row.update(
                 bound_simple=bounds.simple,
                 bound_gaussian=bounds.gaussian.bound,
@@ -263,12 +262,19 @@ def _exp_surrogate_compare(cfg, system, leverage_p, threads):
 
     def one(cell: _Cell) -> dict:
         spec = _cell_spec(cfg, cell, system, leverage_p)
-        comp = surrogate_vs_empirical(system.A, spec, cell.k, cfg.trials, cfg.err_trials)
-        row = comp.csv_row()
-        row["matrix"] = cfg.matrix.label
-        row["err_trials"] = cfg.err_trials
-        row["s"] = cell.s
-        return row
+        comp = surrogate_vs_empirical(system.A, spec, cfg.trials, cfg.err_trials)
+        return {
+            "matrix": cfg.matrix.label,
+            "family": cell.family,
+            "k": cell.k,
+            "s": cell.s,
+            "s_min": comp.s_min,
+            "surrogate": comp.surrogate,
+            "gap": comp.rel_gap,
+            "gamma_mode": comp.gamma_mode,
+            "trials": comp.trials,
+            "err_trials": comp.err_trials,
+        }
 
     table = ResultTable(
         "surrogate_compare",

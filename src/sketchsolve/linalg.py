@@ -32,11 +32,6 @@ def orth_rowspace(M: np.ndarray) -> np.ndarray:
     return Vt[:r].T
 
 
-def orth_colspace(M: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (columns) of the column space of ``M``."""
-    return orth_rowspace(M.T)
-
-
 def solve_psd(W: np.ndarray, rhs: np.ndarray, n_ambient: int | None = None):
     """Solve ``W z = rhs`` for symmetric PSD ``W`` with a guarded Cholesky.
 

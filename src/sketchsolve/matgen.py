@@ -143,12 +143,6 @@ class LinearSystem:
             return float(np.linalg.norm(v))
         return float(np.sqrt(max(v @ (self.metric @ v), 0.0)))
 
-    def with_metric(self, B: np.ndarray) -> "LinearSystem":
-        from .linalg import check_spd
-
-        check_spd(B)
-        return replace(self, metric=np.asarray(B, dtype=float))
-
 
 def _haar_columns(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     """Orthonormal (rows x cols) frame from a seeded Gaussian, Haar-distributed."""

@@ -82,15 +82,17 @@ class RhoCertificate:
     trials: int
 
 
+def _newton_direction(obj: ConvexObjective, x: np.ndarray, g: np.ndarray, S) -> np.ndarray:
+    """Sketched Newton direction ``-S^T (S H S^T)^+ S g`` at ``x`` with gradient ``g``."""
+    SH = apply_sketch(S, obj.hessian(x))  # k x m
+    W = symmetrize(apply_sketch(S, SH.T))  # S H S^T
+    z, _ = solve_psd(W, apply_sketch(S, g), n_ambient=obj.dim)
+    return -apply_sketch_t(S, z)
+
+
 def rsn_step(obj: ConvexObjective, x: np.ndarray, S, eta: float = 1.0) -> np.ndarray:
     """One sketched Newton step ``x - eta * S^T (S H S^T)^+ S g``."""
-    g = obj.gradient(x)
-    H = obj.hessian(x)
-    SH = apply_sketch(S, H)  # k x m
-    W = symmetrize(apply_sketch(S, SH.T))  # S H S^T
-    Sg = apply_sketch(S, g)
-    z, _ = solve_psd(W, Sg, n_ambient=obj.dim)
-    return x - eta * apply_sketch_t(S, z)
+    return x + eta * _newton_direction(obj, x, obj.gradient(x), S)
 
 
 def rsn_solve(
@@ -120,13 +122,7 @@ def rsn_solve(
             trace.eta.append(0.0)
             trace.sketch_trial.append(key + (t,))
             break
-        S = draw_sketch(spec, obj.dim, trial=key + (t,))
-        H = obj.hessian(x)
-        SH = apply_sketch(S, H)
-        W = symmetrize(apply_sketch(S, SH.T))
-        Sg = apply_sketch(S, g)
-        z, _ = solve_psd(W, Sg, n_ambient=obj.dim)
-        d = -apply_sketch_t(S, z)
+        d = _newton_direction(obj, x, g, draw_sketch(spec, obj.dim, trial=key + (t,)))
         slope = float(g @ d)
         eta = 1.0
         accepted = False

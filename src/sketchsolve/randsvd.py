@@ -52,16 +52,6 @@ class ErrEstimate:
     family: str
     s: int | None = None
 
-    def csv_row(self) -> dict:
-        return {
-            "k": self.k,
-            "family": self.family,
-            "s": "" if self.s is None else self.s,
-            "trials": self.trials,
-            "mean": self.mean,
-            "stderr": self.stderr,
-        }
-
 
 def _sketch_basis(S, A: np.ndarray) -> np.ndarray:
     """Orthonormal basis Q (n x r) of the row span of S A."""

@@ -92,7 +92,8 @@ class SparseSketch:
     """k x m sparse sketching matrix in CSR-like merged form.
 
     ``s_drawn`` is the pre-merge number of sampled terms per row; after
-    merging duplicate indices a row may store fewer entries.
+    merging duplicate indices a row may store fewer entries, but never
+    none, which :func:`apply_sketch` relies on.
     """
 
     k: int
@@ -101,6 +102,10 @@ class SparseSketch:
     indptr: np.ndarray
     indices: np.ndarray
     values: np.ndarray
+
+    def __post_init__(self):
+        if np.any(np.diff(self.indptr) < 1):
+            raise ValueError("every sketch row needs at least one stored entry")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -114,11 +119,13 @@ class SparseSketch:
         lo, hi = self.indptr[i], self.indptr[i + 1]
         return self.indices[lo:hi], self.values[lo:hi]
 
+    def _entry_rows(self) -> np.ndarray:
+        """Row index of each stored entry, aligned with ``indices``."""
+        return np.repeat(np.arange(self.k), np.diff(self.indptr))
+
     def to_dense(self) -> np.ndarray:
         S = np.zeros((self.k, self.m))
-        for i in range(self.k):
-            idx, val = self.row(i)
-            S[i, idx] = val
+        S[self._entry_rows(), self.indices] = self.values
         return S
 
 
@@ -128,7 +135,6 @@ class LeverageDistribution:
 
     scores: np.ndarray
     probabilities: np.ndarray
-    C: float = 1.0
 
 
 def leverage_scores(A: np.ndarray) -> np.ndarray:
@@ -147,17 +153,11 @@ def leverage_scores(A: np.ndarray) -> np.ndarray:
     return np.sum(U * U, axis=1)
 
 
-def build_less_distribution(A: np.ndarray, C: float = 1.0) -> LeverageDistribution:
-    """Exact leverage-score sampling distribution p_i = l_i / n.
-
-    With exact scores the domination condition p_i >= l_i / (C n) holds with
-    C = 1; the constant is kept for callers that substitute approximations.
-    """
-    if C < 1.0:
-        raise ValueError("C must be >= 1")
+def build_less_distribution(A: np.ndarray) -> LeverageDistribution:
+    """Exact leverage-score sampling distribution p_i = l_i / n."""
     scores = leverage_scores(A)
     p = scores / scores.sum()
-    return LeverageDistribution(scores=scores, probabilities=p, C=float(C))
+    return LeverageDistribution(scores=scores, probabilities=p)
 
 
 def _draw_sparse(spec: SketchSpec, m: int, rng: np.random.Generator) -> SparseSketch:
@@ -181,25 +181,22 @@ def _draw_sparse(spec: SketchSpec, m: int, rng: np.random.Generator) -> SparseSk
     p_eff = np.full(m, 1.0 / m) if p is None else p
     vals = r / np.sqrt(k * s * p_eff[idx])
 
+    # stable sort of the flat keys row*m + index keeps each row's draw order,
+    # so duplicates are summed in the order they were sampled
+    keys = np.repeat(np.arange(k), s) * m + idx.ravel()
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    start = np.flatnonzero(np.diff(keys, prepend=-1))
+    uniq = keys[start]
     indptr = np.zeros(k + 1, dtype=np.int64)
-    all_idx: list[np.ndarray] = []
-    all_val: list[np.ndarray] = []
-    for i in range(k):
-        order = np.argsort(idx[i], kind="stable")
-        row_idx = idx[i][order]
-        row_val = vals[i][order]
-        uniq, start = np.unique(row_idx, return_index=True)
-        merged = np.add.reduceat(row_val, start)
-        all_idx.append(uniq)
-        all_val.append(merged)
-        indptr[i + 1] = indptr[i] + uniq.size
+    np.cumsum(np.bincount(uniq // m, minlength=k), out=indptr[1:])
     return SparseSketch(
         k=k,
         m=m,
         s_drawn=s,
         indptr=indptr,
-        indices=np.concatenate(all_idx) if all_idx else np.zeros(0, dtype=np.int64),
-        values=np.concatenate(all_val) if all_val else np.zeros(0),
+        indices=uniq % m,
+        values=np.add.reduceat(vals.ravel()[order], start),
     )
 
 
@@ -223,27 +220,24 @@ def densify(S) -> np.ndarray:
     return S.to_dense() if isinstance(S, SparseSketch) else np.asarray(S, dtype=float)
 
 
-def apply_sketch(S, A: np.ndarray, count_ops: bool = False):
-    """Compute ``S A``; the sparse path touches only stored entries.
+def _per_entry(values: np.ndarray, ndim: int) -> np.ndarray:
+    """Reshape entry values to broadcast against gathered rows of an ndim array."""
+    return values.reshape((-1,) + (1,) * (ndim - 1))
 
-    With ``count_ops=True`` returns ``(S A, ops)`` where ``ops`` is the
-    number of stored sketch entries read (one row gather each).
-    """
+
+def apply_sketch(S, A: np.ndarray) -> np.ndarray:
+    """Compute ``S A``; the sparse path touches only stored entries."""
     A = np.asarray(A, dtype=float)
     if isinstance(S, SparseSketch):
         if S.m != A.shape[0]:
             raise ValueError(f"sketch columns {S.m} != matrix rows {A.shape[0]}")
-        out = np.zeros((S.k,) + A.shape[1:])
-        for i in range(S.k):
-            idx, val = S.row(i)
-            if idx.size:
-                out[i] = val @ A[idx]
-        return (out, S.nnz) if count_ops else out
+        terms = _per_entry(S.values, A.ndim) * A[S.indices]
+        # reduceat needs non-empty rows: draws keep >= 1 entry per row (s >= 1)
+        return np.add.reduceat(terms, S.indptr[:-1], axis=0)
     S = np.asarray(S, dtype=float)
     if S.shape[1] != A.shape[0]:
         raise ValueError(f"sketch columns {S.shape[1]} != matrix rows {A.shape[0]}")
-    out = S @ A
-    return (out, S.size) if count_ops else out
+    return S @ A
 
 
 def apply_sketch_t(S, Y: np.ndarray) -> np.ndarray:
@@ -253,10 +247,7 @@ def apply_sketch_t(S, Y: np.ndarray) -> np.ndarray:
         if Y.shape[0] != S.k:
             raise ValueError(f"input rows {Y.shape[0]} != sketch size {S.k}")
         out = np.zeros((S.m,) + Y.shape[1:])
-        for i in range(S.k):
-            idx, val = S.row(i)
-            if idx.size:
-                out[idx] += np.multiply.outer(val, Y[i])
+        np.add.at(out, S.indices, _per_entry(S.values, Y.ndim) * Y[S._entry_rows()])
         return out
     return np.asarray(S, dtype=float).T @ Y
 

@@ -12,7 +12,7 @@ stabilized convergence rate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -96,8 +96,6 @@ class RateReport:
     runs: int
     samples: int
     short_tail: bool
-    pooling: str = "all tail steps pooled with equal weight"
-    bounds: dict = field(default_factory=dict)
 
 
 def _metric_chol(system: LinearSystem):

@@ -60,7 +60,6 @@ class SurrogateSpec:
     gamma: float
     sigma_sq: np.ndarray
     mode: str  # "monte_carlo_gamma" | "implicit_gamma"
-    epsilon_report: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -146,18 +145,6 @@ class SurrogateComparison:
     gamma_mode: str
     trials: int
     err_trials: int
-
-    def csv_row(self) -> dict:
-        return {
-            "k": self.k,
-            "family": self.family,
-            "s": "" if self.s is None else self.s,
-            "s_min": self.s_min,
-            "surrogate": self.surrogate,
-            "gap": self.rel_gap,
-            "gamma_mode": self.gamma_mode,
-            "trials": self.trials,
-        }
 
 
 def projection_matrix(S, A: np.ndarray) -> np.ndarray:
@@ -361,25 +348,18 @@ def decay_rate_bound(
 def surrogate_vs_empirical(
     A: np.ndarray,
     spec: SketchSpec,
-    k: int,
     trials: int,
     err_trials: int = 50,
 ) -> SurrogateComparison:
     """Compare lambda_min of the Monte-Carlo mean projection with the
-    surrogate bound ``k s_min^2 / (k s_min^2 + Err(A, k-1))``.
+    surrogate bound ``k s_min^2 / (k s_min^2 + Err(A, k-1))``, k = ``spec.k``.
 
     Err(A, k-1) is estimated from Gaussian sketches of size k-1 on a seed
     stream derived from (but independent of) the projection stream.
     """
     A = np.asarray(A, dtype=float)
-    spec_k = SketchSpec(
-        family=spec.family,
-        k=k,
-        s=spec.s,
-        sampling=spec.sampling,
-        seed_stream=spec.seed_stream,
-    )
-    est = expected_projection(A, spec_k, trials)
+    k = spec.k
+    est = expected_projection(A, spec, trials)
     s_min = worst_case_rate(est)
     sigma_min_sq = float(np.linalg.svd(A, compute_uv=False)[-1] ** 2)
     err_spec = SketchSpec(

@@ -291,6 +291,21 @@ class TestCli:
     def test_missing_config_file(self, tmp_path):
         assert main(["rate-sweep", "--config", str(tmp_path / "nope.yaml")]) == 1
 
+    @pytest.mark.parametrize("field,value", [("rows", -1), ("rows", "abc"),
+                                             ("cols", 0), ("n_features", 2.5)])
+    def test_bad_dataset_field_exit_code(self, tmp_path, capsys, field, value):
+        data = tmp_path / "tiny.libsvm"
+        data.write_text("".join(f"1 1:{i + 1}.0 2:{i % 3}.0\n" for i in range(6)))
+        cfg = _base_config(
+            experiment="randsvd_err",
+            matrix={"kind": "dataset", "path": str(data), field: value},
+            sketch={"families": ["gaussian"], "k": [1]},
+            run={"err_trials": 2},
+        )
+        path = _write(tmp_path, cfg)
+        assert main(["randsvd-err", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert f"matrix.{field}" in capsys.readouterr().err
+
     def test_missing_dataset_exit_code(self, tmp_path, capsys):
         cfg = _base_config(
             experiment="randsvd_err",

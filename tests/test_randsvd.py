@@ -119,10 +119,6 @@ class TestErrMonteCarlo:
         with pytest.raises(ValueError):
             err_monte_carlo(np.eye(4), 2, SketchSpec("gaussian", k=2), trials=1)
 
-    def test_csv_row_schema(self):
-        est = err_monte_carlo(np.eye(6), 2, SketchSpec("gaussian", k=2, seed_stream=1), 5)
-        assert list(est.csv_row()) == ["k", "family", "s", "trials", "mean", "stderr"]
-
 
 class TestErrUpperBound:
     def test_flat_spectrum_arithmetic(self):

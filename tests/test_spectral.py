@@ -246,17 +246,11 @@ class TestSurrogateVsEmpirical:
         # mean carries an O(sqrt(n/trials)) edge bias; 2e4 trials push it
         # below the 5% gap target
         comp = surrogate_vs_empirical(np.eye(100), SketchSpec("gaussian", k=10, seed_stream=16),
-                                      k=10, trials=20000)
+                                      trials=20000)
         assert comp.rel_gap <= 0.05
         # both quantities are lower bounds for the true rate; up to MC noise
         # the surrogate cannot exceed s_min by much
         assert comp.surrogate <= comp.s_min + 3.0 / math.sqrt(comp.trials)
-
-    def test_csv_row_schema(self):
-        comp = surrogate_vs_empirical(np.eye(20), SketchSpec("gaussian", k=3, seed_stream=20),
-                                      k=3, trials=50)
-        assert list(comp.csv_row()) == [
-            "k", "family", "s", "s_min", "surrogate", "gap", "gamma_mode", "trials"]
 
     def test_sandwich_rademacher_flat_spectrum(self):
         # light version of the two-sided surrogate comparison at module scale
