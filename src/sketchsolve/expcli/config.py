@@ -49,6 +49,32 @@ def _require(section: dict, key: str, path: str):
     return section[key]
 
 
+#: keys each section accepts; anything else is a ConfigError, so a typo
+#: cannot silently run a different experiment
+_TOP_KEYS = ("experiment", "master_seed", "matrix", "sketch", "run", "newton")
+_MATRIX_KEYS = {
+    "identity": ("kind", "n"),
+    "gaussian_unit": ("kind", "m", "n"),
+    "profile": ("kind", "m", "n", "model", "sigma_max", "profile"),
+    "dataset": ("kind", "path", "n_features", "rows", "cols"),
+}
+_PROFILE_KEYS = ("kind", "sigma_max", "values", "break_r", "head", "tail", "param")
+_SKETCH_KEYS = ("families", "k", "s")
+_RUN_KEYS = ("runs", "tail", "max_iters", "stop_tol", "trials", "err_trials", "iters",
+             "with_bounds")
+_NEWTON_KEYS = ("n_samples", "n_features", "ridge", "max_iters", "tol", "cert_trials")
+
+
+def _section(value, path: str, allowed) -> dict:
+    """``value`` as a mapping whose keys all appear in ``allowed``."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path}: expected a mapping")
+    for key in value:
+        if key not in allowed:
+            raise ConfigError(f"{path + '.' if path else ''}{key}: unknown field")
+    return value
+
+
 def _as_int(value, path: str, minimum: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{path}: expected integer, got {value!r}")
@@ -131,6 +157,7 @@ class MatrixSource:
 
 
 def _parse_profile_section(section: dict, n: int, path: str) -> SpectralProfile:
+    section = _section(section, path, _PROFILE_KEYS)
     kind = _require(section, "kind", path)
     sigma_max = _as_float(section.get("sigma_max", 6.8), f"{path}.sigma_max", positive=True)
     try:
@@ -155,7 +182,12 @@ def _parse_profile_section(section: dict, n: int, path: str) -> SpectralProfile:
 
 
 def _parse_matrix(section: dict) -> MatrixSource:
+    if not isinstance(section, dict):
+        raise ConfigError("matrix: expected a mapping")
     kind = _require(section, "kind", "matrix")
+    if not isinstance(kind, str) or kind not in _MATRIX_KEYS:
+        raise ConfigError(f"matrix.kind: unknown kind {kind!r}")
+    _section(section, "matrix", _MATRIX_KEYS[kind])
     if kind == "identity":
         n = _as_int(_require(section, "n", "matrix"), "matrix.n", 1)
         return MatrixSource(kind=kind, label=f"identity{n}", m=n, n=n)
@@ -191,7 +223,6 @@ def _parse_matrix(section: dict) -> MatrixSource:
             rows=_optional_int(section, "rows"),
             cols=_optional_int(section, "cols"),
         )
-    raise ConfigError(f"matrix.kind: unknown kind {kind!r}")
 
 
 @dataclass
@@ -227,6 +258,7 @@ def parse_config(raw: dict, experiment: str | None = None) -> ExperimentConfig:
     """Validate a loaded YAML mapping; raise :class:`ConfigError` on problems."""
     if not isinstance(raw, dict):
         raise ConfigError("config: expected a mapping at top level")
+    _section(raw, "", _TOP_KEYS)
     exp = raw.get("experiment", experiment)
     if exp is None:
         raise ConfigError("experiment: missing (not in config nor on command line)")
@@ -242,7 +274,7 @@ def parse_config(raw: dict, experiment: str | None = None) -> ExperimentConfig:
     else:
         matrix = _parse_matrix(_require(raw, "matrix", "config"))
 
-    sk = _require(raw, "sketch", "config")
+    sk = _section(_require(raw, "sketch", "config"), "sketch", _SKETCH_KEYS)
     families = sk.get("families", ["gaussian"])
     if not isinstance(families, list) or not families:
         raise ConfigError("sketch.families: expected a non-empty list")
@@ -254,7 +286,8 @@ def parse_config(raw: dict, experiment: str | None = None) -> ExperimentConfig:
     k_list = _as_int_list(_require(sk, "k", "sketch"), "sketch.k", 1)
     s_list = _as_int_list(sk["s"], "sketch.s", 0) if "s" in sk else []
 
-    run = raw.get("run", {})
+    run = _section(raw.get("run", {}), "run", _RUN_KEYS)
+    newton = _section(raw.get("newton", {}), "newton", _NEWTON_KEYS)
     cfg = ExperimentConfig(
         experiment=exp,
         master_seed=master_seed,
@@ -270,7 +303,7 @@ def parse_config(raw: dict, experiment: str | None = None) -> ExperimentConfig:
         err_trials=_as_int(run.get("err_trials", 50), "run.err_trials", 2),
         iters=_as_int(run.get("iters", 30), "run.iters", 1),
         with_bounds=bool(run.get("with_bounds", False)),
-        newton=raw.get("newton", {}),
+        newton=newton,
         config_hash=_hash_config(raw),
     )
     if exp == "newton_demo":

@@ -11,7 +11,7 @@ import numpy as np
 
 from .linalg import orth_rowspace
 from .rng import KeyPath
-from .sketch import SketchSpec, apply_sketch, draw_sketch
+from .sketch import SketchSpec, apply_sketch, draw_sketch, row_factor, sketch_times
 
 __all__ = [
     "LowRankFactorization",
@@ -48,14 +48,6 @@ class ErrEstimate:
     mean: float
     stderr: float
     trials: int
-    k: int
-    family: str
-    s: int | None = None
-
-
-def _sketch_basis(S, A: np.ndarray) -> np.ndarray:
-    """Orthonormal basis Q (n x r) of the row span of S A."""
-    return orth_rowspace(apply_sketch(S, A))
 
 
 def rand_svd(A: np.ndarray, spec: SketchSpec, trial: KeyPath = 0) -> LowRankFactorization:
@@ -69,48 +61,53 @@ def rand_svd(A: np.ndarray, spec: SketchSpec, trial: KeyPath = 0) -> LowRankFact
     if spec.k > A.shape[1]:
         raise ValueError(f"sketch size k={spec.k} exceeds column count {A.shape[1]}")
     S = draw_sketch(spec, A.shape[0], trial)
-    Q = _sketch_basis(S, A)
+    Q = orth_rowspace(apply_sketch(S, A))
     if Q.shape[1] == 0:
         raise ValueError("degenerate sketch: S A has rank 0")
     U, sigma, Wt = np.linalg.svd(A @ Q, full_matrices=False)
     return LowRankFactorization(U=U, sigma=sigma, V=Q @ Wt.T)
 
 
+def _residual(F: np.ndarray, SA: np.ndarray) -> float:
+    """``||F (I - Q Q^T)||_F^2`` for Q a basis of rowspan(SA); any F with
+    ``F^T F = A^T A`` (A itself or its :func:`row_factor`) gives the same value."""
+    Q = orth_rowspace(SA)
+    total = float(np.sum(F * F))
+    if Q.shape[1] == 0:
+        return total
+    captured = float(np.sum((F @ Q) ** 2))
+    return max(total - captured, 0.0)
+
+
 def residual_error(A: np.ndarray, S) -> float:
     """Single-sample squared Frobenius residual ``||A (I - (SA)^+ SA)||_F^2``."""
     A = np.asarray(A, dtype=float)
-    Q = _sketch_basis(S, A)
-    total = float(np.sum(A * A))
-    if Q.shape[1] == 0:
-        return total
-    captured = float(np.sum((A @ Q) ** 2))
-    return max(total - captured, 0.0)
+    return _residual(A, apply_sketch(S, A))
 
 
 def err_monte_carlo(A: np.ndarray, k: int, spec: SketchSpec, trials: int) -> ErrEstimate:
     """Mean and standard error of ``residual_error`` over independent sketches.
 
     ``k = 0`` is exact: the projection is empty so the residual is always
-    ``||A||_F^2`` and the standard error is 0.
+    ``||A||_F^2`` and the standard error is 0.  Each trial's residual is taken
+    on the n x n factor R of A (``||A X||_F = ||R X||_F``), which is exact for
+    every family; Gaussian trials also draw their sketch through R
+    (:func:`~sketchsolve.sketch.sketch_times`).
     """
     A = np.asarray(A, dtype=float)
     if k == 0:
-        return ErrEstimate(mean=float(np.sum(A * A)), stderr=0.0, trials=0,
-                           k=0, family=spec.family, s=spec.s)
+        return ErrEstimate(mean=float(np.sum(A * A)), stderr=0.0, trials=0)
     if trials < 2:
         raise ValueError("trials must be >= 2")
     spec_k = replace(spec, k=k)
+    R = row_factor(A)
     samples = np.array([
-        residual_error(A, draw_sketch(spec_k, A.shape[0], trial=t))
-        for t in range(trials)
+        _residual(R, sketch_times(spec_k, A, t, R)) for t in range(trials)
     ])
     return ErrEstimate(
         mean=float(samples.mean()),
         stderr=float(samples.std(ddof=1) / np.sqrt(trials)),
         trials=trials,
-        k=k,
-        family=spec.family,
-        s=spec.s,
     )
 
 

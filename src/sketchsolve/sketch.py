@@ -30,6 +30,8 @@ __all__ = [
     "leverage_scores",
     "build_less_distribution",
     "draw_sketch",
+    "row_factor",
+    "sketch_times",
     "apply_sketch",
     "apply_sketch_t",
     "densify",
@@ -250,6 +252,32 @@ def apply_sketch_t(S, Y: np.ndarray) -> np.ndarray:
         np.add.at(out, S.indices, _per_entry(S.values, Y.ndim) * Y[S._entry_rows()])
         return out
     return np.asarray(S, dtype=float).T @ Y
+
+
+def row_factor(A: np.ndarray) -> np.ndarray:
+    """Triangular factor R of ``A = Q R`` (Q with orthonormal columns), so that
+    ``R^T R = A^T A`` and ``||A X||_F = ||R X||_F`` for every X."""
+    return np.linalg.qr(np.asarray(A, dtype=float), mode="r")
+
+
+def sketch_times(spec: SketchSpec, A: np.ndarray, trial: KeyPath = 0,
+                 R: np.ndarray | None = None) -> np.ndarray:
+    """``S A`` for a fresh sketch of ``spec``; a pure function of (spec, A, trial).
+
+    Gaussian sketches use rotational invariance: with ``A = Q R``, ``S Q`` is
+    again a standard Gaussian matrix, so ``S A`` has the law of ``G R`` with
+    G a k x rows(R) Gaussian drawn from the trial's stream.  That draws k n
+    numbers instead of k m.  ``R`` defaults to :func:`row_factor` of A; pass
+    it to share one factorization across trials.  Every other family returns
+    ``apply_sketch(draw_sketch(spec, m, trial), A)``.
+    """
+    A = np.asarray(A, dtype=float)
+    if spec.family != "gaussian":
+        return apply_sketch(draw_sketch(spec, A.shape[0], trial), A)
+    spec.validate(A.shape[0])
+    if R is None:
+        R = row_factor(A)
+    return stream(spec.seed_stream, trial).standard_normal((spec.k, R.shape[0])) @ R
 
 
 def fwht(X: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ import scipy.linalg
 from .linalg import solve_psd
 from .matgen import LinearSystem
 from .rng import KeyPath, as_key
-from .sketch import SketchSpec, apply_sketch, draw_sketch
+from .sketch import SketchSpec, apply_sketch, draw_sketch, row_factor, sketch_times
 
 __all__ = [
     "SolverConfig",
@@ -110,18 +110,24 @@ def project_step(x: np.ndarray, system: LinearSystem, S, metric_chol=None):
     Returns ``(x', fallback)``; ``fallback`` is True when the inner k x k
     solve took the pseudoinverse path.
     """
-    A, b = system.A, system.b
-    M = apply_sketch(S, A)  # k x n
-    resid = M @ x - apply_sketch(S, b)
-    if system.metric is None:
-        W = M @ M.T
-        z, fallback = solve_psd(W, resid, n_ambient=A.shape[1])
-        return x - M.T @ z, fallback
     if metric_chol is None:
         metric_chol = _metric_chol(system)
+    return _project(x, system, apply_sketch(S, system.A), apply_sketch(S, system.b),
+                    metric_chol)
+
+
+def _project(x: np.ndarray, system: LinearSystem, M: np.ndarray, Sb: np.ndarray,
+             metric_chol):
+    """:func:`project_step` given ``M = S A`` (k x n) and ``Sb = S b``."""
+    n = system.n
+    resid = M @ x - Sb
+    if system.metric is None:
+        W = M @ M.T
+        z, fallback = solve_psd(W, resid, n_ambient=n)
+        return x - M.T @ z, fallback
     Binv_Mt = scipy.linalg.cho_solve(metric_chol, M.T, check_finite=False)
     W = M @ Binv_Mt
-    z, fallback = solve_psd(W, resid, n_ambient=A.shape[1])
+    z, fallback = solve_psd(W, resid, n_ambient=n)
     return x - Binv_Mt @ z, fallback
 
 
@@ -129,13 +135,19 @@ def solve(system: LinearSystem, config: SolverConfig, trial: KeyPath = 0):
     """Run the iteration from x0 (default all zeros) with a fresh sketch per step.
 
     A pure function of (system, config, trial): iteration t draws its sketch
-    from the stream keyed by ``(*trial, t)``.  Returns the final iterate and
-    the full :class:`IterLog`.
+    from the stream keyed by ``(*trial, t)``.  A Gaussian step sketches the
+    augmented ``[A | b]`` through its factor with ``sketch_times``, so S A and
+    S b come from one k x (n+1) product (exact in law for any b and metric);
+    the other families apply a drawn S to A and b as :func:`project_step` does.
+    Returns the final iterate and the full :class:`IterLog`.
     """
     spec = config.sketch
     spec.validate(system.m)
     key = as_key(trial)
-    x = np.zeros(system.n) if config.x0 is None else np.asarray(config.x0, dtype=float).copy()
+    n = system.n
+    Ab = np.column_stack([system.A, system.b]) if spec.family == "gaussian" else None
+    R = None if Ab is None else row_factor(Ab)
+    x = np.zeros(n) if config.x0 is None else np.asarray(config.x0, dtype=float).copy()
     x_star = system.x_star
     denom = system.metric_norm(x_star)
     chol = _metric_chol(system)
@@ -152,8 +164,11 @@ def solve(system: LinearSystem, config: SolverConfig, trial: KeyPath = 0):
     comps = [V.T @ (x - x_star)] if V is not None else None
     t = 0
     while t < config.max_iters and rel_err[-1] > config.stop_tol:
-        S = draw_sketch(spec, system.m, trial=key + (t,))
-        x, fb = project_step(x, system, S, metric_chol=chol)
+        if R is None:
+            x, fb = project_step(x, system, draw_sketch(spec, system.m, key + (t,)), chol)
+        else:
+            SAb = sketch_times(spec, Ab, key + (t,), R)
+            x, fb = _project(x, system, SAb[:, :n], SAb[:, n], chol)
         d = system.metric_norm(x - x_star)
         dist.append(d)
         rel_err.append(rel(d))

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import symmetrize
+from .linalg import orth_rowspace, symmetrize
 from .randsvd import ErrEstimate, err_monte_carlo
 from .rng import child_seed
-from .sketch import SketchSpec, apply_sketch, draw_sketch
+from .sketch import SketchSpec, apply_sketch, row_factor, sketch_times
 
 __all__ = [
     "ProjectionEstimate",
@@ -136,9 +136,6 @@ def rate_bound_set(
 class SurrogateComparison:
     """Empirical smallest eigenvalue of mean_P vs. the surrogate bound."""
 
-    k: int
-    family: str
-    s: int | None
     s_min: float
     surrogate: float
     rel_gap: float
@@ -147,26 +144,31 @@ class SurrogateComparison:
     err_trials: int
 
 
+def _projector(SA: np.ndarray) -> np.ndarray:
+    Q = orth_rowspace(SA)
+    return Q @ Q.T
+
+
 def projection_matrix(S, A: np.ndarray) -> np.ndarray:
     """Orthogonal projection (n x n) onto the row span of ``S A``."""
-    from .linalg import orth_rowspace
-
-    Q = orth_rowspace(apply_sketch(S, A))
-    return Q @ Q.T
+    return _projector(apply_sketch(S, A))
 
 
 def expected_projection(A: np.ndarray, spec: SketchSpec, trials: int) -> ProjectionEstimate:
     """Monte-Carlo mean of P = (SA)^+ SA over independent sketches.
 
-    The mean is explicitly symmetrized before its eigendecomposition.
+    Trial t uses ``sketch_times(spec, A, t)``: Gaussian sketches are drawn
+    through the factor R of A, which leaves the law of P unchanged.  The mean
+    is explicitly symmetrized before its eigendecomposition.
     """
     if trials < 2:
         raise ValueError("trials must be >= 2")
     A = np.asarray(A, dtype=float)
     n = A.shape[1]
+    R = row_factor(A) if spec.family == "gaussian" else None
     acc = np.zeros((n, n))
     for t in range(trials):
-        acc += projection_matrix(draw_sketch(spec, A.shape[0], trial=t), A)
+        acc += _projector(sketch_times(spec, A, t, R))
     mean_P = symmetrize(acc / trials)
     eigs = np.linalg.eigvalsh(mean_P)[::-1]
     return ProjectionEstimate(mean_P=mean_P, trials=trials, eigenvalues=eigs)
@@ -370,9 +372,6 @@ def surrogate_vs_empirical(
     surrogate = k * sigma_min_sq / (k * sigma_min_sq + err.mean)
     rel_gap = abs(s_min - surrogate) / s_min if s_min > 0 else float("inf")
     return SurrogateComparison(
-        k=k,
-        family=spec.family,
-        s=spec.s,
         s_min=s_min,
         surrogate=surrogate,
         rel_gap=rel_gap,

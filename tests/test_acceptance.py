@@ -18,7 +18,7 @@ from sketchsolve.matgen import SpectralProfile, gen_gaussian_unit_rows, \
 from sketchsolve.newton import full_newton, logistic_objective, rho_certificate, rsn_solve
 from sketchsolve.randsvd import err_monte_carlo, err_upper_bound_min_p
 from sketchsolve.rng import child_seed, stream
-from sketchsolve.sketch import SketchSpec, apply_sketch, build_less_distribution, draw_sketch
+from sketchsolve.sketch import SketchSpec, build_less_distribution, draw_sketch, sketch_times
 from sketchsolve.solver import SolverConfig, estimate_rate, project_step, solve
 from sketchsolve.spectral import expected_projection, surrogate_eigenvalues, worst_case_rate
 
@@ -92,7 +92,7 @@ def test_criterion_02_worst_case_rate_identity():
         # per-trial spread of v^T P v over the same batch (its mean is lam_min)
         q = np.empty(trials)
         for t in range(trials):
-            Q = orth_rowspace(apply_sketch(draw_sketch(spec_a, 200, trial=t), A))
+            Q = orth_rowspace(sketch_times(spec_a, A, t))
             q[t] = np.sum((Q.T @ v) ** 2)
         assert np.mean(q) == pytest.approx(lam_min, abs=1e-10)
         se_a = q.std(ddof=1) / math.sqrt(trials)

@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 import yaml
@@ -17,6 +20,21 @@ def _base_config(**overrides):
         "run": {"runs": 8, "tail": 15, "max_iters": 50, "stop_tol": 1e-8},
     }
     cfg.update(overrides)
+    return cfg
+
+
+#: (section, misspelt or retired key, field path the error names)
+UNKNOWN_KEYS = [
+    ("sketch", "familes", "sketch.familes"),
+    ("run", "rnus", "run.rnus"),
+    (None, "matrx", "matrx"),
+    ("sketch", "leverage_C", "sketch.leverage_C"),
+]
+
+
+def _with_unknown_key(section, key):
+    cfg = _base_config()
+    (cfg if section is None else cfg[section])[key] = 3
     return cfg
 
 
@@ -76,6 +94,33 @@ class TestConfigValidation:
         cfg["matrix"] = {"kind": "profile", "model": "flat", "m": 5, "n": 10}
         with pytest.raises(ConfigError, match="matrix.m"):
             parse_config(cfg)
+
+    @pytest.mark.parametrize("section,key,path", UNKNOWN_KEYS)
+    def test_unknown_key_rejected(self, section, key, path):
+        cfg = _with_unknown_key(section, key)
+        with pytest.raises(ConfigError, match=f"^{re.escape(path)}: unknown field"):
+            parse_config(cfg)
+
+    def test_unknown_key_in_nested_profile(self):
+        cfg = _base_config(matrix={"kind": "profile", "m": 40, "n": 10,
+                                   "profile": {"kind": "linear", "parm": 0.01}})
+        with pytest.raises(ConfigError, match="matrix.profile.parm"):
+            parse_config(cfg)
+
+    def test_key_of_another_matrix_kind_rejected(self):
+        cfg = _base_config(matrix={"kind": "identity", "n": 10, "m": 10})
+        with pytest.raises(ConfigError, match="matrix.m: unknown field"):
+            parse_config(cfg)
+
+    def test_section_must_be_mapping(self):
+        with pytest.raises(ConfigError, match="^run: expected a mapping"):
+            parse_config(_base_config(run=[1, 2]))
+
+    def test_readme_config_parses(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"```yaml\n(.*?)```", readme, re.S).group(1)
+        cfg = parse_config(yaml.safe_load(block))
+        assert cfg.experiment == "rate_sweep" and cfg.runs == 100
 
     def test_seed_override(self, tmp_path):
         path = _write(tmp_path, _base_config())
@@ -287,6 +332,13 @@ class TestCli:
         path = _write(tmp_path, cfg)
         assert main(["rate-sweep", "--config", str(path)]) == 1
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section,key,path", UNKNOWN_KEYS)
+    def test_unknown_key_exit_code(self, tmp_path, capsys, section, key, path):
+        cfg_path = _write(tmp_path, _with_unknown_key(section, key))
+        assert main(["rate-sweep", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+        assert f"{path}: unknown field" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_missing_config_file(self, tmp_path):
         assert main(["rate-sweep", "--config", str(tmp_path / "nope.yaml")]) == 1
