@@ -27,8 +27,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override master_seed from the config")
         p.add_argument("--out", default="results", help="output directory")
         p.add_argument("--svg", action="store_true", help="also render SVG charts")
-        p.add_argument("--threads", type=int, default=1,
-                       help="parallel grid cells (results are order-independent)")
     return parser
 
 
@@ -41,7 +39,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     try:
-        tables = run_experiment(cfg, args.out, threads=max(1, args.threads))
+        tables = run_experiment(cfg, args.out)
         for name, table in tables.items():
             emit_plot_data(table, name, args.out, svg=args.svg)
     except ConfigError as exc:

@@ -321,6 +321,12 @@ def parse_config(raw: dict, experiment: str | None = None) -> ExperimentConfig:
             "tol": _as_float(nw.get("tol", 1e-8), "newton.tol", positive=True),
             "cert_trials": _as_int(nw.get("cert_trials", 400), "newton.cert_trials", 2),
         }
+        rows = cfg.newton["n_features"]  # the sketch acts on the Hessian
+    else:
+        # a dataset's row count is only known once the file is read
+        rows = None if matrix.kind == "dataset" else matrix.m
+    if rows is not None and max(k_list) > rows:
+        raise ConfigError(f"sketch.k: {max(k_list)} exceeds the {rows} rows the sketch acts on")
     return cfg
 
 

@@ -3,14 +3,13 @@
 
 Re-running with the same config and seed produces byte-identical files:
 every random draw is keyed by (master_seed, cell index, ...), floats are
-serialized with round-trip repr, and rows are emitted in grid order no
-matter how cells were scheduled.
+serialized with round-trip repr, and cells run and emit their rows in grid
+order.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -122,13 +121,6 @@ def _cell_spec(cfg: ExperimentConfig, cell: _Cell, system: LinearSystem,
     )
 
 
-def _run_cells(cfg: ExperimentConfig, cells, fn, threads: int):
-    if threads <= 1:
-        return [fn(cell) for cell in cells]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, cells))
-
-
 def _needs_leverage(cfg: ExperimentConfig) -> bool:
     return "less" in cfg.families
 
@@ -137,7 +129,7 @@ def _sigma(system: LinearSystem) -> np.ndarray:
     return np.linalg.svd(system.A, compute_uv=False)
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir, threads: int = 1) -> dict[str, ResultTable]:
+def run_experiment(cfg: ExperimentConfig, out_dir) -> dict[str, ResultTable]:
     """Run the configured experiment and write its CSV outputs to ``out_dir``.
 
     Returns the result tables keyed by output name (the CSV file stem).
@@ -155,7 +147,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, threads: int = 1) -> dict[str
             else None
         )
     runner = _RUNNERS[cfg.experiment]
-    tables = runner(cfg, system, leverage_p, threads)
+    tables = runner(cfg, system, leverage_p)
     meta = f"config_hash={cfg.config_hash} master_seed={cfg.master_seed} version={__version__}"
     for name, table in tables.items():
         table.write_csv(out / f"{name}.csv", meta)
@@ -165,7 +157,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, threads: int = 1) -> dict[str
 # --- individual experiments -------------------------------------------------
 
 
-def _exp_rate_sweep(cfg, system, leverage_p, threads):
+def _exp_rate_sweep(cfg, system, leverage_p):
     cells = _grid(cfg, system.m, system.n)
     sigma = _sigma(system)
 
@@ -207,7 +199,7 @@ def _exp_rate_sweep(cfg, system, leverage_p, threads):
                     "bound_surrogate", "err_mean"]
     table = ResultTable("rate_sweep", columns, ["matrix", "family", "k", "s"],
                         meta_note="rate_pooling=tail-steps-equal-weight")
-    table.extend(_run_cells(cfg, cells, one, threads))
+    table.extend(map(one, cells))
     return {"rate_sweep": table}
 
 
@@ -239,7 +231,7 @@ def _curve_rows(cfg, system, cell, spec, n_iters, stop_tol):
     ]
 
 
-def _exp_convergence_curves(cfg, system, leverage_p, threads):
+def _exp_convergence_curves(cfg, system, leverage_p):
     cells = _grid(cfg, system.m, system.n)
 
     def one(cell: _Cell):
@@ -252,12 +244,12 @@ def _exp_convergence_curves(cfg, system, leverage_p, threads):
          "rel_err_mean", "rel_err_min", "rel_err_max"],
         ["matrix", "family", "k", "s", "t"],
     )
-    for rows in _run_cells(cfg, cells, one, threads):
-        table.extend(rows)
+    for cell in cells:
+        table.extend(one(cell))
     return {"convergence_curves": table}
 
 
-def _exp_surrogate_compare(cfg, system, leverage_p, threads):
+def _exp_surrogate_compare(cfg, system, leverage_p):
     cells = _grid(cfg, system.m, system.n)
 
     def one(cell: _Cell) -> dict:
@@ -282,11 +274,11 @@ def _exp_surrogate_compare(cfg, system, leverage_p, threads):
          "gamma_mode", "trials", "err_trials"],
         ["matrix", "family", "k", "s"],
     )
-    table.extend(_run_cells(cfg, cells, one, threads))
+    table.extend(map(one, cells))
     return {"surrogate_compare": table}
 
 
-def _exp_sparsity_sweep(cfg, system, leverage_p, threads):
+def _exp_sparsity_sweep(cfg, system, leverage_p):
     """Relative error after a fixed number of iterations, sparse vs. dense."""
     cells = _grid(cfg, system.m, system.n)
 
@@ -303,14 +295,14 @@ def _exp_sparsity_sweep(cfg, system, leverage_p, threads):
          "rel_err_mean", "rel_err_min", "rel_err_max"],
         ["matrix", "family", "k", "s"],
     )
-    rows = _run_cells(cfg, cells, one, threads)
+    rows = [one(cell) for cell in cells]
     for row in rows:
         del row["t"]
     table.extend(rows)
     return {"sparsity_sweep": table}
 
 
-def _exp_randsvd_err(cfg, system, leverage_p, threads):
+def _exp_randsvd_err(cfg, system, leverage_p):
     cells = _grid(cfg, system.m, system.n)
     sigma = _sigma(system)
     fro_sq = float(np.sum(sigma**2))
@@ -342,11 +334,11 @@ def _exp_randsvd_err(cfg, system, leverage_p, threads):
          "err_normalized", "best_rank_floor", "rf_bound", "rf_bound_p"],
         ["matrix", "family", "k", "s"],
     )
-    table.extend(_run_cells(cfg, cells, one, threads))
+    table.extend(map(one, cells))
     return {"randsvd_err": table}
 
 
-def _exp_eigendecay(cfg, system, leverage_p, threads):
+def _exp_eigendecay(cfg, system, leverage_p):
     """Empirical per-eigencomponent contraction vs. spectral predictions."""
     from ..solver import eigencomponent_decay
 
@@ -385,12 +377,12 @@ def _exp_eigendecay(cfg, system, leverage_p, threads):
          "lambda_mc", "lambda_surrogate"],
         ["matrix", "family", "k", "s", "l"],
     )
-    for rows in _run_cells(cfg, cells, one, threads):
-        table.extend(rows)
+    for cell in cells:
+        table.extend(one(cell))
     return {"eigendecay": table}
 
 
-def _exp_newton_demo(cfg, system, leverage_p, threads):
+def _exp_newton_demo(cfg, system, leverage_p):
     """RSN on seeded ridge-logistic data, with the spectral certificate."""
     nw = cfg.newton
     rng = stream(child_seed(cfg.master_seed, 4))
@@ -436,7 +428,7 @@ def _exp_newton_demo(cfg, system, leverage_p, threads):
          "refined_bound", "crude_bound", "epsilon", "cert_trials"],
         ["matrix", "family", "k", "s"],
     )
-    table.extend(_run_cells(cfg, cells, one, threads))
+    table.extend(map(one, cells))
     return {"newton_demo": table}
 
 

@@ -16,11 +16,11 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import lambda_min_plus, psd_sqrt, solve_psd, symmetrize
+from .linalg import lambda_min_plus, solve_psd, symmetrize
 from .randsvd import err_monte_carlo
 from .rng import KeyPath, as_key, child_seed
 from .sketch import SketchSpec, apply_sketch, apply_sketch_t, draw_sketch
-from .spectral import gaussian_rate_bound
+from .spectral import expected_projection, gaussian_rate_bound
 
 __all__ = [
     "ConvexObjective",
@@ -52,7 +52,6 @@ class NewtonTrace:
     f: list[float] = field(default_factory=list)
     grad_norm: list[float] = field(default_factory=list)
     eta: list[float] = field(default_factory=list)
-    sketch_trial: list[tuple[int, ...]] = field(default_factory=list)
     line_search_failures: int = 0
 
     def f_gaps(self) -> np.ndarray:
@@ -78,7 +77,6 @@ class RhoCertificate:
     refined_bound: float
     crude_bound: float
     epsilon: float
-    err_km1: float
     trials: int
 
 
@@ -120,7 +118,6 @@ def rsn_solve(
             trace.f.append(f_x)
             trace.grad_norm.append(gnorm)
             trace.eta.append(0.0)
-            trace.sketch_trial.append(key + (t,))
             break
         d = _newton_direction(obj, x, g, draw_sketch(spec, obj.dim, trial=key + (t,)))
         slope = float(g @ d)
@@ -140,7 +137,6 @@ def rsn_solve(
         trace.f.append(f_x)
         trace.grad_norm.append(gnorm)
         trace.eta.append(eta)
-        trace.sketch_trial.append(key + (t,))
     return x, trace
 
 
@@ -164,42 +160,36 @@ def rho_certificate(H: np.ndarray, spec: SketchSpec, trials: int,
                     subgaussian_const: float = 1.0) -> RhoCertificate:
     """Estimate the RSN rate certificate and its closed-form lower bounds.
 
-    rho_hat is the smallest positive eigenvalue of the symmetrized mean of
-    ``H^{1/2} S^T (S H S^T)^+ S H^{1/2}`` over independent sketches.  The
-    refined bound is ``(1 - eps) k lambda_min^+(H) / Err(H^{1/2}, k-1)`` and
-    the crude bound ``k lambda_min^+(H) / tr(H)``.  For Gaussian sketches
-    eps is the explicit expression from :func:`gaussian_rate_bound`; other
-    families use ``subgaussian_const * (1/sqrt(r) + k/n)`` with r the stable
-    rank of H^{1/2}.
+    rho_hat is the smallest positive eigenvalue of the mean of
+    ``H^{1/2} S^T (S H S^T)^+ S H^{1/2}`` over independent sketches.  With
+    ``F = V_+ diag(sqrt(lambda_+))`` from the positive eigenpairs of H
+    (F F^T = H), ``S H^{1/2} = (S F) V_+^T``, so that matrix is
+    ``V_+ P V_+^T`` with P the projection onto rowspan(S F): rho_hat is
+    lambda_min^+ of :func:`expected_projection` on F, and
+    Err(H^{1/2}, k-1) = Err(F, k-1).  All work stays in the range of H, so
+    roundoff has no null space to land in.  The refined bound is
+    ``(1 - eps) k lambda_min^+(H) / Err(H^{1/2}, k-1)`` and the crude bound
+    ``k lambda_min^+(H) / tr(H)``.  For Gaussian sketches eps is the explicit
+    expression from :func:`gaussian_rate_bound`; other families use
+    ``subgaussian_const * (1/sqrt(r) + k/n)`` with r the stable rank of
+    H^{1/2}.
     """
     H = symmetrize(np.asarray(H, dtype=float))
     m = H.shape[0]
     spec.validate(m)
-    if trials < 2:
-        raise ValueError("trials must be >= 2")
-    H_half = psd_sqrt(H)
-    acc = np.zeros_like(H)
-    for t in range(trials):
-        S = draw_sketch(spec, m, trial=t)
-        SH = apply_sketch(S, H)
-        W = symmetrize(apply_sketch(S, SH.T))
-        k = W.shape[0]
-        Winv = np.linalg.pinv(W, rcond=max(k, m) * np.finfo(float).eps, hermitian=True)
-        SHh = apply_sketch(S, H_half)  # S H^{1/2}, k x m
-        acc += SHh.T @ Winv @ SHh
-    G = symmetrize(acc / trials)
-    rho_hat = lambda_min_plus(G)
-
-    eigs = np.linalg.eigvalsh(H)
+    eigs, V = np.linalg.eigh(H)
     cutoff = m * np.finfo(float).eps * max(float(eigs[-1]), 0.0)
-    positive = eigs[eigs > cutoff]
+    keep = eigs > cutoff
+    positive = eigs[keep]
+    F = V[:, keep] * np.sqrt(positive)
+    rho_hat = lambda_min_plus(expected_projection(F, spec, trials).mean_P)
     lam_min_plus = float(positive[0])
     n_rank = int(positive.size)
     trace_h = float(np.sum(positive))
 
     err_spec = SketchSpec(family="gaussian", k=max(spec.k - 1, 1),
                           seed_stream=child_seed(spec.seed_stream, 7))
-    err = err_monte_carlo(H_half, spec.k - 1, err_spec, trials=50)
+    err = err_monte_carlo(F, spec.k - 1, err_spec, trials=50)
     if spec.family == "gaussian":
         eps = gaussian_rate_bound(lam_min_plus, err.mean, spec.k, n_rank).epsilon
     else:
@@ -212,7 +202,6 @@ def rho_certificate(H: np.ndarray, spec: SketchSpec, trials: int,
         refined_bound=refined,
         crude_bound=crude,
         epsilon=eps,
-        err_km1=err.mean,
         trials=trials,
     )
 

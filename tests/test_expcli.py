@@ -32,6 +32,17 @@ UNKNOWN_KEYS = [
 ]
 
 
+def _k_too_large(experiment):
+    """A config whose largest k exceeds the rows the sketch acts on."""
+    if experiment == "newton_demo":
+        cfg = _base_config(experiment=experiment, sketch={"families": ["gaussian"], "k": [4, 7]},
+                           newton={"n_features": 6})
+        del cfg["matrix"], cfg["run"]
+        return cfg
+    return _base_config(matrix={"kind": "profile", "m": 30, "n": 10, "model": "lin.01"},
+                        sketch={"families": ["gaussian"], "k": [5, 40]})
+
+
 def _with_unknown_key(section, key):
     cfg = _base_config()
     (cfg if section is None else cfg[section])[key] = 3
@@ -116,6 +127,19 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="^run: expected a mapping"):
             parse_config(_base_config(run=[1, 2]))
 
+    @pytest.mark.parametrize("experiment", ["rate_sweep", "newton_demo"])
+    def test_k_above_rows_rejected(self, experiment):
+        with pytest.raises(ConfigError, match="^sketch.k: "):
+            parse_config(_k_too_large(experiment))
+
+    def test_k_up_to_rows_accepted(self):
+        parse_config(_base_config(sketch={"families": ["gaussian"], "k": [30]}))
+        parse_config({"experiment": "newton_demo", "sketch": {"k": [6]},
+                      "newton": {"n_features": 6}})
+        # a dataset's row count is unknown until the file is read
+        parse_config(_base_config(matrix={"kind": "dataset", "path": "x.libsvm"},
+                                  sketch={"k": [10**6]}))
+
     def test_readme_config_parses(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         block = re.search(r"```yaml\n(.*?)```", readme, re.S).group(1)
@@ -171,14 +195,6 @@ class TestReproducibility:
         emit_plot_data(tables["rate_sweep"], "rate_sweep", out2, svg=True)
         for name in ("rate_sweep.csv", "rate_sweep_plot.csv", "rate_sweep.svg"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-
-    def test_threads_do_not_change_output(self, tmp_path):
-        raw = _base_config(sketch={"families": ["gaussian"], "k": [2, 3, 4, 5]})
-        t1 = run_experiment(parse_config(raw), tmp_path / "t1", threads=1)
-        t4 = run_experiment(parse_config(raw), tmp_path / "t4", threads=4)
-        assert (tmp_path / "t1/rate_sweep.csv").read_bytes() == \
-            (tmp_path / "t4/rate_sweep.csv").read_bytes()
-        assert t1["rate_sweep"].rows == t4["rate_sweep"].rows
 
 
 class TestOtherExperiments:
@@ -338,6 +354,15 @@ class TestCli:
         cfg_path = _write(tmp_path, _with_unknown_key(section, key))
         assert main(["rate-sweep", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
         assert f"{path}: unknown field" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("experiment", ["rate_sweep", "newton_demo"])
+    def test_k_above_rows_exit_code(self, tmp_path, capsys, experiment):
+        cfg_path = _write(tmp_path, _k_too_large(experiment))
+        argv = [experiment.replace("_", "-"), "--config", str(cfg_path),
+                "--out", str(tmp_path / "o")]
+        assert main(argv) == 1
+        assert "sketch.k: " in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_missing_config_file(self, tmp_path):

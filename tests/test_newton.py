@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sketchsolve.linalg import psd_sqrt
+from sketchsolve.linalg import lambda_min_plus, psd_sqrt, symmetrize
 from sketchsolve.matgen import LinearSystem
 from sketchsolve.newton import (
     full_newton,
@@ -11,7 +11,7 @@ from sketchsolve.newton import (
     rsn_solve,
     rsn_step,
 )
-from sketchsolve.sketch import SketchSpec, draw_sketch
+from sketchsolve.sketch import SketchSpec, apply_sketch, draw_sketch
 from sketchsolve.solver import project_step
 
 
@@ -180,6 +180,43 @@ class TestRhoCertificate:
         A = psd_sqrt(H)  # same row space; E[P] spectrum matches H^{1/2} input
         est = expected_projection(A, SketchSpec("gaussian", k=k, seed_stream=19), trials)
         assert cert.rho_hat == pytest.approx(worst_case_rate(est), abs=3.0 / np.sqrt(trials))
+
+    @pytest.mark.parametrize("spec", [
+        SketchSpec("rademacher", k=4, seed_stream=27),
+        SketchSpec("less_uniform", k=4, s=3, seed_stream=28),
+        SketchSpec("row_sampling", k=4, seed_stream=29),
+    ], ids=lambda spec: spec.family)
+    def test_matches_pinv_loop_on_same_draws(self, spec):
+        # oracle: the mean of H^{1/2} S^T (S H S^T)^+ S H^{1/2} over the
+        # certificate's own draws, built from the explicit square root
+        m, trials = 12, 60
+        rng = np.random.default_rng(30)
+        G = rng.standard_normal((m, m))
+        H = G @ G.T + 0.5 * np.eye(m)
+        H_half = psd_sqrt(H)
+        acc = np.zeros((m, m))
+        for t in range(trials):
+            S = draw_sketch(spec, m, trial=t)
+            W = symmetrize(apply_sketch(S, apply_sketch(S, H).T))
+            Winv = np.linalg.pinv(W, rcond=m * np.finfo(float).eps, hermitian=True)
+            SHh = apply_sketch(S, H_half)
+            acc += SHh.T @ Winv @ SHh
+        oracle = lambda_min_plus(acc / trials)
+        cert = rho_certificate(H, spec, trials)
+        assert cert.rho_hat == pytest.approx(oracle, rel=1e-10)
+
+    @pytest.mark.parametrize("family", ["gaussian", "rademacher"])
+    def test_rotated_rank_deficient_hessian(self, family):
+        # rank 10 in R^30 with a random eigenbasis: k = rank sketches see the
+        # whole range (rho = 1), and k = rank - 1 is far from 0
+        m, r = 30, 10
+        Q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((m, m)))
+        lam = np.concatenate([np.linspace(3.0, 0.5, r), np.zeros(m - r)])
+        H = (Q * lam) @ Q.T
+        full = rho_certificate(H, SketchSpec(family, k=r, seed_stream=3), 200)
+        assert full.rho_hat == pytest.approx(1.0, abs=1e-12)
+        short = rho_certificate(H, SketchSpec(family, k=r - 1, seed_stream=3), 200)
+        assert short.rho_hat > 0.5
 
 
 class TestLogisticObjective:
