@@ -1,0 +1,179 @@
+"""Per-layer timings of the sketch apply and the Monte-Carlo trial kernel,
+for this checkout and, optionally, a parent checkout to compare against.
+
+    python3 bench/run_bench.py --out BENCH.json [--parent-src DIR] [--rounds N]
+
+``DIR`` is the ``src`` directory of another checkout (for example one made
+with ``git archive``).  Each source tree is timed in its own child process,
+and the trees alternate over ``--rounds`` rounds; every number is the median
+over rounds of a per-call median.  Cases, on two matrices with polynomially
+decaying spectra (1000 x 50 and 4096 x 128) and k in {5, 10, 20, 40}:
+
+- ``apply_sketch/<size>/<family>/k=<k>``: ``apply_sketch(S, A)`` for a freshly
+  drawn sketch (the draw is outside the timed region; ``less`` and
+  ``less_uniform`` use s = 32);
+- ``draw_apply/...``: ``apply_sketch(draw_sketch(...), A)``, so that work a
+  tree does while building a sketch is counted too;
+- ``expected_projection/...`` and ``err_monte_carlo/...``: one call with 16
+  trials (one trial block), which includes factoring A where the call needs
+  its factor; ``.../given_R`` passes a precomputed factor where the tree's
+  signature takes one;
+- ``row_factor/<size>``: the factorization alone.
+
+The output records nproc, the BLAS build, the thread environment variables,
+package versions and the net line count of each tree's ``src``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import inspect
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SIZES = ((1000, 50), (4096, 128))
+KS = (5, 10, 20, 40)
+FAMILIES = ("gaussian", "rademacher", "less", "less_uniform", "row_sampling")
+BLOCK_TRIALS = 16
+REPEATS = 5
+TARGET_S = 0.02  # wall time of one timed repeat
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def environment() -> dict:
+    import numpy as np
+    import scipy
+
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    cpu = next((line.split(":", 1)[1].strip() for line in
+                Path("/proc/cpuinfo").read_text().splitlines()
+                if line.startswith("model name")), platform.processor())
+    return {
+        "nproc": len(os.sched_getaffinity(0)),
+        "cpu": cpu,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": f"{blas.get('name')} {blas.get('version')}",
+        **{var: os.environ.get(var) for var in THREAD_VARS},
+    }
+
+
+def src_lines(src: Path) -> int:
+    return sum(len(p.read_text(encoding="utf-8").splitlines())
+               for p in sorted(src.rglob("*.py")))
+
+
+def _per_call(run, prepare=None) -> float:
+    """Median seconds per call of ``run(item)`` over items from ``prepare(n)``;
+    fresh items for every repeat, made outside the timed region."""
+    prepare = prepare or (lambda n: [None] * n)
+    start = time.perf_counter()
+    for item in prepare(1):
+        run(item)
+    n = max(1, min(200, int(TARGET_S / max(time.perf_counter() - start, 1e-6))))
+    times = []
+    for _ in range(REPEATS):
+        items = prepare(n)
+        start = time.perf_counter()
+        for item in items:
+            run(item)
+        times.append((time.perf_counter() - start) / n)
+    return statistics.median(times)
+
+
+def measure() -> dict:
+    """Every case for the sketchsolve found first on ``sys.path`` (seconds)."""
+    from sketchsolve.matgen import SpectralProfile, gen_spectral_matrix
+    from sketchsolve.randsvd import err_monte_carlo
+    from sketchsolve.sketch import (SketchSpec, apply_sketch, build_less_distribution,
+                                    draw_sketch, row_factor)
+    from sketchsolve.spectral import expected_projection
+
+    takes_r = {f: "R" in inspect.signature(f).parameters
+               for f in (expected_projection, err_monte_carlo)}
+    out = {}
+    for m, n in SIZES:
+        size = f"{m}x{n}"
+        A = gen_spectral_matrix(SpectralProfile.polynomial(1.5, n), m, seed=1)
+        p = build_less_distribution(A).probabilities
+        R = row_factor(A)
+        out[f"row_factor/{size}"] = _per_call(lambda _: row_factor(A))
+        for family in FAMILIES:
+            for k in KS:
+                spec = SketchSpec(family, k=k, s=32 if family.startswith("less") else None,
+                                  sampling=p if family == "less" else None, seed_stream=7)
+                case = f"{size}/{family}/k={k}"
+                out[f"apply_sketch/{case}"] = _per_call(
+                    lambda S: apply_sketch(S, A),
+                    lambda count: [draw_sketch(spec, m, t) for t in range(count)])
+                out[f"draw_apply/{case}"] = _per_call(
+                    lambda t: apply_sketch(draw_sketch(spec, m, t), A), range)
+                for fn in (expected_projection, err_monte_carlo):
+                    args = (spec, BLOCK_TRIALS) if fn is expected_projection \
+                        else (k, spec, BLOCK_TRIALS)
+                    out[f"{fn.__name__}/{case}"] = _per_call(lambda _: fn(A, *args))
+                    if takes_r[fn]:
+                        out[f"{fn.__name__}/{case}/given_R"] = _per_call(
+                            lambda _: fn(A, *args, R=R))
+    return out
+
+
+def run_child(src: Path) -> dict:
+    proc = subprocess.run([sys.executable, __file__, "--child", str(src)],
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", type=Path, help="JSON file to write")
+    parser.add_argument("--parent-src", type=Path,
+                        help="src directory of the checkout to compare against")
+    parser.add_argument("--rounds", type=int, default=3)
+    parser.add_argument("--child", type=Path, help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.child is not None:
+        sys.path.insert(0, str(args.child))
+        print(json.dumps(measure()))
+        return 0
+    if args.out is None:
+        parser.error("--out is required")
+    trees = {"change": ROOT / "src"}
+    if args.parent_src is not None:
+        trees = {"parent": args.parent_src.resolve(), **trees}
+    runs = {name: [] for name in trees}
+    for i in range(args.rounds):
+        for name in (list(trees) if i % 2 == 0 else list(trees)[::-1]):
+            runs[name].append(run_child(trees[name]))
+            print(f"round {i + 1}/{args.rounds}: {name} done", file=sys.stderr)
+    results = {}
+    for key in runs["change"][0]:
+        row = {name: statistics.median(r[key] for r in rs if key in r) * 1e6
+               for name, rs in runs.items() if key in rs[0]}
+        if "parent" in row:
+            row["ratio"] = row["change"] / row["parent"]
+        results[key] = row
+    report = {
+        "command": (f"python3 bench/run_bench.py --out {args.out.name} --rounds {args.rounds}"
+                    + (" --parent-src <parent checkout>/src" if "parent" in trees else "")),
+        "unit": "us per call",
+        "rounds": args.rounds,
+        "block_trials": BLOCK_TRIALS,
+        "environment": environment(),
+        "src_lines": {name: src_lines(src) for name, src in trees.items()},
+        "results": results,
+    }
+    args.out.write_text(json.dumps(report, indent=1, sort_keys=False) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

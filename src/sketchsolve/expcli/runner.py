@@ -20,8 +20,8 @@ from ..matgen import LinearSystem, save_matrix_csv
 from ..newton import full_newton, logistic_objective, rho_certificate, rsn_solve
 from ..randsvd import best_rank_error, err_monte_carlo, err_upper_bound_min_p
 from ..rng import child_seed, stream
-from ..sketch import SketchSpec, build_less_distribution
-from ..solver import SolverConfig, estimate_rate, solve
+from ..sketch import SketchSpec, build_less_distribution, row_factor
+from ..solver import SolverConfig, eigencomponent_decay, estimate_rate, solve
 from ..spectral import (
     expected_projection,
     gamma_implicit,
@@ -121,12 +121,9 @@ def _cell_spec(cfg: ExperimentConfig, cell: _Cell, system: LinearSystem,
     )
 
 
-def _needs_leverage(cfg: ExperimentConfig) -> bool:
-    return "less" in cfg.families
-
-
-def _sigma(system: LinearSystem) -> np.ndarray:
-    return np.linalg.svd(system.A, compute_uv=False)
+def _key(matrix: str, cell: _Cell) -> dict:
+    """The grid-key columns that every result row starts with."""
+    return {"matrix": matrix, "family": cell.family, "k": cell.k, "s": cell.s}
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir) -> dict[str, ResultTable]:
@@ -143,7 +140,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict[str, ResultTable]:
         save_matrix_csv(out / "matrix.csv", system.A)  # cache of the built A
         leverage_p = (
             build_less_distribution(system.A).probabilities
-            if _needs_leverage(cfg)
+            if "less" in cfg.families
             else None
         )
     runner = _RUNNERS[cfg.experiment]
@@ -159,17 +156,15 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict[str, ResultTable]:
 
 def _exp_rate_sweep(cfg, system, leverage_p):
     cells = _grid(cfg, system.m, system.n)
-    sigma = _sigma(system)
+    sigma = np.linalg.svd(system.A, compute_uv=False)
+    R = row_factor(system.A) if cfg.with_bounds else None
 
     def one(cell: _Cell) -> dict:
         spec = _cell_spec(cfg, cell, system, leverage_p)
         solver_cfg = SolverConfig(sketch=spec, max_iters=cfg.max_iters, stop_tol=cfg.stop_tol)
         report = estimate_rate(system, solver_cfg, cfg.runs, cfg.tail)
         row = {
-            "matrix": cfg.matrix.label,
-            "family": cell.family,
-            "k": cell.k,
-            "s": cell.s,
+            **_key(cfg.matrix.label, cell),
             "rate": report.empirical_rate,
             "runs": report.runs,
             "tail": report.tail_length,
@@ -179,7 +174,7 @@ def _exp_rate_sweep(cfg, system, leverage_p):
         if cfg.with_bounds:
             err_spec = SketchSpec(family="gaussian", k=max(cell.k - 1, 1),
                                   seed_stream=child_seed(spec.seed_stream, 3))
-            err = err_monte_carlo(system.A, cell.k - 1, err_spec, cfg.err_trials)
+            err = err_monte_carlo(system.A, cell.k - 1, err_spec, cfg.err_trials, R)
             bounds = rate_bound_set(sigma, cell.k, err.mean)
             row.update(
                 bound_simple=bounds.simple,
@@ -217,10 +212,7 @@ def _curve_rows(cfg, system, cell, spec, n_iters, stop_tol):
         errs[r] = padded
     return [
         {
-            "matrix": cfg.matrix.label,
-            "family": cell.family,
-            "k": cell.k,
-            "s": cell.s,
+            **_key(cfg.matrix.label, cell),
             "t": t,
             "runs": cfg.runs,
             "rel_err_mean": float(errs[:, t].mean()),
@@ -251,15 +243,13 @@ def _exp_convergence_curves(cfg, system, leverage_p):
 
 def _exp_surrogate_compare(cfg, system, leverage_p):
     cells = _grid(cfg, system.m, system.n)
+    R = row_factor(system.A)
 
     def one(cell: _Cell) -> dict:
         spec = _cell_spec(cfg, cell, system, leverage_p)
-        comp = surrogate_vs_empirical(system.A, spec, cfg.trials, cfg.err_trials)
+        comp = surrogate_vs_empirical(system.A, spec, cfg.trials, cfg.err_trials, R)
         return {
-            "matrix": cfg.matrix.label,
-            "family": cell.family,
-            "k": cell.k,
-            "s": cell.s,
+            **_key(cfg.matrix.label, cell),
             "s_min": comp.s_min,
             "surrogate": comp.surrogate,
             "gap": comp.rel_gap,
@@ -304,17 +294,15 @@ def _exp_sparsity_sweep(cfg, system, leverage_p):
 
 def _exp_randsvd_err(cfg, system, leverage_p):
     cells = _grid(cfg, system.m, system.n)
-    sigma = _sigma(system)
+    sigma = np.linalg.svd(system.A, compute_uv=False)
     fro_sq = float(np.sum(sigma**2))
+    R = row_factor(system.A)
 
     def one(cell: _Cell) -> dict:
         spec = _cell_spec(cfg, cell, system, leverage_p)
-        est = err_monte_carlo(system.A, cell.k, spec, cfg.err_trials)
+        est = err_monte_carlo(system.A, cell.k, spec, cfg.err_trials, R)
         row = {
-            "matrix": cfg.matrix.label,
-            "family": cell.family,
-            "k": cell.k,
-            "s": cell.s,
+            **_key(cfg.matrix.label, cell),
             "trials": est.trials,
             "err_mean": est.mean,
             "err_stderr": est.stderr,
@@ -340,28 +328,24 @@ def _exp_randsvd_err(cfg, system, leverage_p):
 
 def _exp_eigendecay(cfg, system, leverage_p):
     """Empirical per-eigencomponent contraction vs. spectral predictions."""
-    from ..solver import eigencomponent_decay
-
     cells = _grid(cfg, system.m, system.n)
     _, svals, Vt = np.linalg.svd(system.A, full_matrices=False)
     V = Vt.T
     sigma_sq = svals**2
+    R = row_factor(system.A)
 
     def one(cell: _Cell):
         spec = _cell_spec(cfg, cell, system, leverage_p)
         solver_cfg = SolverConfig(sketch=spec, max_iters=cfg.max_iters, stop_tol=cfg.stop_tol)
         contraction = eigencomponent_decay(system, solver_cfg, V, cfg.runs)
         est = expected_projection(system.A, spec.with_seed(
-            child_seed(spec.seed_stream, 5)), cfg.trials)
+            child_seed(spec.seed_stream, 5)), cfg.trials, R)
         lam_mc = est.eigenvalues
         gamma = gamma_implicit(sigma_sq, cell.k)
         lam_sur = surrogate_eigenvalues(sigma_sq, gamma)
         return [
             {
-                "matrix": cfg.matrix.label,
-                "family": cell.family,
-                "k": cell.k,
-                "s": cell.s,
+                **_key(cfg.matrix.label, cell),
                 "l": l + 1,
                 "sigma_l": float(svals[l]),
                 "contraction": float(contraction[l]),
@@ -404,10 +388,7 @@ def _exp_newton_demo(cfg, system, leverage_p):
                                nw["cert_trials"])
         f_vals = np.asarray(trace.f)
         return {
-            "matrix": f"logistic{nw['n_samples']}x{nw['n_features']}",
-            "family": cell.family,
-            "k": cell.k,
-            "s": cell.s,
+            **_key(f"logistic{nw['n_samples']}x{nw['n_features']}", cell),
             "iters": len(trace.f),
             "f_star": f_star,
             "f_gap_final": float(f_vals[-1] - f_star),

@@ -12,11 +12,10 @@ import scipy.linalg
 EPS = np.finfo(np.float64).eps
 
 
-def rank_cutoff(singular_values: np.ndarray, rows: int, cols: int) -> float:
-    """Absolute threshold below which singular values are treated as zero."""
-    if singular_values.size == 0:
-        return 0.0
-    return max(rows, cols) * EPS * float(singular_values[0])
+def rank_cutoff(singular_values: np.ndarray, rows: int, cols: int):
+    """Absolute threshold below which singular values are treated as zero
+    (one per spectrum, shaped to broadcast, for a stack of spectra)."""
+    return max(rows, cols) * EPS * singular_values[..., :1]
 
 
 def orth_rowspace(M: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ import numpy as np
 from .linalg import lambda_min_plus, solve_psd, symmetrize
 from .randsvd import err_monte_carlo
 from .rng import KeyPath, as_key, child_seed
-from .sketch import SketchSpec, apply_sketch, apply_sketch_t, draw_sketch
+from .sketch import SketchSpec, apply_sketch, apply_sketch_t, draw_sketch, row_factor
 from .spectral import expected_projection, gaussian_rate_bound
 
 __all__ = [
@@ -172,7 +172,8 @@ def rho_certificate(H: np.ndarray, spec: SketchSpec, trials: int,
     ``k lambda_min^+(H) / tr(H)``.  For Gaussian sketches eps is the explicit
     expression from :func:`gaussian_rate_bound`; other families use
     ``subgaussian_const * (1/sqrt(r) + k/n)`` with r the stable rank of
-    H^{1/2}.
+    H^{1/2}.  Raises ``ValueError`` when k exceeds rank(H): Err(H^{1/2}, k-1)
+    is then roundoff and both bounds are meaningless.
     """
     H = symmetrize(np.asarray(H, dtype=float))
     m = H.shape[0]
@@ -181,15 +182,18 @@ def rho_certificate(H: np.ndarray, spec: SketchSpec, trials: int,
     cutoff = m * np.finfo(float).eps * max(float(eigs[-1]), 0.0)
     keep = eigs > cutoff
     positive = eigs[keep]
-    F = V[:, keep] * np.sqrt(positive)
-    rho_hat = lambda_min_plus(expected_projection(F, spec, trials).mean_P)
-    lam_min_plus = float(positive[0])
     n_rank = int(positive.size)
+    if spec.k > n_rank:
+        raise ValueError(f"sketch size k={spec.k} exceeds rank(H)={n_rank}")
+    F = V[:, keep] * np.sqrt(positive)
+    R = row_factor(F)
+    rho_hat = lambda_min_plus(expected_projection(F, spec, trials, R).mean_P)
+    lam_min_plus = float(positive[0])
     trace_h = float(np.sum(positive))
 
     err_spec = SketchSpec(family="gaussian", k=max(spec.k - 1, 1),
                           seed_stream=child_seed(spec.seed_stream, 7))
-    err = err_monte_carlo(F, spec.k - 1, err_spec, trials=50)
+    err = err_monte_carlo(F, spec.k - 1, err_spec, trials=50, R=R)
     if spec.family == "gaussian":
         eps = gaussian_rate_bound(lam_min_plus, err.mean, spec.k, n_rank).epsilon
     else:

@@ -11,7 +11,7 @@ import numpy as np
 
 from .linalg import orth_rowspace
 from .rng import KeyPath
-from .sketch import SketchSpec, apply_sketch, draw_sketch, row_factor, sketch_times
+from .sketch import SketchSpec, apply_sketch, draw_sketch, row_factor, sketched_bases
 
 __all__ = [
     "LowRankFactorization",
@@ -68,42 +68,35 @@ def rand_svd(A: np.ndarray, spec: SketchSpec, trial: KeyPath = 0) -> LowRankFact
     return LowRankFactorization(U=U, sigma=sigma, V=Q @ Wt.T)
 
 
-def _residual(F: np.ndarray, SA: np.ndarray) -> float:
-    """``||F (I - Q Q^T)||_F^2`` for Q a basis of rowspan(SA); any F with
-    ``F^T F = A^T A`` (A itself or its :func:`row_factor`) gives the same value."""
-    Q = orth_rowspace(SA)
-    total = float(np.sum(F * F))
-    if Q.shape[1] == 0:
-        return total
-    captured = float(np.sum((F @ Q) ** 2))
-    return max(total - captured, 0.0)
-
-
 def residual_error(A: np.ndarray, S) -> float:
     """Single-sample squared Frobenius residual ``||A (I - (SA)^+ SA)||_F^2``."""
     A = np.asarray(A, dtype=float)
-    return _residual(A, apply_sketch(S, A))
+    Q = orth_rowspace(apply_sketch(S, A))
+    return max(float(np.sum(A * A)) - float(np.sum((A @ Q) ** 2)), 0.0)
 
 
-def err_monte_carlo(A: np.ndarray, k: int, spec: SketchSpec, trials: int) -> ErrEstimate:
+def err_monte_carlo(A: np.ndarray, k: int, spec: SketchSpec, trials: int,
+                    R: np.ndarray | None = None) -> ErrEstimate:
     """Mean and standard error of ``residual_error`` over independent sketches.
 
     ``k = 0`` is exact: the projection is empty so the residual is always
-    ``||A||_F^2`` and the standard error is 0.  Each trial's residual is taken
-    on the n x n factor R of A (``||A X||_F = ||R X||_F``), which is exact for
-    every family; Gaussian trials also draw their sketch through R
-    (:func:`~sketchsolve.sketch.sketch_times`).
+    ``||A||_F^2`` and the standard error is 0.  Trial t's residual is
+    ``||R||_F^2 - ||R V_t^T||_F^2`` with V_t from ``sketched_bases`` and R the
+    n x n factor of A (computed unless given; ``||A X||_F = ||R X||_F``), exact
+    for every family; Gaussian trials also draw their sketch through R.
     """
     A = np.asarray(A, dtype=float)
     if k == 0:
         return ErrEstimate(mean=float(np.sum(A * A)), stderr=0.0, trials=0)
     if trials < 2:
         raise ValueError("trials must be >= 2")
-    spec_k = replace(spec, k=k)
-    R = row_factor(A)
-    samples = np.array([
-        _residual(R, sketch_times(spec_k, A, t, R)) for t in range(trials)
-    ])
+    if R is None:
+        R = row_factor(A)
+    total = float(np.sum(R * R))
+    samples = np.maximum(np.concatenate([
+        total - np.sum((V @ R.T) ** 2, axis=(1, 2))
+        for V in sketched_bases(replace(spec, k=k), A, trials, R)
+    ]), 0.0)
     return ErrEstimate(
         mean=float(samples.mean()),
         stderr=float(samples.std(ddof=1) / np.sqrt(trials)),

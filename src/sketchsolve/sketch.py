@@ -15,10 +15,11 @@ affect solver behavior.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .linalg import rank_cutoff
 from .matgen import LinearSystem
 from .rng import KeyPath, stream
 
@@ -32,6 +33,7 @@ __all__ = [
     "draw_sketch",
     "row_factor",
     "sketch_times",
+    "sketched_bases",
     "apply_sketch",
     "apply_sketch_t",
     "densify",
@@ -41,6 +43,8 @@ __all__ = [
 
 FAMILIES = ("gaussian", "rademacher", "less", "less_uniform", "row_sampling")
 _DENSE = ("gaussian", "rademacher")
+#: trials per stacked SVD in :func:`sketched_bases`; bounds a block's memory
+TRIAL_BLOCK = 16
 
 
 @dataclass(eq=False)
@@ -94,8 +98,10 @@ class SparseSketch:
     """k x m sparse sketching matrix in CSR-like merged form.
 
     ``s_drawn`` is the pre-merge number of sampled terms per row; after
-    merging duplicate indices a row may store fewer entries, but never
-    none, which :func:`apply_sketch` relies on.
+    merging duplicate indices a row may store fewer entries, but never none.
+    ``padded`` holds the same entries as ``(k, L)`` index and value arrays,
+    L the longest row, for :func:`apply_sketch`: a shorter row is filled with
+    its first index and value 0, so only stored rows of A are read.
     """
 
     k: int
@@ -104,10 +110,23 @@ class SparseSketch:
     indptr: np.ndarray
     indices: np.ndarray
     values: np.ndarray
+    padded: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if np.any(np.diff(self.indptr) < 1):
+        counts = self.indptr[1:] - self.indptr[:-1]
+        if counts.min() < 1:
             raise ValueError("every sketch row needs at least one stored entry")
+        width = int(counts.max())
+        if width * self.k == self.nnz:  # every row is full: no copy
+            self.padded = (self.indices.reshape(self.k, width),
+                           self.values.reshape(self.k, width))
+            return
+        filled = np.arange(width) < counts[:, None]
+        idx = np.repeat(self.indices[self.indptr[:-1], None], width, axis=1)
+        vals = np.zeros(filled.shape)
+        idx[filled] = self.indices
+        vals[filled] = self.values
+        self.padded = (idx, vals)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -222,20 +241,18 @@ def densify(S) -> np.ndarray:
     return S.to_dense() if isinstance(S, SparseSketch) else np.asarray(S, dtype=float)
 
 
-def _per_entry(values: np.ndarray, ndim: int) -> np.ndarray:
-    """Reshape entry values to broadcast against gathered rows of an ndim array."""
-    return values.reshape((-1,) + (1,) * (ndim - 1))
-
-
 def apply_sketch(S, A: np.ndarray) -> np.ndarray:
-    """Compute ``S A``; the sparse path touches only stored entries."""
+    """Compute ``S A`` for a vector or matrix A; the sparse path is one
+    (1 x L) @ (L x cols) product per sketch row over the rows of A it stores
+    (``SparseSketch.padded``)."""
     A = np.asarray(A, dtype=float)
     if isinstance(S, SparseSketch):
         if S.m != A.shape[0]:
             raise ValueError(f"sketch columns {S.m} != matrix rows {A.shape[0]}")
-        terms = _per_entry(S.values, A.ndim) * A[S.indices]
-        # reduceat needs non-empty rows: draws keep >= 1 entry per row (s >= 1)
-        return np.add.reduceat(terms, S.indptr[:-1], axis=0)
+        idx, vals = S.padded
+        if A.ndim == 1:
+            return np.add.reduce(vals * A[idx], axis=1)
+        return np.matmul(vals[:, None, :], A[idx])[:, 0]
     S = np.asarray(S, dtype=float)
     if S.shape[1] != A.shape[0]:
         raise ValueError(f"sketch columns {S.shape[1]} != matrix rows {A.shape[0]}")
@@ -249,7 +266,8 @@ def apply_sketch_t(S, Y: np.ndarray) -> np.ndarray:
         if Y.shape[0] != S.k:
             raise ValueError(f"input rows {Y.shape[0]} != sketch size {S.k}")
         out = np.zeros((S.m,) + Y.shape[1:])
-        np.add.at(out, S.indices, _per_entry(S.values, Y.ndim) * Y[S._entry_rows()])
+        vals = S.values.reshape((-1,) + (1,) * (Y.ndim - 1))
+        np.add.at(out, S.indices, vals * Y[S._entry_rows()])
         return out
     return np.asarray(S, dtype=float).T @ Y
 
@@ -278,6 +296,22 @@ def sketch_times(spec: SketchSpec, A: np.ndarray, trial: KeyPath = 0,
     if R is None:
         R = row_factor(A)
     return stream(spec.seed_stream, trial).standard_normal((spec.k, R.shape[0])) @ R
+
+
+def sketched_bases(spec: SketchSpec, A: np.ndarray, trials: int,
+                   R: np.ndarray | None = None):
+    """Row-space bases of ``S_t A = sketch_times(spec, A, t, R)``, t < trials,
+    as ``(b, min(k, n), n)`` blocks of b <= :data:`TRIAL_BLOCK` trials from one
+    stacked SVD.  Rows past a trial's rank (the ``orth_rowspace`` cutoff) are
+    zero, so ``V[t].T @ V[t]`` projects onto rowspan(S_t A)."""
+    A = np.asarray(A, dtype=float)
+    if R is None and spec.family == "gaussian":
+        R = row_factor(A)
+    for lo in range(0, trials, TRIAL_BLOCK):
+        SA = np.stack([sketch_times(spec, A, t, R)
+                       for t in range(lo, min(lo + TRIAL_BLOCK, trials))])
+        _, s, Vt = np.linalg.svd(SA, full_matrices=False)
+        yield Vt * (s > rank_cutoff(s, *SA.shape[1:]))[..., None]
 
 
 def fwht(X: np.ndarray) -> np.ndarray:

@@ -69,18 +69,6 @@ class IterLog:
     def iterations(self) -> int:
         return int(self.dist.size - 1)
 
-    def csv_rows(self, run: int) -> list[dict]:
-        return [
-            {
-                "run": run,
-                "t": t,
-                "dist": float(self.dist[t]),
-                "rel_err": float(self.rel_err[t]),
-                "fallback_flag": int(self.fallback[t]),
-            }
-            for t in range(self.dist.size)
-        ]
-
 
 @dataclass
 class RateReport:
@@ -130,18 +118,18 @@ def solve(system: LinearSystem, config: SolverConfig, trial: KeyPath = 0):
     """Run the iteration from x0 (default all zeros) with a fresh sketch per step.
 
     A pure function of (system, config, trial): iteration t draws its sketch
-    from the stream keyed by ``(*trial, t)``.  A Gaussian step sketches the
-    augmented ``[A | b]`` through its factor with ``sketch_times``, so S A and
-    S b come from one k x (n+1) product (exact in law for any b and metric);
-    the other families apply a drawn S to A and b as :func:`project_step` does.
+    from the stream keyed by ``(*trial, t)``.  Each step sketches the augmented
+    ``[A | b]`` with ``sketch_times``, so S A and S b come from one k x (n+1)
+    product (Gaussian steps through the factor of ``[A | b]``, exact in law
+    for any b and metric) and then projects as :func:`project_step` does.
     Returns the final iterate and the full :class:`IterLog`.
     """
     spec = config.sketch
     spec.validate(system.m)
     key = as_key(trial)
     n = system.n
-    Ab = np.column_stack([system.A, system.b]) if spec.family == "gaussian" else None
-    R = None if Ab is None else row_factor(Ab)
+    Ab = np.column_stack([system.A, system.b])
+    R = row_factor(Ab) if spec.family == "gaussian" else None
     x = np.zeros(n) if config.x0 is None else np.asarray(config.x0, dtype=float).copy()
     x_star = system.x_star
     denom = system.metric_norm(x_star)
@@ -159,11 +147,8 @@ def solve(system: LinearSystem, config: SolverConfig, trial: KeyPath = 0):
     comps = [V.T @ (x - x_star)] if V is not None else None
     t = 0
     while t < config.max_iters and rel_err[-1] > config.stop_tol:
-        if R is None:
-            x, fb = project_step(x, system, draw_sketch(spec, system.m, key + (t,)), chol)
-        else:
-            SAb = sketch_times(spec, Ab, key + (t,), R)
-            x, fb = _project(x, system, SAb[:, :n], SAb[:, n], chol)
+        SAb = sketch_times(spec, Ab, key + (t,), R)
+        x, fb = _project(x, system, SAb[:, :n], SAb[:, n], chol)
         d = system.metric_norm(x - x_star)
         dist.append(d)
         rel_err.append(rel(d))
@@ -270,8 +255,6 @@ def write_iter_logs(path, logs: list[IterLog]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("run,t,dist,rel_err,fallback_flag\n")
         for run, log in enumerate(logs):
-            for row in log.csv_rows(run):
-                fh.write(
-                    f"{row['run']},{row['t']},{row['dist']!r},"
-                    f"{row['rel_err']!r},{row['fallback_flag']}\n"
-                )
+            for t in range(log.dist.size):
+                fh.write(f"{run},{t},{float(log.dist[t])!r},{float(log.rel_err[t])!r},"
+                         f"{int(log.fallback[t])}\n")

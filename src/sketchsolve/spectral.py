@@ -17,7 +17,7 @@ import numpy as np
 from .linalg import orth_rowspace, symmetrize
 from .randsvd import ErrEstimate, err_monte_carlo
 from .rng import child_seed
-from .sketch import SketchSpec, apply_sketch, row_factor, sketch_times
+from .sketch import SketchSpec, apply_sketch, row_factor, sketched_bases
 
 __all__ = [
     "ProjectionEstimate",
@@ -137,31 +137,29 @@ class SurrogateComparison:
     err_trials: int
 
 
-def _projector(SA: np.ndarray) -> np.ndarray:
-    Q = orth_rowspace(SA)
+def projection_matrix(S, A: np.ndarray) -> np.ndarray:
+    """Orthogonal projection (n x n) onto the row span of ``S A``."""
+    Q = orth_rowspace(apply_sketch(S, A))
     return Q @ Q.T
 
 
-def projection_matrix(S, A: np.ndarray) -> np.ndarray:
-    """Orthogonal projection (n x n) onto the row span of ``S A``."""
-    return _projector(apply_sketch(S, A))
-
-
-def expected_projection(A: np.ndarray, spec: SketchSpec, trials: int) -> ProjectionEstimate:
+def expected_projection(A: np.ndarray, spec: SketchSpec, trials: int,
+                        R: np.ndarray | None = None) -> ProjectionEstimate:
     """Monte-Carlo mean of P = (SA)^+ SA over independent sketches.
 
-    Trial t uses ``sketch_times(spec, A, t)``: Gaussian sketches are drawn
-    through the factor R of A, which leaves the law of P unchanged.  The mean
-    is explicitly symmetrized before its eigendecomposition.
+    Trial t uses ``sketch_times(spec, A, t, R)``: Gaussian sketches are drawn
+    through the factor R of A (computed unless given), which leaves the law of
+    P unchanged.  Each block of ``sketched_bases`` adds ``sum_t V_t^T V_t`` in
+    one product; the mean is symmetrized before its eigendecomposition.
     """
     if trials < 2:
         raise ValueError("trials must be >= 2")
     A = np.asarray(A, dtype=float)
     n = A.shape[1]
-    R = row_factor(A) if spec.family == "gaussian" else None
     acc = np.zeros((n, n))
-    for t in range(trials):
-        acc += _projector(sketch_times(spec, A, t, R))
+    for V in sketched_bases(spec, A, trials, R):
+        W = V.reshape(-1, n)
+        acc += W.T @ W
     mean_P = symmetrize(acc / trials)
     eigs = np.linalg.eigvalsh(mean_P)[::-1]
     return ProjectionEstimate(mean_P=mean_P, trials=trials, eigenvalues=eigs)
@@ -345,23 +343,27 @@ def surrogate_vs_empirical(
     spec: SketchSpec,
     trials: int,
     err_trials: int = 50,
+    R: np.ndarray | None = None,
 ) -> SurrogateComparison:
     """Compare lambda_min of the Monte-Carlo mean projection with the
     surrogate bound ``k s_min^2 / (k s_min^2 + Err(A, k-1))``, k = ``spec.k``.
 
     Err(A, k-1) is estimated from Gaussian sketches of size k-1 on a seed
-    stream derived from (but independent of) the projection stream.
+    stream derived from (but independent of) the projection stream.  A is
+    factored once (``R``, computed here unless given); sigma_min comes from R.
     """
     A = np.asarray(A, dtype=float)
     k = spec.k
-    est = expected_projection(A, spec, trials)
+    if R is None:
+        R = row_factor(A)
+    est = expected_projection(A, spec, trials, R)
     s_min = worst_case_rate(est)
-    sigma_min_sq = float(np.linalg.svd(A, compute_uv=False)[-1] ** 2)
+    sigma_min_sq = float(np.linalg.svd(R, compute_uv=False)[-1] ** 2)
     err_spec = SketchSpec(
         family="gaussian", k=max(k - 1, 1),
         seed_stream=child_seed(spec.seed_stream, 1),
     )
-    err = err_monte_carlo(A, k - 1, err_spec, err_trials)
+    err = err_monte_carlo(A, k - 1, err_spec, err_trials, R)
     surrogate = k * sigma_min_sq / (k * sigma_min_sq + err.mean)
     rel_gap = abs(s_min - surrogate) / s_min if s_min > 0 else float("inf")
     return SurrogateComparison(

@@ -153,6 +153,18 @@ class TestRhoCertificate:
         assert cert.crude_bound == pytest.approx(1.0 / 3.0)  # 1 * 1 / tr
         assert cert.rho_hat > 0.0
 
+    @pytest.mark.parametrize("family", ["gaussian", "rademacher"])
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_k_above_rank_rejected(self, family, k):
+        # Err(H^{1/2}, k-1) is roundoff once k - 1 >= rank(H) = 2: without the
+        # check the refined bound read about -1e16 and the crude one exceeded 1
+        H = np.diag([2.0, 1.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match=rf"k={k} exceeds rank\(H\)=2"):
+            rho_certificate(H, SketchSpec(family, k=k, seed_stream=15), trials=50)
+        cert = rho_certificate(H, SketchSpec(family, k=2, seed_stream=15), trials=50)
+        assert 0.0 < cert.rho_hat <= 1.0 + 1e-12  # k = rank is still allowed
+        assert cert.crude_bound == pytest.approx(2.0 / 3.0)
+
     def test_bound_chain_on_decaying_spectrum(self):
         # crude <= refined <= rho_hat + MC tolerance needs epsilon < 1, i.e.
         # a large enough rank, and Err << tr(H); use lambda_i = i^-2

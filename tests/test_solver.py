@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sketchsolve.linalg import psd_inv_sqrt, psd_sqrt
 from sketchsolve.matgen import LinearSystem, gen_gaussian_unit_rows, make_system
@@ -237,3 +239,46 @@ class TestIterLogCsv:
         first = lines[1].split(",")
         assert first[0] == "0" and first[1] == "0"
         assert float(first[2]) == logs[0].dist[0]
+
+
+_FAMILIES = ("gaussian", "rademacher", "less", "less_uniform", "row_sampling")
+
+
+def _invariant_case(seed, m, n, k, family, metric):
+    """A random consistent system, an optional SPD metric and a sketch spec."""
+    rng = np.random.default_rng(seed)
+    B = None
+    if metric:
+        L = rng.standard_normal((n, n))
+        B = L @ L.T + 0.5 * n * np.eye(n)
+    system = _random_system(m=m, n=n, seed=seed, metric=B)
+    p = build_less_distribution(system.A).probabilities
+    spec = SketchSpec(family, k=min(k, m), s=3 if family in ("less", "less_uniform") else None,
+                      sampling=p if family == "less" else None, seed_stream=seed + 1)
+    return system, spec, rng
+
+
+_CASES = dict(seed=st.integers(0, 2**20), m=st.integers(10, 30), n=st.integers(2, 7),
+              k=st.integers(1, 8), family=st.sampled_from(_FAMILIES), metric=st.booleans())
+
+
+class TestSolverInvariants:
+    @given(**_CASES)
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_project_step_is_idempotent(self, seed, m, n, k, family, metric):
+        system, spec, rng = _invariant_case(seed, m, n, k, family, metric)
+        S = draw_sketch(spec, m, trial=0)
+        x = rng.standard_normal(n)
+        x1, _ = project_step(x, system, S)
+        x2, _ = project_step(x1, system, S)
+        scale = np.linalg.norm(x) + np.linalg.norm(system.x_star)
+        assert np.linalg.norm(x2 - x1) <= 1e-9 * scale
+
+    @given(**_CASES)
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_metric_error_never_grows(self, seed, m, n, k, family, metric):
+        system, spec, _ = _invariant_case(seed, m, n, k, family, metric)
+        cfg = SolverConfig(sketch=spec, max_iters=25, stop_tol=1e-300)
+        _, log = solve(system, cfg, trial=(seed % 7,))
+        # roundoff floor: 1e-10 of the starting error ||x*||_B
+        assert np.all(np.diff(log.dist) <= 1e-10 * (log.dist[:-1] + log.dist[0]))
