@@ -30,7 +30,7 @@ from ..spectral import (
     surrogate_vs_empirical,
     worst_case_rate,
 )
-from .config import ExperimentConfig
+from .config import ConfigError, ExperimentConfig
 
 __all__ = ["ResultTable", "run_experiment"]
 
@@ -132,11 +132,15 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict[str, ResultTable]:
     Returns the result tables keyed by output name (the CSV file stem).
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     if cfg.experiment == "newton_demo":
+        out.mkdir(parents=True, exist_ok=True)
         system, leverage_p = None, None
     else:
         system = cfg.build_system()
+        if max(cfg.k_list) > system.m:  # a dataset's rows are known only now
+            raise ConfigError(
+                f"sketch.k: {max(cfg.k_list)} exceeds the {system.m} rows the sketch acts on")
+        out.mkdir(parents=True, exist_ok=True)
         save_matrix_csv(out / "matrix.csv", system.A)  # cache of the built A
         leverage_p = (
             build_less_distribution(system.A).probabilities

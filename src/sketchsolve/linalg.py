@@ -64,21 +64,6 @@ def symmetrize(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.T)
 
 
-def psd_sqrt(B: np.ndarray) -> np.ndarray:
-    """Symmetric PSD square root via eigendecomposition (negatives clipped)."""
-    w, V = np.linalg.eigh(symmetrize(np.asarray(B, dtype=float)))
-    w = np.clip(w, 0.0, None)
-    return (V * np.sqrt(w)) @ V.T
-
-
-def psd_inv_sqrt(B: np.ndarray) -> np.ndarray:
-    """Inverse PSD square root; requires strictly positive eigenvalues."""
-    w, V = np.linalg.eigh(symmetrize(np.asarray(B, dtype=float)))
-    if np.min(w) <= 0:
-        raise ValueError("matrix is not positive definite")
-    return (V / np.sqrt(w)) @ V.T
-
-
 def lambda_min_plus(M: np.ndarray) -> float:
     """Smallest positive eigenvalue of a symmetric PSD matrix.
 

@@ -51,22 +51,7 @@ class NewtonTrace:
 
     f: list[float] = field(default_factory=list)
     grad_norm: list[float] = field(default_factory=list)
-    eta: list[float] = field(default_factory=list)
     line_search_failures: int = 0
-
-    def f_gaps(self) -> np.ndarray:
-        f = np.asarray(self.f)
-        return f - f.min() if f.size else f
-
-    def write_csv(self, path, seed_stream: int) -> None:
-        gaps = self.f_gaps()
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("t,f_gap,grad_norm,eta,seed\n")
-            for t in range(len(self.f)):
-                fh.write(
-                    f"{t},{float(gaps[t])!r},{float(self.grad_norm[t])!r},"
-                    f"{float(self.eta[t])!r},{seed_stream}\n"
-                )
 
 
 @dataclass(frozen=True)
@@ -117,7 +102,6 @@ def rsn_solve(
         if gnorm <= tol:
             trace.f.append(f_x)
             trace.grad_norm.append(gnorm)
-            trace.eta.append(0.0)
             break
         d = _newton_direction(obj, x, g, draw_sketch(spec, obj.dim, trial=key + (t,)))
         slope = float(g @ d)
@@ -133,10 +117,8 @@ def rsn_solve(
             x = x + eta * d
         else:
             trace.line_search_failures += 1
-            eta = 0.0
         trace.f.append(f_x)
         trace.grad_norm.append(gnorm)
-        trace.eta.append(eta)
     return x, trace
 
 

@@ -2,12 +2,13 @@
 sketches, row sampling, plus leverage scores and randomized Hadamard
 preconditioning.
 
-Sparse families store one row as ``s`` sampled (index, value) terms with
-duplicates merged by summation; the per-row formula is
+Sparse families store one row as its ``s`` drawn (index, value) terms, in
+draw order and unmerged (:class:`SparseSketch`); the per-row formula is
 
     s_i = (1/sqrt(k)) * sum_j r_{i,j} / sqrt(s * p_{t_j}) * e_{t_j}
 
-with standard normal ``r`` and indices ``t`` i.i.d. from ``p``.  Dense
+with standard normal ``r`` and indices ``t`` i.i.d. from ``p``.  An index
+drawn twice contributes two terms, which the apply sums.  Dense
 families keep unit-variance entries; since the projection onto the row span
 of ``S A`` is invariant to row scaling, the differing normalizations do not
 affect solver behavior.
@@ -15,7 +16,7 @@ affect solver behavior.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -95,58 +96,37 @@ class SketchSpec:
 
 @dataclass
 class SparseSketch:
-    """k x m sparse sketching matrix in CSR-like merged form.
+    """k x m sparse sketching matrix stored as its drawn terms.
 
-    ``s_drawn`` is the pre-merge number of sampled terms per row; after
-    merging duplicate indices a row may store fewer entries, but never none.
-    ``padded`` holds the same entries as ``(k, L)`` index and value arrays,
-    L the longest row, for :func:`apply_sketch`: a shorter row is filled with
-    its first index and value 0, so only stored rows of A are read.
+    Row i is ``sum_j values[i, j] * e_{indices[i, j]}``: ``indices`` and
+    ``values`` are (k, s) arrays, and an index drawn twice in one row stays
+    two terms, which every operation sums.
     """
 
-    k: int
-    m: int
-    s_drawn: int
-    indptr: np.ndarray
     indices: np.ndarray
     values: np.ndarray
-    padded: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+    m: int
 
-    def __post_init__(self):
-        counts = self.indptr[1:] - self.indptr[:-1]
-        if counts.min() < 1:
-            raise ValueError("every sketch row needs at least one stored entry")
-        width = int(counts.max())
-        if width * self.k == self.nnz:  # every row is full: no copy
-            self.padded = (self.indices.reshape(self.k, width),
-                           self.values.reshape(self.k, width))
-            return
-        filled = np.arange(width) < counts[:, None]
-        idx = np.repeat(self.indices[self.indptr[:-1], None], width, axis=1)
-        vals = np.zeros(filled.shape)
-        idx[filled] = self.indices
-        vals[filled] = self.values
-        self.padded = (idx, vals)
+    @property
+    def k(self) -> int:
+        return self.indices.shape[0]
+
+    @property
+    def s_drawn(self) -> int:
+        return self.indices.shape[1]
+
+    @property
+    def nnz(self) -> int:
+        """Stored terms, k * s (duplicates counted)."""
+        return int(self.indices.size)
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.k, self.m)
 
-    @property
-    def nnz(self) -> int:
-        return int(self.indices.size)
-
-    def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        lo, hi = self.indptr[i], self.indptr[i + 1]
-        return self.indices[lo:hi], self.values[lo:hi]
-
-    def _entry_rows(self) -> np.ndarray:
-        """Row index of each stored entry, aligned with ``indices``."""
-        return np.repeat(np.arange(self.k), np.diff(self.indptr))
-
     def to_dense(self) -> np.ndarray:
         S = np.zeros((self.k, self.m))
-        S[self._entry_rows(), self.indices] = self.values
+        np.add.at(S, (np.arange(self.k)[:, None], self.indices), self.values)
         return S
 
 
@@ -200,25 +180,7 @@ def _draw_sparse(spec: SketchSpec, m: int, rng: np.random.Generator) -> SparseSk
         idx = np.searchsorted(cdf, rng.random((k, s)), side="right")
     r = rng.standard_normal((k, s))
     p_eff = np.full(m, 1.0 / m) if p is None else p
-    vals = r / np.sqrt(k * s * p_eff[idx])
-
-    # stable sort of the flat keys row*m + index keeps each row's draw order,
-    # so duplicates are summed in the order they were sampled
-    keys = np.repeat(np.arange(k), s) * m + idx.ravel()
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    start = np.flatnonzero(np.diff(keys, prepend=-1))
-    uniq = keys[start]
-    indptr = np.zeros(k + 1, dtype=np.int64)
-    np.cumsum(np.bincount(uniq // m, minlength=k), out=indptr[1:])
-    return SparseSketch(
-        k=k,
-        m=m,
-        s_drawn=s,
-        indptr=indptr,
-        indices=uniq % m,
-        values=np.add.reduceat(vals.ravel()[order], start),
-    )
+    return SparseSketch(indices=idx, values=r / np.sqrt(k * s * p_eff[idx]), m=m)
 
 
 def draw_sketch(spec: SketchSpec, m: int, trial: KeyPath = 0):
@@ -243,16 +205,14 @@ def densify(S) -> np.ndarray:
 
 def apply_sketch(S, A: np.ndarray) -> np.ndarray:
     """Compute ``S A`` for a vector or matrix A; the sparse path is one
-    (1 x L) @ (L x cols) product per sketch row over the rows of A it stores
-    (``SparseSketch.padded``)."""
+    (1 x s) @ (s x cols) product per sketch row over the rows of A it draws."""
     A = np.asarray(A, dtype=float)
     if isinstance(S, SparseSketch):
         if S.m != A.shape[0]:
             raise ValueError(f"sketch columns {S.m} != matrix rows {A.shape[0]}")
-        idx, vals = S.padded
         if A.ndim == 1:
-            return np.add.reduce(vals * A[idx], axis=1)
-        return np.matmul(vals[:, None, :], A[idx])[:, 0]
+            return np.add.reduce(S.values * A[S.indices], axis=1)
+        return np.matmul(S.values[:, None, :], A[S.indices])[:, 0]
     S = np.asarray(S, dtype=float)
     if S.shape[1] != A.shape[0]:
         raise ValueError(f"sketch columns {S.shape[1]} != matrix rows {A.shape[0]}")
@@ -266,8 +226,8 @@ def apply_sketch_t(S, Y: np.ndarray) -> np.ndarray:
         if Y.shape[0] != S.k:
             raise ValueError(f"input rows {Y.shape[0]} != sketch size {S.k}")
         out = np.zeros((S.m,) + Y.shape[1:])
-        vals = S.values.reshape((-1,) + (1,) * (Y.ndim - 1))
-        np.add.at(out, S.indices, vals * Y[S._entry_rows()])
+        vals = S.values.reshape(S.values.shape + (1,) * (Y.ndim - 1))
+        np.add.at(out, S.indices, vals * Y[:, None])
         return out
     return np.asarray(S, dtype=float).T @ Y
 

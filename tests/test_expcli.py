@@ -365,6 +365,21 @@ class TestCli:
         assert "sketch.k: " in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_dataset_k_above_rows_exit_code(self, tmp_path, capsys):
+        # a dataset's row count is only known once the file is read
+        data = tmp_path / "tiny.libsvm"
+        data.write_text("".join(f"1 1:{i + 1}.0 2:{i % 3}.0\n" for i in range(5)))
+        cfg = _base_config(
+            experiment="randsvd_err",
+            matrix={"kind": "dataset", "path": str(data)},
+            sketch={"families": ["gaussian"], "k": [2, 7]},
+            run={"err_trials": 2},
+        )
+        path = _write(tmp_path, cfg)
+        assert main(["randsvd-err", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert "sketch.k: 7 exceeds the 5 rows" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_missing_config_file(self, tmp_path):
         assert main(["rate-sweep", "--config", str(tmp_path / "nope.yaml")]) == 1
 

@@ -22,7 +22,6 @@ from sketchsolve.sketch import (
     SketchSpec,
     apply_sketch,
     build_less_distribution,
-    densify,
     draw_sketch,
     row_factor,
     sketched_bases,
@@ -149,15 +148,3 @@ def test_block_shapes(monkeypatch):
                                                                (1, 4, 6)]
     monkeypatch.setattr(sketch, "TRIAL_BLOCK", 7)
     assert [len(B) for B in sketched_bases(spec, A, 15)] == [7, 7, 1]
-
-
-@pytest.mark.parametrize("ndim", [1, 2], ids=["1d", "2d"])
-def test_padded_apply_reads_only_stored_rows(ndim):
-    # merged duplicates shorten some rows; their padding must read no row of
-    # A that the sketch does not store (row 0 here, NaN)
-    S = draw_sketch(SketchSpec("less_uniform", k=6, s=8, seed_stream=3), 20, trial=0)
-    counts = np.diff(S.indptr)
-    assert counts.min() < counts.max() and 0 not in S.indices
-    A = np.full((20, 3)[:ndim], np.nan)
-    A[S.indices] = 1.0 + np.arange(S.nnz * A[0:1].size).reshape((S.nnz,) + A.shape[1:])
-    _close(apply_sketch(S, A), densify(S) @ np.nan_to_num(A))

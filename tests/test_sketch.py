@@ -97,7 +97,7 @@ class TestDrawSketch:
         p[0] = 1.0
         spec = SketchSpec("row_sampling", k=8, sampling=p, seed_stream=2)
         S = draw_sketch(spec, 20, trial=0)
-        assert np.array_equal(S.indices, np.zeros(8, dtype=np.int64))
+        assert np.array_equal(S.indices, np.zeros((8, 1), dtype=np.int64))
 
     def test_less_requires_sampling(self):
         spec = SketchSpec("less", k=3, s=4, seed_stream=0)
@@ -110,24 +110,27 @@ class TestDrawSketch:
         spec = SketchSpec("less", k=5, s=7, sampling=p, seed_stream=9)
         S = draw_sketch(spec, 60, trial=1)
         assert S.s_drawn == 7
-        for i in range(S.k):
-            idx, val = S.row(i)
-            assert idx.size <= 7  # merged duplicates only shrink a row
-            assert np.all(np.diff(idx) > 0)
-            assert np.all(p[idx] > 0)
+        assert S.indices.shape == S.values.shape == (5, 7) and S.nnz == 35
+        assert np.all((S.indices >= 0) & (S.indices < 60))
+        assert np.all(p[S.indices] > 0)
 
-    def test_duplicates_merged_by_summation(self):
-        # sampling concentrated on one index forces duplicate draws; the
-        # merged representation stores fewer than k*s entries
-        p = np.array([0.97, 0.01, 0.01, 0.01])
-        spec = SketchSpec("less", k=3, s=4, sampling=p, seed_stream=11)
-        S = draw_sketch(spec, 4, trial=0)
-        assert S.s_drawn == 4
-        assert S.nnz < 3 * 4
+    @staticmethod
+    def _merged_csr(S):
+        """Merge duplicate indices per row into CSR ``(indptr, indices,
+        values)``, summing in draw order (stable sort, then reduceat)."""
+        k, m = S.shape
+        keys = np.repeat(np.arange(k), S.s_drawn) * m + S.indices.ravel()
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        start = np.flatnonzero(np.diff(keys, prepend=-1))
+        uniq = keys[start]
+        indptr = np.zeros(k + 1, dtype=np.int64)
+        np.cumsum(np.bincount(uniq // m, minlength=k), out=indptr[1:])
+        return indptr, uniq % m, np.add.reduceat(S.values.ravel()[order], start)
 
     def test_draw_pinned(self):
-        # sha256 of the (indptr, indices, values) bytes: a drawn sketch is a
-        # fixed function of (spec, m, trial), merge order included
+        # sha256 of the merged (indptr, indices, values) bytes: the drawn
+        # terms are a fixed function of (spec, m, trial)
         cases = [
             (SketchSpec("less_uniform", k=20, s=32, seed_stream=7), 1000, (1, 2),
              "e064f7383c6f259262c67cf7241e7eddc3c44adbecd56d6052edc3bebfa80168"),
@@ -141,7 +144,7 @@ class TestDrawSketch:
         for spec, m, trial, digest in cases:
             S = draw_sketch(spec, m, trial=trial)
             h = hashlib.sha256()
-            for arr in (S.indptr, S.indices, S.values):
+            for arr in self._merged_csr(S):
                 h.update(arr.tobytes())
             assert h.hexdigest() == digest, spec.family
 
@@ -180,8 +183,8 @@ class TestDrawSketch:
 
 
 _DUP_HEAVY = np.array([0.97, 0.01, 0.01, 0.01])
-# (spec, m); the *-dup cases concentrate p on one index, so rows merge
-# duplicates (less) or many rows share one column (row_sampling)
+# (spec, m); the *-dup cases concentrate p on one index, so rows repeat an
+# index (less) or many rows share one column (row_sampling)
 _SPARSE_CASES = [
     (SketchSpec("less", k=6, s=5, sampling=np.arange(1.0, 41.0) / 820.0, seed_stream=3), 40),
     (SketchSpec("less_uniform", k=6, s=5, seed_stream=3), 40),
@@ -195,18 +198,9 @@ _SPARSE_IDS = ["less", "less_uniform", "row_sampling", "less-dup", "row_sampling
 class TestApplySketch:
     def test_row_selection(self):
         A = np.arange(20.0).reshape(5, 4)
-        S = SparseSketch(
-            k=2, m=5, s_drawn=1,
-            indptr=np.array([0, 1, 2]),
-            indices=np.array([1, 3]),
-            values=np.array([1.0, 1.0]),
-        )
+        S = SparseSketch(indices=np.array([[1], [3]]), values=np.array([[1.0], [1.0]]),
+                         m=5)
         np.testing.assert_allclose(apply_sketch(S, A), A[[1, 3]])
-
-    def test_empty_row_rejected(self):
-        with pytest.raises(ValueError, match="at least one stored entry"):
-            SparseSketch(k=2, m=5, s_drawn=1, indptr=np.array([0, 1, 1]),
-                         indices=np.array([1]), values=np.array([1.0]))
 
     def test_dense_identity(self):
         S = np.random.default_rng(0).standard_normal((3, 6))
@@ -232,14 +226,16 @@ class TestApplySketch:
 
     def test_op_counter_touches_only_stored_entries(self):
         # rows of A that no stored entry references are never read: NaN
-        # there cannot leak into S A
+        # there cannot leak into S A, for a vector or a matrix A
         spec = SketchSpec("less_uniform", k=4, s=3, seed_stream=1)
         S = draw_sketch(spec, 100, trial=0)
-        assert S.nnz <= 4 * 3 < 4 * 100
-        A = np.full((100, 2), np.nan)
-        A[S.indices] = np.arange(1.0, 2 * S.nnz + 1).reshape(S.nnz, 2)
-        np.testing.assert_allclose(apply_sketch(S, A), densify(S) @ np.nan_to_num(A),
-                                   atol=1e-12)
+        assert S.nnz == 4 * 3 < 4 * 100
+        for ndim in (1, 2):
+            A = np.full((100, 2)[:ndim], np.nan)
+            A[S.indices] = 1.0 + np.arange(S.nnz * A[0:1].size).reshape(
+                S.indices.shape + A.shape[1:])
+            np.testing.assert_allclose(apply_sketch(S, A),
+                                       densify(S) @ np.nan_to_num(A), atol=1e-12)
 
     @given(c=st.floats(0.1, 10.0), trial=st.integers(0, 20))
     @settings(max_examples=20, deadline=None)
