@@ -27,6 +27,7 @@ package versions and the net line count of each tree's ``src``.
 from __future__ import annotations
 
 import argparse
+import importlib.metadata
 import inspect
 import json
 import os
@@ -49,8 +50,11 @@ THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 def environment() -> dict:
     import numpy as np
-    import scipy
 
+    try:  # recorded for reference only; the package does not use scipy
+        scipy_version = importlib.metadata.version("scipy")
+    except importlib.metadata.PackageNotFoundError:
+        scipy_version = None
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     cpu = next((line.split(":", 1)[1].strip() for line in
                 Path("/proc/cpuinfo").read_text().splitlines()
@@ -60,7 +64,7 @@ def environment() -> dict:
         "cpu": cpu,
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
+        "scipy": scipy_version,
         "blas": f"{blas.get('name')} {blas.get('version')}",
         **{var: os.environ.get(var) for var in THREAD_VARS},
     }

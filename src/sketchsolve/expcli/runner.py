@@ -140,13 +140,20 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict[str, ResultTable]:
         if max(cfg.k_list) > system.m:  # a dataset's rows are known only now
             raise ConfigError(
                 f"sketch.k: {max(cfg.k_list)} exceeds the {system.m} rows the sketch acts on")
+        if cfg.experiment == "eigendecay":  # the surrogate's gamma needs k < rank(A)
+            try:
+                gamma_implicit(np.linalg.svd(system.A, compute_uv=False) ** 2, max(cfg.k_list))
+            except ValueError as exc:
+                raise ConfigError(f"sketch.k: {exc}") from exc
+        leverage_p = None
+        if "less" in cfg.families:
+            try:
+                leverage_p = build_less_distribution(system.A).probabilities
+            except ValueError as exc:
+                raise ConfigError(f"sketch.families: less needs a full-column-rank A "
+                                  f"({exc})") from exc
         out.mkdir(parents=True, exist_ok=True)
         save_matrix_csv(out / "matrix.csv", system.A)  # cache of the built A
-        leverage_p = (
-            build_less_distribution(system.A).probabilities
-            if "less" in cfg.families
-            else None
-        )
     runner = _RUNNERS[cfg.experiment]
     tables = runner(cfg, system, leverage_p)
     meta = f"config_hash={cfg.config_hash} master_seed={cfg.master_seed} version={__version__}"
@@ -160,7 +167,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict[str, ResultTable]:
 
 def _exp_rate_sweep(cfg, system, leverage_p):
     cells = _grid(cfg, system.m, system.n)
-    sigma = np.linalg.svd(system.A, compute_uv=False)
+    sigma = np.linalg.svd(system.A, compute_uv=False) if cfg.with_bounds else None
     R = row_factor(system.A) if cfg.with_bounds else None
 
     def one(cell: _Cell) -> dict:

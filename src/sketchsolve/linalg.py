@@ -7,7 +7,6 @@ All routines operate on float64 numpy arrays and are deterministic.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 EPS = np.finfo(np.float64).eps
 
@@ -50,11 +49,10 @@ def solve_psd(W: np.ndarray, rhs: np.ndarray, n_ambient: int | None = None):
         return np.zeros_like(rhs), False
     norm_w = float(np.linalg.norm(W))
     try:
-        c, low = scipy.linalg.cho_factor(W, check_finite=False)
-        min_pivot = float(np.min(np.diag(c))) ** 2
+        min_pivot = float(np.min(np.diagonal(np.linalg.cholesky(W)))) ** 2
         if min_pivot >= k * EPS * norm_w:
-            return scipy.linalg.cho_solve((c, low), rhs, check_finite=False), False
-    except scipy.linalg.LinAlgError:
+            return np.linalg.solve(W, rhs), False
+    except np.linalg.LinAlgError:
         pass
     z = np.linalg.pinv(W, rcond=max(k, n_ambient) * EPS, hermitian=True) @ rhs
     return z, True
@@ -85,6 +83,6 @@ def check_spd(B: np.ndarray, name: str = "metric") -> None:
     if not np.allclose(B, B.T, rtol=0.0, atol=1e-10 * max(1.0, float(np.abs(B).max()))):
         raise ValueError(f"{name} must be symmetric")
     try:
-        scipy.linalg.cholesky(B, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
+        np.linalg.cholesky(B)
+    except np.linalg.LinAlgError as exc:
         raise ValueError(f"{name} is not positive definite") from exc

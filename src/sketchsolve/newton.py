@@ -34,6 +34,9 @@ __all__ = [
     "quadratic_objective",
 ]
 
+#: absolute constant of the sub-Gaussian epsilon in :func:`rho_certificate`
+SUBGAUSSIAN_CONST = 1.0
+
 
 @dataclass
 class ConvexObjective:
@@ -138,8 +141,7 @@ def full_newton(obj: ConvexObjective, x0: np.ndarray, max_iters: int = 100,
     return x
 
 
-def rho_certificate(H: np.ndarray, spec: SketchSpec, trials: int,
-                    subgaussian_const: float = 1.0) -> RhoCertificate:
+def rho_certificate(H: np.ndarray, spec: SketchSpec, trials: int) -> RhoCertificate:
     """Estimate the RSN rate certificate and its closed-form lower bounds.
 
     rho_hat is the smallest positive eigenvalue of the mean of
@@ -153,7 +155,7 @@ def rho_certificate(H: np.ndarray, spec: SketchSpec, trials: int,
     ``(1 - eps) k lambda_min^+(H) / Err(H^{1/2}, k-1)`` and the crude bound
     ``k lambda_min^+(H) / tr(H)``.  For Gaussian sketches eps is the explicit
     expression from :func:`gaussian_rate_bound`; other families use
-    ``subgaussian_const * (1/sqrt(r) + k/n)`` with r the stable rank of
+    ``SUBGAUSSIAN_CONST * (1/sqrt(r) + k/n)`` with r the stable rank of
     H^{1/2}.  Raises ``ValueError`` when k exceeds rank(H): Err(H^{1/2}, k-1)
     is then roundoff and both bounds are meaningless.
     """
@@ -180,7 +182,7 @@ def rho_certificate(H: np.ndarray, spec: SketchSpec, trials: int,
         eps = gaussian_rate_bound(lam_min_plus, err.mean, spec.k, n_rank).epsilon
     else:
         r_stable = trace_h / float(eigs[-1])
-        eps = subgaussian_const * (1.0 / np.sqrt(r_stable) + spec.k / n_rank)
+        eps = SUBGAUSSIAN_CONST * (1.0 / np.sqrt(r_stable) + spec.k / n_rank)
     refined = (1.0 - eps) * spec.k * lam_min_plus / err.mean
     crude = spec.k * lam_min_plus / trace_h
     return RhoCertificate(

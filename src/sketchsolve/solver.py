@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .linalg import solve_psd
 from .matgen import LinearSystem
@@ -81,37 +80,22 @@ class RateReport:
     short_tail: bool
 
 
-def _metric_chol(system: LinearSystem):
-    if system.metric is None:
-        return None
-    return scipy.linalg.cho_factor(system.metric, check_finite=False)
-
-
-def project_step(x: np.ndarray, system: LinearSystem, S, metric_chol=None):
+def project_step(x: np.ndarray, system: LinearSystem, S):
     """One B-metric projection of ``x`` onto ``{x : S A x = S b}``.
 
     Returns ``(x', fallback)``; ``fallback`` is True when the inner k x k
     solve took the pseudoinverse path.
     """
-    if metric_chol is None:
-        metric_chol = _metric_chol(system)
-    return _project(x, system, apply_sketch(S, system.A), apply_sketch(S, system.b),
-                    metric_chol)
+    Binv = None if system.metric is None else np.linalg.inv(system.metric)
+    return _project(x, apply_sketch(S, system.A), apply_sketch(S, system.b), Binv)
 
 
-def _project(x: np.ndarray, system: LinearSystem, M: np.ndarray, Sb: np.ndarray,
-             metric_chol):
-    """:func:`project_step` given ``M = S A`` (k x n) and ``Sb = S b``."""
-    n = system.n
-    resid = M @ x - Sb
-    if system.metric is None:
-        W = M @ M.T
-        z, fallback = solve_psd(W, resid, n_ambient=n)
-        return x - M.T @ z, fallback
-    Binv_Mt = scipy.linalg.cho_solve(metric_chol, M.T, check_finite=False)
-    W = M @ Binv_Mt
-    z, fallback = solve_psd(W, resid, n_ambient=n)
-    return x - Binv_Mt @ z, fallback
+def _project(x: np.ndarray, M: np.ndarray, Sb: np.ndarray, Binv: np.ndarray | None):
+    """:func:`project_step` given ``M = S A`` (k x n), ``Sb = S b`` and
+    ``Binv = B^{-1}`` (None for the Euclidean metric)."""
+    Mt = M.T if Binv is None else Binv @ M.T
+    z, fallback = solve_psd(M @ Mt, M @ x - Sb, n_ambient=x.size)
+    return x - Mt @ z, fallback
 
 
 def solve(system: LinearSystem, config: SolverConfig, trial: KeyPath = 0):
@@ -133,7 +117,7 @@ def solve(system: LinearSystem, config: SolverConfig, trial: KeyPath = 0):
     x = np.zeros(n) if config.x0 is None else np.asarray(config.x0, dtype=float).copy()
     x_star = system.x_star
     denom = system.metric_norm(x_star)
-    chol = _metric_chol(system)
+    Binv = None if system.metric is None else np.linalg.inv(system.metric)
     V = config.record_components
 
     def rel(d: float) -> float:
@@ -148,7 +132,7 @@ def solve(system: LinearSystem, config: SolverConfig, trial: KeyPath = 0):
     t = 0
     while t < config.max_iters and rel_err[-1] > config.stop_tol:
         SAb = sketch_times(spec, Ab, key + (t,), R)
-        x, fb = _project(x, system, SAb[:, :n], SAb[:, n], chol)
+        x, fb = _project(x, SAb[:, :n], SAb[:, n], Binv)
         d = system.metric_norm(x - x_star)
         dist.append(d)
         rel_err.append(rel(d))

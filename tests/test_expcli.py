@@ -1,10 +1,14 @@
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import sketchsolve
 from sketchsolve.expcli import ConfigError, emit_plot_data, load_config, run_experiment
 from sketchsolve.expcli.cli import main
 from sketchsolve.expcli.config import parse_config, parse_model_name
@@ -379,6 +383,45 @@ class TestCli:
         assert main(["randsvd-err", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
         assert "sketch.k: 7 exceeds the 5 rows" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_eigendecay_k_at_rank_exit_code(self, tmp_path, capsys):
+        # the surrogate's gamma exists only for k < rank(A)
+        cfg = _base_config(
+            experiment="eigendecay",
+            matrix={"kind": "profile", "m": 60, "n": 8, "model": "poly1.5"},
+            sketch={"families": ["gaussian"], "k": [2, 8]},
+            run={"runs": 2, "max_iters": 5, "trials": 4},
+        )
+        path = _write(tmp_path, cfg)
+        assert main(["eigendecay", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert "sketch.k: k=8 outside [1, rank) with rank=8" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_less_rank_deficient_exit_code(self, tmp_path, capsys):
+        # column 3 repeats column 1, so leverage scores are undefined
+        data = tmp_path / "dup.libsvm"
+        data.write_text("".join(f"1 1:{i + 1}.0 2:{(i * i) % 7}.0 3:{i + 1}.0\n"
+                                for i in range(20)))
+        cfg = _base_config(
+            matrix={"kind": "dataset", "path": str(data)},
+            sketch={"families": ["gaussian", "less"], "k": [2], "s": [4]},
+            run={"runs": 2, "tail": 2, "max_iters": 5},
+        )
+        path = _write(tmp_path, cfg)
+        assert main(["rate-sweep", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert "sketch.families: less needs a full-column-rank A" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_import_loads_no_scipy(self):
+        # the package is numpy-only; a fresh interpreter shows what it imports
+        code = ("import sys, sketchsolve, sketchsolve.expcli.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        src = str(Path(sketchsolve.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
     def test_missing_config_file(self, tmp_path):
         assert main(["rate-sweep", "--config", str(tmp_path / "nope.yaml")]) == 1

@@ -220,8 +220,13 @@ class TestMakeSystem:
         assert np.max(np.abs(null_basis @ system.x_star)) <= 1e-10
 
     def test_metric_must_be_spd(self):
-        with pytest.raises(ValueError):
-            make_system(np.eye(3), seed=0, metric=np.diag([1.0, -1.0, 1.0]))
+        non_symmetric = np.eye(3)
+        non_symmetric[0, 2] = 0.5
+        for metric, message in [(np.diag([1.0, -1.0, 1.0]), "not positive definite"),
+                                (np.diag([1.0, 0.0, 1.0]), "not positive definite"),
+                                (non_symmetric, "must be symmetric")]:
+            with pytest.raises(ValueError, match=message):
+                make_system(np.eye(3), seed=0, metric=metric)
         system = make_system(np.eye(3), seed=0, metric=np.diag([4.0, 1.0, 2.0]))
         assert system.metric_norm(np.array([1.0, 0.0, 0.0])) == pytest.approx(2.0)
 
