@@ -1,5 +1,6 @@
-"""Per-layer timings of the sketch apply and the Monte-Carlo trial kernel,
-for this checkout and, optionally, a parent checkout to compare against.
+"""Per-layer timings of the sketch apply, the Monte-Carlo trial kernel and
+one RSN step, for this checkout and, optionally, a parent checkout to
+compare against.
 
     python3 bench/run_bench.py --out BENCH.json [--parent-src DIR] [--rounds N]
 
@@ -18,7 +19,11 @@ decaying spectra (1000 x 50 and 4096 x 128) and k in {5, 10, 20, 40}:
   trials (one trial block), which includes factoring A where the call needs
   its factor; ``.../given_R`` passes a precomputed factor where the tree's
   signature takes one;
-- ``row_factor/<size>``: the factorization alone.
+- ``row_factor/<size>``: the factorization alone;
+- ``rsn_step/<family>/k=<k>``: one ``rsn_step`` on a ridge-logistic objective
+  with N = 2000 samples and d = 100 features, for ``gaussian`` and
+  ``less_uniform`` (s = 8) sketches with k in {5, 10, 20}, drawn outside the
+  timed region.
 
 The output records nproc, the BLAS build, the thread environment variables,
 package versions and the net line count of each tree's ``src``.
@@ -46,6 +51,10 @@ BLOCK_TRIALS = 16
 REPEATS = 5
 TARGET_S = 0.02  # wall time of one timed repeat
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+RSN_SHAPE = (2000, 100)  # logistic samples x features
+RSN_FAMILIES = ("gaussian", "less_uniform")
+RSN_KS = (5, 10, 20)
+RSN_S = 8
 
 
 def environment() -> dict:
@@ -95,7 +104,10 @@ def _per_call(run, prepare=None) -> float:
 
 def measure() -> dict:
     """Every case for the sketchsolve found first on ``sys.path`` (seconds)."""
+    import numpy as np
+
     from sketchsolve.matgen import SpectralProfile, gen_spectral_matrix
+    from sketchsolve.newton import logistic_objective, rsn_step
     from sketchsolve.randsvd import err_monte_carlo
     from sketchsolve.sketch import (SketchSpec, apply_sketch, build_less_distribution,
                                     draw_sketch, row_factor)
@@ -127,6 +139,19 @@ def measure() -> dict:
                     if takes_r[fn]:
                         out[f"{fn.__name__}/{case}/given_R"] = _per_call(
                             lambda _: fn(A, *args, R=R))
+
+    rng = np.random.default_rng(1)
+    N, d = RSN_SHAPE
+    X = rng.standard_normal((N, d))
+    y = np.where(X @ rng.standard_normal(d) + 0.1 * rng.standard_normal(N) >= 0.0, 1.0, -1.0)
+    obj = logistic_objective(X, y, ridge=0.01)
+    x = 0.1 * rng.standard_normal(d)
+    for family in RSN_FAMILIES:
+        for k in RSN_KS:
+            spec = SketchSpec(family, k=k, s=RSN_S, seed_stream=7)
+            out[f"rsn_step/{family}/k={k}"] = _per_call(
+                lambda S: rsn_step(obj, x, S),
+                lambda count: [draw_sketch(spec, d, t) for t in range(count)])
     return out
 
 

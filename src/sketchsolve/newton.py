@@ -19,7 +19,7 @@ import numpy as np
 from .linalg import lambda_min_plus, solve_psd, symmetrize
 from .randsvd import err_monte_carlo
 from .rng import KeyPath, as_key, child_seed
-from .sketch import SketchSpec, apply_sketch, apply_sketch_t, draw_sketch, row_factor
+from .sketch import SketchSpec, apply_sketch, apply_sketch_t, densify, draw_sketch, row_factor
 from .spectral import expected_projection, gaussian_rate_bound
 
 __all__ = [
@@ -40,12 +40,19 @@ SUBGAUSSIAN_CONST = 1.0
 
 @dataclass
 class ConvexObjective:
-    """Callbacks for a smooth convex function: value, gradient, Hessian."""
+    """Callbacks for a smooth convex function: value, gradient, Hessian, and the
+    sketched Hessian ``S H(x) S^T`` that an RSN step reads (by default
+    ``hessian(x)`` sketched from both sides)."""
 
     dim: int
     value: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
     hessian: Callable[[np.ndarray], np.ndarray]
+    sketched_hessian: Callable[[np.ndarray, object], np.ndarray] | None = None
+
+    def __post_init__(self):
+        if self.sketched_hessian is None:
+            self.sketched_hessian = lambda x, S: _sandwich(S, self.hessian(x))
 
 
 @dataclass
@@ -68,10 +75,14 @@ class RhoCertificate:
     trials: int
 
 
+def _sandwich(S, H: np.ndarray) -> np.ndarray:
+    """``S H S^T`` for a sketch S and a symmetric matrix H."""
+    return symmetrize(apply_sketch(S, apply_sketch(S, H).T))
+
+
 def _newton_direction(obj: ConvexObjective, x: np.ndarray, g: np.ndarray, S) -> np.ndarray:
     """Sketched Newton direction ``-S^T (S H S^T)^+ S g`` at ``x`` with gradient ``g``."""
-    SH = apply_sketch(S, obj.hessian(x))  # k x m
-    W = symmetrize(apply_sketch(S, SH.T))  # S H S^T
+    W = obj.sketched_hessian(x, S)
     z, _ = solve_psd(W, apply_sketch(S, g), n_ambient=obj.dim)
     return -apply_sketch_t(S, z)
 
@@ -198,6 +209,8 @@ def logistic_objective(X: np.ndarray, y: np.ndarray, ridge: float) -> ConvexObje
     """Ridge-regularized logistic loss over +/-1 labels.
 
     f(w) = (1/N) sum_i log(1 + exp(-y_i x_i^T w)) + (ridge/2) ||w||^2.
+    The sketched Hessian ``Y^T diag(c) Y / N + ridge S S^T``, ``Y = X S^T``,
+    never forms the d x d Hessian ``X^T diag(c) X / N + ridge I``.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -211,18 +224,30 @@ def logistic_objective(X: np.ndarray, y: np.ndarray, ridge: float) -> ConvexObje
         margins = y * (X @ w)
         return float(np.mean(np.logaddexp(0.0, -margins)) + 0.5 * ridge * (w @ w))
 
-    def gradient(w):
+    def sigmoids(w):
+        """sigma(-m) and the curvatures c = sigma(m) sigma(-m) at the margins
+        m = y * (X w), from ``exp(-|m|) <= 1`` so that nothing overflows."""
         margins = y * (X @ w)
-        sig = 1.0 / (1.0 + np.exp(margins))  # sigma(-margin)
-        return -(X.T @ (y * sig)) / N + ridge * w
+        e = np.exp(-np.abs(margins))
+        inv = 1.0 / (1.0 + e)
+        return np.where(margins >= 0.0, e * inv, inv), e * inv * inv
+
+    def gradient(w):
+        sig_neg, _ = sigmoids(w)
+        return -(X.T @ (y * sig_neg)) / N + ridge * w
 
     def hessian(w):
-        margins = y * (X @ w)
-        sig = 1.0 / (1.0 + np.exp(-margins))
-        weights = sig * (1.0 - sig)
-        return (X.T * weights) @ X / N + ridge * np.eye(d)
+        _, curv = sigmoids(w)
+        return (X.T * curv) @ X / N + ridge * np.eye(d)
 
-    return ConvexObjective(dim=d, value=value, gradient=gradient, hessian=hessian)
+    def sketched_hessian(w, S):
+        _, curv = sigmoids(w)
+        Z = densify(S)  # k x d
+        Y = X @ Z.T  # N x k
+        return symmetrize((Y.T * curv) @ Y / N + ridge * (Z @ Z.T))
+
+    return ConvexObjective(dim=d, value=value, gradient=gradient, hessian=hessian,
+                           sketched_hessian=sketched_hessian)
 
 
 def quadratic_objective(H: np.ndarray, b: np.ndarray) -> ConvexObjective:

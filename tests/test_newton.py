@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from sketchsolve.linalg import lambda_min_plus, symmetrize
+from sketchsolve.linalg import lambda_min_plus, solve_psd, symmetrize
 from sketchsolve.matgen import LinearSystem
 from sketchsolve.newton import (
+    ConvexObjective,
+    _sandwich,
     full_newton,
     logistic_objective,
     quadratic_objective,
@@ -11,7 +13,7 @@ from sketchsolve.newton import (
     rsn_solve,
     rsn_step,
 )
-from sketchsolve.sketch import SketchSpec, apply_sketch, draw_sketch
+from sketchsolve.sketch import SketchSpec, apply_sketch, apply_sketch_t, draw_sketch
 from sketchsolve.solver import project_step
 
 
@@ -132,6 +134,72 @@ class TestRsnSolve:
         x, trace = rsn_solve(obj, x0, spec, max_iters=3, tol=1e-12)
         assert trace.line_search_failures == 3
         np.testing.assert_allclose(x, x0)
+
+
+def _rsn_step_full_hessian(obj, x, S, eta=1.0):
+    """RSN step from the explicit d x d Hessian, sketched from both sides."""
+    W = symmetrize(apply_sketch(S, apply_sketch(S, obj.hessian(x)).T))
+    z, _ = solve_psd(W, apply_sketch(S, obj.gradient(x)), n_ambient=obj.dim)
+    return x + eta * -apply_sketch_t(S, z)
+
+
+class TestSketchedHessian:
+    @pytest.mark.parametrize("family", ["gaussian", "rademacher", "less", "less_uniform",
+                                        "row_sampling"])
+    @pytest.mark.parametrize("k", [1, 4, 9])
+    def test_logistic_oracle_matches_full_sandwich(self, family, k):
+        X, y = _logistic_data(60, 9, seed=31)
+        obj = logistic_objective(X, y, ridge=1e-2)
+        rng = np.random.default_rng(32)
+        p = rng.random(9)
+        spec = SketchSpec(family, k=k, s=4, sampling=p / p.sum() if family == "less" else None,
+                          seed_stream=33)
+        w = rng.standard_normal(9)
+        for t in range(3):
+            S = draw_sketch(spec, 9, trial=t)
+            ref = _sandwich(S, obj.hessian(w))
+            np.testing.assert_allclose(obj.sketched_hessian(w, S), ref, rtol=1e-12,
+                                       atol=1e-12 * np.abs(ref).max())
+
+    def test_logistic_oracle_sums_repeated_indices(self):
+        # s = d draws with replacement: almost every row repeats an index
+        X, y = _logistic_data(50, 5, seed=34)
+        obj = logistic_objective(X, y, ridge=1e-2)
+        S = draw_sketch(SketchSpec("less_uniform", k=4, s=5, seed_stream=35), 5, trial=0)
+        assert any(np.unique(row).size < row.size for row in S.indices)
+        w = np.random.default_rng(36).standard_normal(5)
+        ref = _sandwich(S, obj.hessian(w))
+        np.testing.assert_allclose(obj.sketched_hessian(w, S), ref, rtol=1e-12,
+                                   atol=1e-12 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("family", ["gaussian", "less_uniform"])
+    def test_default_oracle_keeps_full_hessian_arithmetic(self, family):
+        # objectives without their own oracle sketch hessian(x): bit-identical
+        rng = np.random.default_rng(37)
+        G = rng.standard_normal((8, 8))
+        H = G @ G.T + np.eye(8)
+        b = rng.standard_normal(8)
+        quad = quadratic_objective(H, b)
+        hand = ConvexObjective(8, lambda x: 0.5 * x @ (H @ x) - b @ x,
+                               lambda x: H @ x - b, lambda x: H)
+        spec = SketchSpec(family, k=3, s=4, seed_stream=38)
+        x = rng.standard_normal(8)
+        for obj in (quad, hand):
+            for t in range(3):
+                S = draw_sketch(spec, 8, trial=t)
+                np.testing.assert_array_equal(rsn_step(obj, x, S, eta=0.5),
+                                              _rsn_step_full_hessian(obj, x, S, eta=0.5))
+
+    def test_rsn_solve_never_forms_logistic_hessian(self):
+        X, y = _logistic_data(100, 12, seed=39)
+        obj = logistic_objective(X, y, ridge=1e-2)
+        calls = []
+        hessian = obj.hessian
+        obj.hessian = lambda w: calls.append(1) or hessian(w)
+        spec = SketchSpec("gaussian", k=4, seed_stream=40)
+        _, trace = rsn_solve(obj, np.zeros(12), spec, max_iters=10, tol=0.0)
+        assert len(trace.f) == 10
+        assert calls == []
 
 
 class TestRhoCertificate:
@@ -263,6 +331,17 @@ class TestLogisticObjective:
             e[i] = 1e-6
             fd[:, i] = (obj.gradient(w + e) - obj.gradient(w - e)) / 2e-6
         np.testing.assert_allclose(H, fd, rtol=1e-4, atol=1e-8)
+
+    def test_large_margins_do_not_overflow(self):
+        # margins y * x w = (800, -1600): exp(+-margin) overflowed in the
+        # gradient and both Hessians, an error under warnings-as-errors
+        obj = logistic_objective(np.array([[1.0], [2.0]]), np.array([1.0, -1.0]), ridge=0.01)
+        w = np.array([800.0])
+        # sigma(-800) underflows to 0 and sigma(1600) is 1: g = -(2 * -1) / 2 + 8
+        np.testing.assert_allclose(obj.gradient(w), [9.0])
+        np.testing.assert_allclose(obj.hessian(w), [[0.01]])  # curvatures underflow to 0
+        np.testing.assert_allclose(obj.sketched_hessian(w, np.array([[2.0]])), [[0.04]])
+        assert np.isfinite(obj.value(w))
 
     def test_bad_labels_rejected(self):
         with pytest.raises(ValueError):

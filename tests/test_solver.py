@@ -292,6 +292,28 @@ class TestSolverInvariants:
         assert np.all(np.diff(log.dist) <= 1e-10 * (log.dist[:-1] + log.dist[0]))
 
 
+class TestRankDeficientConvergence:
+    @given(seed=st.integers(0, 2**20), m=st.integers(8, 30), n=st.integers(2, 8),
+           rank_gap=st.integers(1, 6), k=st.integers(1, 8),
+           family=st.sampled_from(("gaussian", "row_sampling")))
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    def test_converges_to_least_norm_solution(self, seed, m, n, rank_gap, k, family):
+        # consistent A x = b with rank(A) < n: from x0 = 0 the iterates stay
+        # in rowspan(A), so the limit is the least-norm solution pinv(A) b
+        rank = max(1, n - rank_gap)
+        rng = np.random.default_rng(seed)
+        U, _ = np.linalg.qr(rng.standard_normal((m, rank)))
+        V, _ = np.linalg.qr(rng.standard_normal((n, rank)))
+        A = (U * rng.uniform(1.0, 10.0, rank)) @ V.T
+        system = make_system(A, seed=seed + 1)
+        assert system.rank_deficient
+        x_ls = np.linalg.pinv(A) @ system.b
+        cfg = SolverConfig(sketch=SketchSpec(family, k=k, seed_stream=seed + 2),
+                           max_iters=20000, stop_tol=1e-9)
+        x, _ = solve(system, cfg, trial=0)
+        assert np.linalg.norm(x - x_ls) <= 1e-8 * np.linalg.norm(x_ls)
+
+
 def test_hypothesis_example_printer_imports_under_suite_filters():
     # hypothesis prints a falsifying example through libcst; under the
     # suite's warnings-as-errors filter that import must not raise, or a
