@@ -1,14 +1,18 @@
-"""Per-layer timings of the sketch apply, the Monte-Carlo trial kernel and
-one RSN step, for this checkout and, optionally, a parent checkout to
-compare against.
+"""Per-layer timings of the sketch apply, the Monte-Carlo trial kernel, one
+RSN step and the RSN rate certificate, for this checkout and, optionally, a
+parent checkout to compare against.
 
     python3 bench/run_bench.py --out BENCH.json [--parent-src DIR] [--rounds N]
 
 ``DIR`` is the ``src`` directory of another checkout (for example one made
 with ``git archive``).  Each source tree is timed in its own child process,
 and the trees alternate over ``--rounds`` rounds; every number is the median
-over rounds of a per-call median.  Cases, on two matrices with polynomially
-decaying spectra (1000 x 50 and 4096 x 128) and k in {5, 10, 20, 40}:
+over rounds of a per-call median.  Just before each case the child also
+times the fixed pure-Python loop of ``perfbench/calibration.py``; the
+calibrated numbers scale each per-call median by that loop's reference time
+over its measured time, which cancels most of the drift in the speed of one
+core on a shared host.  Cases, on two matrices with polynomially decaying
+spectra (1000 x 50 and 4096 x 128) and k in {5, 10, 20, 40}:
 
 - ``apply_sketch/<size>/<family>/k=<k>``: ``apply_sketch(S, A)`` for a freshly
   drawn sketch (the draw is outside the timed region; ``less`` and
@@ -19,11 +23,16 @@ decaying spectra (1000 x 50 and 4096 x 128) and k in {5, 10, 20, 40}:
   trials (one trial block), which includes factoring A where the call needs
   its factor; ``.../given_R`` passes a precomputed factor where the tree's
   signature takes one;
+- ``sketched_bases/...``: one block of 16 trials from the trial kernel alone,
+  with the factor given (Gaussian sketches draw through it);
 - ``row_factor/<size>``: the factorization alone;
 - ``rsn_step/<family>/k=<k>``: one ``rsn_step`` on a ridge-logistic objective
   with N = 2000 samples and d = 100 features, for ``gaussian`` and
   ``less_uniform`` (s = 8) sketches with k in {5, 10, 20}, drawn outside the
-  timed region.
+  timed region;
+- ``rho_certificate/<family>/k=<k>``: one ``rho_certificate`` with 400
+  trials (the ``newton_demo`` default) on the Hessian of that objective, same
+  families and k.
 
 The output records nproc, the BLAS build, the thread environment variables,
 package versions and the net line count of each tree's ``src``.
@@ -55,6 +64,10 @@ RSN_SHAPE = (2000, 100)  # logistic samples x features
 RSN_FAMILIES = ("gaussian", "less_uniform")
 RSN_KS = (5, 10, 20)
 RSN_S = 8
+CERT_TRIALS = 400
+
+sys.path.insert(0, str(ROOT / "perfbench"))
+from calibration import calibrate, scaled  # noqa: E402
 
 
 def environment() -> dict:
@@ -103,42 +116,48 @@ def _per_call(run, prepare=None) -> float:
 
 
 def measure() -> dict:
-    """Every case for the sketchsolve found first on ``sys.path`` (seconds)."""
+    """Every case for the sketchsolve found first on ``sys.path``: seconds per
+    call (``raw``) and the calibration loop timed just before it (``calibration_s``)."""
     import numpy as np
 
     from sketchsolve.matgen import SpectralProfile, gen_spectral_matrix
-    from sketchsolve.newton import logistic_objective, rsn_step
+    from sketchsolve.newton import logistic_objective, rho_certificate, rsn_step
     from sketchsolve.randsvd import err_monte_carlo
     from sketchsolve.sketch import (SketchSpec, apply_sketch, build_less_distribution,
-                                    draw_sketch, row_factor)
+                                    draw_sketch, row_factor, sketched_bases)
     from sketchsolve.spectral import expected_projection
 
     takes_r = {f: "R" in inspect.signature(f).parameters
                for f in (expected_projection, err_monte_carlo)}
-    out = {}
+    out = {"raw": {}, "calibration_s": {}}
+
+    def case(name, run, prepare=None):
+        out["calibration_s"][name] = calibrate()
+        out["raw"][name] = _per_call(run, prepare)
+
     for m, n in SIZES:
         size = f"{m}x{n}"
         A = gen_spectral_matrix(SpectralProfile.polynomial(1.5, n), m, seed=1)
         p = build_less_distribution(A).probabilities
         R = row_factor(A)
-        out[f"row_factor/{size}"] = _per_call(lambda _: row_factor(A))
+        case(f"row_factor/{size}", lambda _: row_factor(A))
         for family in FAMILIES:
             for k in KS:
                 spec = SketchSpec(family, k=k, s=32 if family.startswith("less") else None,
                                   sampling=p if family == "less" else None, seed_stream=7)
-                case = f"{size}/{family}/k={k}"
-                out[f"apply_sketch/{case}"] = _per_call(
-                    lambda S: apply_sketch(S, A),
-                    lambda count: [draw_sketch(spec, m, t) for t in range(count)])
-                out[f"draw_apply/{case}"] = _per_call(
-                    lambda t: apply_sketch(draw_sketch(spec, m, t), A), range)
+                cell = f"{size}/{family}/k={k}"
+                case(f"apply_sketch/{cell}", lambda S: apply_sketch(S, A),
+                     lambda count: [draw_sketch(spec, m, t) for t in range(count)])
+                case(f"draw_apply/{cell}", lambda t: apply_sketch(draw_sketch(spec, m, t), A),
+                     range)
                 for fn in (expected_projection, err_monte_carlo):
                     args = (spec, BLOCK_TRIALS) if fn is expected_projection \
                         else (k, spec, BLOCK_TRIALS)
-                    out[f"{fn.__name__}/{case}"] = _per_call(lambda _: fn(A, *args))
+                    case(f"{fn.__name__}/{cell}", lambda _: fn(A, *args))
                     if takes_r[fn]:
-                        out[f"{fn.__name__}/{case}/given_R"] = _per_call(
-                            lambda _: fn(A, *args, R=R))
+                        case(f"{fn.__name__}/{cell}/given_R", lambda _: fn(A, *args, R=R))
+                case(f"sketched_bases/{cell}",
+                     lambda _: list(sketched_bases(spec, A, BLOCK_TRIALS, R)))
 
     rng = np.random.default_rng(1)
     N, d = RSN_SHAPE
@@ -146,12 +165,14 @@ def measure() -> dict:
     y = np.where(X @ rng.standard_normal(d) + 0.1 * rng.standard_normal(N) >= 0.0, 1.0, -1.0)
     obj = logistic_objective(X, y, ridge=0.01)
     x = 0.1 * rng.standard_normal(d)
+    H = obj.hessian(x)
     for family in RSN_FAMILIES:
         for k in RSN_KS:
             spec = SketchSpec(family, k=k, s=RSN_S, seed_stream=7)
-            out[f"rsn_step/{family}/k={k}"] = _per_call(
-                lambda S: rsn_step(obj, x, S),
-                lambda count: [draw_sketch(spec, d, t) for t in range(count)])
+            case(f"rsn_step/{family}/k={k}", lambda S: rsn_step(obj, x, S),
+                 lambda count: [draw_sketch(spec, d, t) for t in range(count)])
+            case(f"rho_certificate/{family}/k={k}",
+                 lambda _: rho_certificate(H, spec, CERT_TRIALS))
     return out
 
 
@@ -184,16 +205,23 @@ def main(argv=None) -> int:
             runs[name].append(run_child(trees[name]))
             print(f"round {i + 1}/{args.rounds}: {name} done", file=sys.stderr)
     results = {}
-    for key in runs["change"][0]:
-        row = {name: statistics.median(r[key] for r in rs if key in r) * 1e6
-               for name, rs in runs.items() if key in rs[0]}
+    for key in runs["change"][0]["raw"]:
+        have = {name: rs for name, rs in runs.items() if key in rs[0]["raw"]}
+        row = {name: statistics.median(r["raw"][key] for r in rs) * 1e6
+               for name, rs in have.items()}
+        row.update({f"{name}_cal": statistics.median(
+            scaled(r["raw"][key], r["calibration_s"][key]) for r in rs) * 1e6
+            for name, rs in have.items()})
         if "parent" in row:
             row["ratio"] = row["change"] / row["parent"]
+            row["ratio_cal"] = row["change_cal"] / row["parent_cal"]
         results[key] = row
     report = {
         "command": (f"python3 bench/run_bench.py --out {args.out.name} --rounds {args.rounds}"
                     + (" --parent-src <parent checkout>/src" if "parent" in trees else "")),
         "unit": "us per call",
+        "calibrated_unit": "us per call, scaled to a calibration loop of "
+                           "CALIBRATION_REF_S (perfbench/calibration.py)",
         "rounds": args.rounds,
         "block_trials": BLOCK_TRIALS,
         "environment": environment(),

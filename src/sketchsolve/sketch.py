@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import rank_cutoff
+from .linalg import EPS, rank_cutoff
 from .matgen import LinearSystem
 from .rng import KeyPath, stream
 
@@ -44,8 +44,10 @@ __all__ = [
 
 FAMILIES = ("gaussian", "rademacher", "less", "less_uniform", "row_sampling")
 _DENSE = ("gaussian", "rademacher")
-#: trials per stacked SVD in :func:`sketched_bases`; bounds a block's memory
+#: trials per stacked QR in :func:`sketched_bases`; bounds a block's memory
 TRIAL_BLOCK = 16
+#: factor by which a trial's QR must clear the rank cutoff to skip the SVD
+_QR_MARGIN = 1e3
 
 
 @dataclass(eq=False)
@@ -253,25 +255,51 @@ def sketch_times(spec: SketchSpec, A: np.ndarray, trial: KeyPath = 0,
     if spec.family != "gaussian":
         return apply_sketch(draw_sketch(spec, A.shape[0], trial), A)
     spec.validate(A.shape[0])
-    if R is None:
-        R = row_factor(A)
-    return stream(spec.seed_stream, trial).standard_normal((spec.k, R.shape[0])) @ R
+    R = row_factor(A) if R is None else R
+    return _gaussian_draw(spec, R, trial) @ R
+
+
+def _gaussian_draw(spec: SketchSpec, R: np.ndarray, trial: KeyPath) -> np.ndarray:
+    """The k x rows(R) Gaussian G of the trial's stream; ``G R`` has the law of ``S A``."""
+    return stream(spec.seed_stream, trial).standard_normal((spec.k, R.shape[0]))
+
+
+def _row_bases(SA: np.ndarray) -> np.ndarray:
+    """Row-space bases of a (b, k, n) stack: ``Q_t^T`` from the QR ``SA_t^T = Q_t
+    T_t`` where ``min|diag T_t|`` and ``1/||T_t^-1||_F <= sigma_min`` clear
+    :data:`_QR_MARGIN` times ``n eps ||T_t||_F >=`` the ``orth_rowspace`` cutoff;
+    other trials (all when k > n) take the SVD with that cutoff, rows past rank zero."""
+    b, k, n = SA.shape
+    V, flagged = np.empty((b, n, n)), np.ones(b, dtype=bool)
+    if k <= n:
+        Q, T = np.linalg.qr(SA.transpose(0, 2, 1))
+        V = Q.transpose(0, 2, 1)
+        bar = _QR_MARGIN * n * EPS * np.linalg.norm(T, axis=(1, 2))
+        flagged = ~(np.abs(np.diagonal(T, axis1=1, axis2=2)).min(axis=1) > bar)
+        ok = np.flatnonzero(~flagged)  # nonzero diagonal: T is invertible
+        flagged[ok] = ~(1.0 / np.linalg.norm(np.linalg.inv(T[ok]), axis=(1, 2)) > bar[ok])
+    if flagged.any():
+        _, s, Vt = np.linalg.svd(SA[flagged], full_matrices=False)
+        V[flagged] = Vt * (s > rank_cutoff(s, k, n))[..., None]
+    return V
 
 
 def sketched_bases(spec: SketchSpec, A: np.ndarray, trials: int,
                    R: np.ndarray | None = None):
     """Row-space bases of ``S_t A = sketch_times(spec, A, t, R)``, t < trials,
-    as ``(b, min(k, n), n)`` blocks of b <= :data:`TRIAL_BLOCK` trials from one
-    stacked SVD.  Rows past a trial's rank (the ``orth_rowspace`` cutoff) are
-    zero, so ``V[t].T @ V[t]`` projects onto rowspan(S_t A)."""
+    as ``(b, min(k, n), n)`` blocks of b <= :data:`TRIAL_BLOCK` trials, from one
+    stacked QR with an SVD for the trials it cannot certify (:func:`_row_bases`).
+    Rows past a trial's rank (the ``orth_rowspace`` cutoff) are zero, so
+    ``V[t].T @ V[t]`` projects onto rowspan(S_t A)."""
     A = np.asarray(A, dtype=float)
-    if R is None and spec.family == "gaussian":
-        R = row_factor(A)
+    if spec.family == "gaussian":
+        spec.validate(A.shape[0])
+        R = row_factor(A) if R is None else R
     for lo in range(0, trials, TRIAL_BLOCK):
-        SA = np.stack([sketch_times(spec, A, t, R)
-                       for t in range(lo, min(lo + TRIAL_BLOCK, trials))])
-        _, s, Vt = np.linalg.svd(SA, full_matrices=False)
-        yield Vt * (s > rank_cutoff(s, *SA.shape[1:]))[..., None]
+        block = range(lo, min(lo + TRIAL_BLOCK, trials))
+        yield _row_bases(np.stack([_gaussian_draw(spec, R, t) for t in block]) @ R
+                         if spec.family == "gaussian"
+                         else np.stack([sketch_times(spec, A, t) for t in block]))
 
 
 def fwht(X: np.ndarray) -> np.ndarray:
