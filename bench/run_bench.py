@@ -1,6 +1,7 @@
 """Per-layer timings of the sketch apply, the Monte-Carlo trial kernel, one
-RSN step and the RSN rate certificate, for this checkout and, optionally, a
-parent checkout to compare against.
+RSN step and the RSN rate certificate, and end-to-end timings of the seven
+experiments, for this checkout and, optionally, a parent checkout to compare
+against.
 
     python3 bench/run_bench.py --out BENCH.json [--parent-src DIR] [--rounds N]
 
@@ -32,7 +33,11 @@ spectra (1000 x 50 and 4096 x 128) and k in {5, 10, 20, 40}:
   timed region;
 - ``rho_certificate/<family>/k=<k>``: one ``rho_certificate`` with 400
   trials (the ``newton_demo`` default) on the Hessian of that objective, same
-  families and k.
+  families and k;
+- ``cli/<experiment>``: ``run_experiment(parse_config(raw), tmpdir)`` for each
+  of the seven experiments on a small config (``CLI_GRID``, or ``CLI_NEWTON``
+  for ``newton_demo``), which includes building the system and writing the
+  CSVs; BLAS threads are left as the environment sets them.
 
 The output records nproc, the BLAS build, the thread environment variables,
 package versions and the net line count of each tree's ``src``.
@@ -49,6 +54,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -65,6 +71,13 @@ RSN_FAMILIES = ("gaussian", "less_uniform")
 RSN_KS = (5, 10, 20)
 RSN_S = 8
 CERT_TRIALS = 400
+CLI_SKETCH = {"families": ["gaussian", "less_uniform"], "k": [4, 10], "s": [8]}
+CLI_GRID = {"matrix": {"kind": "profile", "model": "poly1.5", "m": 200, "n": 20},
+            "sketch": CLI_SKETCH,
+            "run": {"runs": 5, "tail": 20, "max_iters": 200, "trials": 64, "err_trials": 10,
+                    "iters": 20, "with_bounds": True}}
+CLI_NEWTON = {"sketch": CLI_SKETCH,
+              "newton": {"n_samples": 300, "n_features": 20, "max_iters": 50, "cert_trials": 40}}
 
 sys.path.insert(0, str(ROOT / "perfbench"))
 from calibration import calibrate, scaled  # noqa: E402
@@ -173,6 +186,15 @@ def measure() -> dict:
                  lambda count: [draw_sketch(spec, d, t) for t in range(count)])
             case(f"rho_certificate/{family}/k={k}",
                  lambda _: rho_certificate(H, spec, CERT_TRIALS))
+
+    from sketchsolve.expcli.config import EXPERIMENTS, parse_config
+    from sketchsolve.expcli.runner import run_experiment
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for experiment in EXPERIMENTS:
+            raw = {**(CLI_NEWTON if experiment == "newton_demo" else CLI_GRID),
+                   "experiment": experiment, "master_seed": 1}
+            case(f"cli/{experiment}", lambda _: run_experiment(parse_config(raw), tmp))
     return out
 
 

@@ -244,9 +244,22 @@ class ExperimentConfig:
     newton: dict = field(default_factory=dict)
     config_hash: str = ""
 
-    def build_system(self) -> LinearSystem:
+    def build_system(self) -> LinearSystem | None:
+        """The system A x = b; None for newton_demo, which draws its own data."""
+        if self.experiment == "newton_demo":
+            return None
         A = self.matrix.build(child_seed(self.master_seed, 0))
         return make_system(A, child_seed(self.master_seed, 1))
+
+
+def _check_rows(cfg: ExperimentConfig, rows: int) -> None:
+    """Raise ConfigError unless every k, and every s that a sparse family
+    reads, fits the ``rows`` the sketch acts on (s = 0 means all of them)."""
+    if max(cfg.k_list) > rows:
+        raise ConfigError(f"sketch.k: {max(cfg.k_list)} exceeds the {rows} rows the sketch acts on")
+    s_max = max(cfg.s_list, default=0)
+    if s_max > rows and {"less", "less_uniform"} & set(cfg.families):
+        raise ConfigError(f"sketch.s: {s_max} exceeds the {rows} rows the sketch acts on")
 
 
 def _hash_config(raw: dict) -> str:
@@ -325,8 +338,8 @@ def parse_config(raw: dict, experiment: str | None = None) -> ExperimentConfig:
     else:
         # a dataset's row count is only known once the file is read
         rows = None if matrix.kind == "dataset" else matrix.m
-    if rows is not None and max(k_list) > rows:
-        raise ConfigError(f"sketch.k: {max(k_list)} exceeds the {rows} rows the sketch acts on")
+    if rows is not None:
+        _check_rows(cfg, rows)
     return cfg
 
 

@@ -96,9 +96,12 @@ def _surrogate_rows(table: ResultTable) -> list[dict]:
 
 def render_svg(rows: list[dict], path, title: str = "",
                width: int = 640, height: int = 480) -> None:
-    """Deterministic polyline chart of the long-format rows."""
+    """Deterministic polyline chart of the long-format rows; a row without an
+    x (a dense cell of a sparsity sweep has no s) is left out."""
     series: dict[str, list[tuple[float, float, float | None, float | None]]] = {}
     for r in rows:
+        if r["x"] in (None, ""):
+            continue
         series.setdefault(r["series"], []).append(
             (float(r["x"]), float(r["y"]),
              None if r["ylo"] in (None, "") else float(r["ylo"]),
@@ -106,8 +109,8 @@ def render_svg(rows: list[dict], path, title: str = "",
     xs = [p[0] for pts in series.values() for p in pts]
     ys = [v for pts in series.values() for p in pts
           for v in (p[1], p[2], p[3]) if v is not None]
-    x0, x1 = min(xs), max(xs)
-    y0, y1 = min(ys), max(ys)
+    x0, x1 = min(xs, default=0.0), max(xs, default=1.0)
+    y0, y1 = min(ys, default=0.0), max(ys, default=1.0)
     logy = y0 > 0.0 and y1 / y0 > 50.0
     if logy:
         y0, y1 = math.log10(y0), math.log10(y1)

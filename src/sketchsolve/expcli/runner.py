@@ -1,5 +1,14 @@
-"""Experiment dispatch: builds the matrix/system once, fans out over the
-(family, k, s) grid, and writes one deterministic CSV per output table.
+"""Experiment dispatch: ``run_experiment`` runs every experiment in three steps.
+
+1. Set-up: it builds the linear system (``newton_demo`` has none),
+   checks that the sketch fits its rows and takes the ``less`` leverage
+   scores; the experiment's own set-up factors A or draws its data, runs its
+   own input checks and returns its empty :class:`ResultTable` (its schema),
+   the matrix label, the (m, n) its grid is built on and ``rows(cell, spec)``.
+2. Output directory: made only after the set-up succeeded, so a
+   configuration error writes nothing; the built A is cached to ``matrix.csv``.
+3. Per-cell rows: for each (family, k, s) grid cell in order, the value
+   columns from ``rows`` behind the key columns ``matrix,family,k,s``.
 
 Re-running with the same config and seed produces byte-identical files:
 every random draw is keyed by (master_seed, cell index, ...), floats are
@@ -28,9 +37,8 @@ from ..spectral import (
     rate_bound_set,
     surrogate_eigenvalues,
     surrogate_vs_empirical,
-    worst_case_rate,
 )
-from .config import ConfigError, ExperimentConfig
+from .config import ConfigError, ExperimentConfig, _check_rows
 
 __all__ = ["ResultTable", "run_experiment"]
 
@@ -44,9 +52,6 @@ class ResultTable:
     key_fields: list[str]
     rows: list[dict] = field(default_factory=list)
     meta_note: str = ""
-
-    def extend(self, rows: list[dict]) -> None:
-        self.rows.extend(rows)
 
     def validate(self) -> None:
         seen = set()
@@ -80,6 +85,10 @@ def _fmt(value) -> str:
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
     return str(value)
+
+
+#: the grid-key columns that every result row starts with
+_KEY = ["matrix", "family", "k", "s"]
 
 
 @dataclass(frozen=True)
@@ -121,61 +130,50 @@ def _cell_spec(cfg: ExperimentConfig, cell: _Cell, system: LinearSystem,
     )
 
 
-def _key(matrix: str, cell: _Cell) -> dict:
-    """The grid-key columns that every result row starts with."""
-    return {"matrix": matrix, "family": cell.family, "k": cell.k, "s": cell.s}
-
-
 def run_experiment(cfg: ExperimentConfig, out_dir) -> dict[str, ResultTable]:
     """Run the configured experiment and write its CSV outputs to ``out_dir``.
 
     Returns the result tables keyed by output name (the CSV file stem).
     """
     out = Path(out_dir)
-    if cfg.experiment == "newton_demo":
-        out.mkdir(parents=True, exist_ok=True)
-        system, leverage_p = None, None
-    else:
-        system = cfg.build_system()
-        if max(cfg.k_list) > system.m:  # a dataset's rows are known only now
-            raise ConfigError(
-                f"sketch.k: {max(cfg.k_list)} exceeds the {system.m} rows the sketch acts on")
-        if cfg.experiment == "eigendecay":  # the surrogate's gamma needs k < rank(A)
-            try:
-                gamma_implicit(np.linalg.svd(system.A, compute_uv=False) ** 2, max(cfg.k_list))
-            except ValueError as exc:
-                raise ConfigError(f"sketch.k: {exc}") from exc
-        leverage_p = None
+    system, leverage_p = cfg.build_system(), None
+    if system is not None:
+        _check_rows(cfg, system.m)  # a dataset's rows are known only now
         if "less" in cfg.families:
             try:
                 leverage_p = build_less_distribution(system.A).probabilities
             except ValueError as exc:
                 raise ConfigError(f"sketch.families: less needs a full-column-rank A "
                                   f"({exc})") from exc
-        out.mkdir(parents=True, exist_ok=True)
+    table, label, (m, n), rows = _EXPERIMENTS[cfg.experiment](cfg, system)
+    out.mkdir(parents=True, exist_ok=True)
+    if system is not None:
         save_matrix_csv(out / "matrix.csv", system.A)  # cache of the built A
-    runner = _RUNNERS[cfg.experiment]
-    tables = runner(cfg, system, leverage_p)
-    meta = f"config_hash={cfg.config_hash} master_seed={cfg.master_seed} version={__version__}"
-    for name, table in tables.items():
-        table.write_csv(out / f"{name}.csv", meta)
-    return tables
-
-
-# --- individual experiments -------------------------------------------------
-
-
-def _exp_rate_sweep(cfg, system, leverage_p):
-    cells = _grid(cfg, system.m, system.n)
-    sigma = np.linalg.svd(system.A, compute_uv=False) if cfg.with_bounds else None
-    R = row_factor(system.A) if cfg.with_bounds else None
-
-    def one(cell: _Cell) -> dict:
+    for cell in _grid(cfg, m, n):
+        key = dict(zip(_KEY, (label, cell.family, cell.k, cell.s)))
         spec = _cell_spec(cfg, cell, system, leverage_p)
+        table.rows += [{**key, **row} for row in rows(cell, spec)]
+    meta = f"config_hash={cfg.config_hash} master_seed={cfg.master_seed} version={__version__}"
+    table.write_csv(out / f"{table.name}.csv", meta)
+    return {table.name: table}
+
+
+# --- individual experiments: set-up, then rows(cell, spec) per grid cell ------
+
+
+def _exp_rate_sweep(cfg, system):
+    columns = ["rate", "runs", "tail", "samples", "short_tail"]
+    if cfg.with_bounds:
+        columns += ["bound_simple", "bound_gaussian", "gaussian_epsilon",
+                    "gaussian_epsilon_log10", "gaussian_vacuous",
+                    "bound_surrogate", "err_mean"]
+        sigma = np.linalg.svd(system.A, compute_uv=False)
+        R = row_factor(system.A)
+
+    def rows(cell, spec):
         solver_cfg = SolverConfig(sketch=spec, max_iters=cfg.max_iters, stop_tol=cfg.stop_tol)
         report = estimate_rate(system, solver_cfg, cfg.runs, cfg.tail)
         row = {
-            **_key(cfg.matrix.label, cell),
             "rate": report.empirical_rate,
             "runs": report.runs,
             "tail": report.tail_length,
@@ -196,188 +194,129 @@ def _exp_rate_sweep(cfg, system, leverage_p):
                 bound_surrogate=bounds.surrogate,
                 err_mean=err.mean,
             )
-        return row
+        return [row]
 
-    columns = ["matrix", "family", "k", "s", "rate", "runs", "tail", "samples", "short_tail"]
-    if cfg.with_bounds:
-        columns += ["bound_simple", "bound_gaussian", "gaussian_epsilon",
-                    "gaussian_epsilon_log10", "gaussian_vacuous",
-                    "bound_surrogate", "err_mean"]
-    table = ResultTable("rate_sweep", columns, ["matrix", "family", "k", "s"],
+    table = ResultTable("rate_sweep", _KEY + columns, _KEY,
                         meta_note="rate_pooling=tail-steps-equal-weight")
-    table.extend(map(one, cells))
-    return {"rate_sweep": table}
+    return table, cfg.matrix.label, (system.m, system.n), rows
 
 
-def _curve_rows(cfg, system, cell, spec, n_iters, stop_tol):
-    """Per-iteration mean/min/max relative error over runs (stopped runs hold
-    their final value)."""
+def _rel_errs(system, spec, runs, n_iters, stop_tol) -> np.ndarray:
+    """``(runs, n_iters + 1)`` relative errors; a run that stopped early holds
+    its final value."""
     solver_cfg = SolverConfig(sketch=spec, max_iters=n_iters, stop_tol=stop_tol)
-    errs = np.empty((cfg.runs, n_iters + 1))
-    for r in range(cfg.runs):
-        _, log = solve(system, solver_cfg, trial=r)
-        padded = np.concatenate([
-            log.rel_err,
-            np.full(n_iters + 1 - log.rel_err.size, log.rel_err[-1]),
-        ])
-        errs[r] = padded
-    return [
-        {
-            **_key(cfg.matrix.label, cell),
-            "t": t,
-            "runs": cfg.runs,
-            "rel_err_mean": float(errs[:, t].mean()),
-            "rel_err_min": float(errs[:, t].min()),
-            "rel_err_max": float(errs[:, t].max()),
-        }
-        for t in range(n_iters + 1)
-    ]
+    errs = np.empty((runs, n_iters + 1))
+    for r in range(runs):
+        rel_err = solve(system, solver_cfg, trial=r)[1].rel_err
+        errs[r, :rel_err.size] = rel_err
+        errs[r, rel_err.size:] = rel_err[-1]
+    return errs
 
 
-def _exp_convergence_curves(cfg, system, leverage_p):
-    cells = _grid(cfg, system.m, system.n)
-
-    def one(cell: _Cell):
-        spec = _cell_spec(cfg, cell, system, leverage_p)
-        return _curve_rows(cfg, system, cell, spec, cfg.max_iters, cfg.stop_tol)
-
-    table = ResultTable(
-        "convergence_curves",
-        ["matrix", "family", "k", "s", "t", "runs",
-         "rel_err_mean", "rel_err_min", "rel_err_max"],
-        ["matrix", "family", "k", "s", "t"],
-    )
-    for cell in cells:
-        table.extend(one(cell))
-    return {"convergence_curves": table}
+def _spread(errs: np.ndarray) -> dict:
+    """Mean, min and max over runs of one iteration's relative errors."""
+    return {"rel_err_mean": float(errs.mean()), "rel_err_min": float(errs.min()),
+            "rel_err_max": float(errs.max())}
 
 
-def _exp_surrogate_compare(cfg, system, leverage_p):
-    cells = _grid(cfg, system.m, system.n)
+def _exp_convergence_curves(cfg, system):
+    def rows(cell, spec):
+        errs = _rel_errs(system, spec, cfg.runs, cfg.max_iters, cfg.stop_tol)
+        return [{"t": t, "runs": cfg.runs, **_spread(errs[:, t])}
+                for t in range(cfg.max_iters + 1)]
+
+    columns = ["t", "runs", "rel_err_mean", "rel_err_min", "rel_err_max"]
+    table = ResultTable("convergence_curves", _KEY + columns, _KEY + ["t"])
+    return table, cfg.matrix.label, (system.m, system.n), rows
+
+
+def _exp_surrogate_compare(cfg, system):
     R = row_factor(system.A)
 
-    def one(cell: _Cell) -> dict:
-        spec = _cell_spec(cfg, cell, system, leverage_p)
+    def rows(cell, spec):
         comp = surrogate_vs_empirical(system.A, spec, cfg.trials, cfg.err_trials, R)
-        return {
-            **_key(cfg.matrix.label, cell),
+        return [{
             "s_min": comp.s_min,
             "surrogate": comp.surrogate,
             "gap": comp.rel_gap,
             "gamma_mode": comp.gamma_mode,
             "trials": comp.trials,
             "err_trials": comp.err_trials,
-        }
+        }]
 
-    table = ResultTable(
-        "surrogate_compare",
-        ["matrix", "family", "k", "s", "s_min", "surrogate", "gap",
-         "gamma_mode", "trials", "err_trials"],
-        ["matrix", "family", "k", "s"],
-    )
-    table.extend(map(one, cells))
-    return {"surrogate_compare": table}
+    columns = ["s_min", "surrogate", "gap", "gamma_mode", "trials", "err_trials"]
+    table = ResultTable("surrogate_compare", _KEY + columns, _KEY)
+    return table, cfg.matrix.label, (system.m, system.n), rows
 
 
-def _exp_sparsity_sweep(cfg, system, leverage_p):
+def _exp_sparsity_sweep(cfg, system):
     """Relative error after a fixed number of iterations, sparse vs. dense."""
-    cells = _grid(cfg, system.m, system.n)
+    def rows(cell, spec):
+        errs = _rel_errs(system, spec, cfg.runs, cfg.iters, stop_tol=1e-300)
+        return [{"iters": cfg.iters, "runs": cfg.runs, **_spread(errs[:, -1])}]
 
-    def one(cell: _Cell):
-        spec = _cell_spec(cfg, cell, system, leverage_p)
-        rows = _curve_rows(cfg, system, cell, spec, cfg.iters, stop_tol=1e-300)
-        final = rows[-1]
-        final["iters"] = cfg.iters
-        return final
-
-    table = ResultTable(
-        "sparsity_sweep",
-        ["matrix", "family", "k", "s", "iters", "runs",
-         "rel_err_mean", "rel_err_min", "rel_err_max"],
-        ["matrix", "family", "k", "s"],
-    )
-    rows = [one(cell) for cell in cells]
-    for row in rows:
-        del row["t"]
-    table.extend(rows)
-    return {"sparsity_sweep": table}
+    columns = ["iters", "runs", "rel_err_mean", "rel_err_min", "rel_err_max"]
+    table = ResultTable("sparsity_sweep", _KEY + columns, _KEY)
+    return table, cfg.matrix.label, (system.m, system.n), rows
 
 
-def _exp_randsvd_err(cfg, system, leverage_p):
-    cells = _grid(cfg, system.m, system.n)
+def _exp_randsvd_err(cfg, system):
     sigma = np.linalg.svd(system.A, compute_uv=False)
     fro_sq = float(np.sum(sigma**2))
     R = row_factor(system.A)
 
-    def one(cell: _Cell) -> dict:
-        spec = _cell_spec(cfg, cell, system, leverage_p)
+    def rows(cell, spec):
         est = err_monte_carlo(system.A, cell.k, spec, cfg.err_trials, R)
-        row = {
-            **_key(cfg.matrix.label, cell),
+        bound, p = err_upper_bound_min_p(sigma, cell.k) if cell.k >= 4 else (None, None)
+        return [{
             "trials": est.trials,
             "err_mean": est.mean,
             "err_stderr": est.stderr,
             "err_normalized": math.sqrt(max(est.mean, 0.0) / fro_sq),
             "best_rank_floor": best_rank_error(sigma, cell.k),
-        }
-        if cell.k >= 4:
-            bound, p = err_upper_bound_min_p(sigma, cell.k)
-            row["rf_bound"], row["rf_bound_p"] = bound, p
-        else:
-            row["rf_bound"] = row["rf_bound_p"] = None
-        return row
+            "rf_bound": bound,
+            "rf_bound_p": p,
+        }]
 
-    table = ResultTable(
-        "randsvd_err",
-        ["matrix", "family", "k", "s", "trials", "err_mean", "err_stderr",
-         "err_normalized", "best_rank_floor", "rf_bound", "rf_bound_p"],
-        ["matrix", "family", "k", "s"],
-    )
-    table.extend(map(one, cells))
-    return {"randsvd_err": table}
+    columns = ["trials", "err_mean", "err_stderr", "err_normalized", "best_rank_floor",
+               "rf_bound", "rf_bound_p"]
+    table = ResultTable("randsvd_err", _KEY + columns, _KEY)
+    return table, cfg.matrix.label, (system.m, system.n), rows
 
 
-def _exp_eigendecay(cfg, system, leverage_p):
+def _exp_eigendecay(cfg, system):
     """Empirical per-eigencomponent contraction vs. spectral predictions."""
-    cells = _grid(cfg, system.m, system.n)
     _, svals, Vt = np.linalg.svd(system.A, full_matrices=False)
-    V = Vt.T
     sigma_sq = svals**2
+    try:  # the surrogate's gamma needs k < rank(A)
+        gamma_implicit(sigma_sq, max(cfg.k_list))
+    except ValueError as exc:
+        raise ConfigError(f"sketch.k: {exc}") from exc
     R = row_factor(system.A)
 
-    def one(cell: _Cell):
-        spec = _cell_spec(cfg, cell, system, leverage_p)
+    def rows(cell, spec):
         solver_cfg = SolverConfig(sketch=spec, max_iters=cfg.max_iters, stop_tol=cfg.stop_tol)
-        contraction = eigencomponent_decay(system, solver_cfg, V, cfg.runs)
+        contraction = eigencomponent_decay(system, solver_cfg, Vt.T, cfg.runs)
         est = expected_projection(system.A, spec.with_seed(
             child_seed(spec.seed_stream, 5)), cfg.trials, R)
-        lam_mc = est.eigenvalues
-        gamma = gamma_implicit(sigma_sq, cell.k)
-        lam_sur = surrogate_eigenvalues(sigma_sq, gamma)
+        lam_sur = surrogate_eigenvalues(sigma_sq, gamma_implicit(sigma_sq, cell.k))
         return [
             {
-                **_key(cfg.matrix.label, cell),
                 "l": l + 1,
                 "sigma_l": float(svals[l]),
                 "contraction": float(contraction[l]),
-                "lambda_mc": float(lam_mc[l]),
+                "lambda_mc": float(est.eigenvalues[l]),
                 "lambda_surrogate": float(lam_sur[l]),
             }
-            for l in range(V.shape[1])
+            for l in range(svals.size)
         ]
 
-    table = ResultTable(
-        "eigendecay",
-        ["matrix", "family", "k", "s", "l", "sigma_l", "contraction",
-         "lambda_mc", "lambda_surrogate"],
-        ["matrix", "family", "k", "s", "l"],
-    )
-    for cell in cells:
-        table.extend(one(cell))
-    return {"eigendecay": table}
+    columns = ["l", "sigma_l", "contraction", "lambda_mc", "lambda_surrogate"]
+    table = ResultTable("eigendecay", _KEY + columns, _KEY + ["l"])
+    return table, cfg.matrix.label, (system.m, system.n), rows
 
 
-def _exp_newton_demo(cfg, system, leverage_p):
+def _exp_newton_demo(cfg, system):
     """RSN on seeded ridge-logistic data, with the spectral certificate."""
     nw = cfg.newton
     rng = stream(child_seed(cfg.master_seed, 4))
@@ -389,17 +328,14 @@ def _exp_newton_demo(cfg, system, leverage_p):
     x_opt = full_newton(obj, np.zeros(obj.dim), tol=1e-12)
     f_star = obj.value(x_opt)
     H_opt = obj.hessian(x_opt)
-    cells = _grid(cfg, obj.dim, obj.dim)
 
-    def one(cell: _Cell) -> dict:
-        spec = _cell_spec(cfg, cell, system, leverage_p)
-        x, trace = rsn_solve(obj, np.zeros(obj.dim), spec,
+    def rows(cell, spec):
+        _, trace = rsn_solve(obj, np.zeros(obj.dim), spec,
                              max_iters=nw["max_iters"], tol=nw["tol"], trial=0)
         cert = rho_certificate(H_opt, spec.with_seed(child_seed(spec.seed_stream, 6)),
                                nw["cert_trials"])
         f_vals = np.asarray(trace.f)
-        return {
-            **_key(f"logistic{nw['n_samples']}x{nw['n_features']}", cell),
+        return [{
             "iters": len(trace.f),
             "f_star": f_star,
             "f_gap_final": float(f_vals[-1] - f_star),
@@ -411,20 +347,17 @@ def _exp_newton_demo(cfg, system, leverage_p):
             "crude_bound": cert.crude_bound,
             "epsilon": cert.epsilon,
             "cert_trials": cert.trials,
-        }
+        }]
 
-    table = ResultTable(
-        "newton_demo",
-        ["matrix", "family", "k", "s", "iters", "f_star", "f_gap_final",
-         "grad_norm_final", "monotone", "line_search_failures", "rho_hat",
-         "refined_bound", "crude_bound", "epsilon", "cert_trials"],
-        ["matrix", "family", "k", "s"],
-    )
-    table.extend(map(one, cells))
-    return {"newton_demo": table}
+    columns = ["iters", "f_star", "f_gap_final", "grad_norm_final", "monotone",
+               "line_search_failures", "rho_hat", "refined_bound", "crude_bound", "epsilon",
+               "cert_trials"]
+    table = ResultTable("newton_demo", _KEY + columns, _KEY)
+    label = f"logistic{nw['n_samples']}x{nw['n_features']}"
+    return table, label, (obj.dim, obj.dim), rows
 
 
-_RUNNERS = {
+_EXPERIMENTS = {
     "rate_sweep": _exp_rate_sweep,
     "convergence_curves": _exp_convergence_curves,
     "surrogate_compare": _exp_surrogate_compare,

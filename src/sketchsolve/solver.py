@@ -29,7 +29,6 @@ __all__ = [
     "solve",
     "estimate_rate",
     "eigencomponent_decay",
-    "write_iter_logs",
 ]
 
 
@@ -233,12 +232,3 @@ def eigencomponent_decay(
         raise ValueError(f"degenerate components (never above 1e-10): {dead.tolist()}")
     return cross / energy
 
-
-def write_iter_logs(path, logs: list[IterLog]) -> None:
-    """Serialize runs to CSV with columns run,t,dist,rel_err,fallback_flag."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("run,t,dist,rel_err,fallback_flag\n")
-        for run, log in enumerate(logs):
-            for t in range(log.dist.size):
-                fh.write(f"{run},{t},{float(log.dist[t])!r},{float(log.rel_err[t])!r},"
-                         f"{int(log.fallback[t])}\n")

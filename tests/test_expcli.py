@@ -47,6 +47,20 @@ def _k_too_large(experiment):
                         sketch={"families": ["gaussian"], "k": [5, 40]})
 
 
+def _s_too_large(case, tmp_path):
+    """A config with a sparse family whose largest s exceeds the rows the
+    sketch acts on: 30 profile rows, 20 Hessian rows, or 5 dataset rows."""
+    sketch = {"families": ["gaussian", "less_uniform"], "k": [2], "s": [4, 50]}
+    if case == "newton_demo":
+        return {"experiment": case, "sketch": sketch, "newton": {"n_features": 20}}
+    if case == "dataset":
+        data = tmp_path / "tiny.libsvm"
+        data.write_text("".join(f"1 1:{i + 1}.0 2:{i % 3}.0\n" for i in range(5)))
+        return _base_config(matrix={"kind": "dataset", "path": str(data)}, sketch=sketch)
+    return _base_config(matrix={"kind": "profile", "m": 30, "n": 10, "model": "lin.01"},
+                        sketch=sketch)
+
+
 def _with_unknown_key(section, key):
     cfg = _base_config()
     (cfg if section is None else cfg[section])[key] = 3
@@ -143,6 +157,19 @@ class TestConfigValidation:
         # a dataset's row count is unknown until the file is read
         parse_config(_base_config(matrix={"kind": "dataset", "path": "x.libsvm"},
                                   sketch={"k": [10**6]}))
+
+    def test_s_up_to_rows_accepted(self, tmp_path):
+        parse_config(_base_config(sketch={"families": ["less_uniform"], "k": [2], "s": [30]}))
+        parse_config({"experiment": "newton_demo", "newton": {"n_features": 6},
+                      "sketch": {"families": ["less_uniform"], "k": [2], "s": [6]}})
+        # only the sparse families read s
+        parse_config(_base_config(sketch={"families": ["gaussian"], "k": [2], "s": [10**6]}))
+        data = tmp_path / "tiny.libsvm"
+        data.write_text("".join(f"1 1:{i + 1}.0 2:{i % 3}.0\n" for i in range(5)))
+        raw = _base_config(experiment="randsvd_err", matrix={"kind": "dataset", "path": str(data)},
+                           sketch={"families": ["less_uniform"], "k": [2], "s": [5]},
+                           run={"err_trials": 2})
+        assert run_experiment(parse_config(raw), tmp_path / "o")["randsvd_err"].rows[0]["s"] == 5
 
     def test_readme_config_parses(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -296,6 +323,48 @@ class TestOtherExperiments:
         assert tables["randsvd_err"].rows[0]["matrix"] == "tiny"
 
 
+#: every result table: one per experiment, and rate_sweep with ``with_bounds``
+SCHEMA_CASES = ["rate_sweep", "rate_sweep+bounds", "convergence_curves", "surrogate_compare",
+                "sparsity_sweep", "randsvd_err", "eigendecay", "newton_demo"]
+
+
+def _readme_schemas():
+    """Header line of each table in the README "Output CSVs" table."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Output CSVs", 1)[1]
+    schemas = {}
+    for name, columns, bounds in re.findall(
+            r"^\| `(\w+)` \| `([\w,]+)`(?: \(\+ `([\w,]+)` with `with_bounds`)?",
+            section, re.M):
+        schemas[name] = columns
+        if bounds:
+            schemas[f"{name}+bounds"] = f"{columns},{bounds}"
+    return schemas
+
+
+class TestSchemas:
+    def test_readme_lists_every_table(self):
+        assert sorted(_readme_schemas()) == sorted(SCHEMA_CASES)
+
+    @pytest.mark.parametrize("case", SCHEMA_CASES)
+    def test_header_matches_readme(self, tmp_path, case):
+        experiment = case.split("+")[0]
+        raw = _base_config(
+            experiment=experiment,
+            matrix={"kind": "profile", "model": "poly1.5", "m": 30, "n": 6},
+            sketch={"families": ["gaussian"], "k": [2]},
+            run={"runs": 2, "tail": 2, "max_iters": 4, "trials": 4, "err_trials": 2,
+                 "iters": 3, "with_bounds": case.endswith("+bounds")},
+        )
+        if experiment == "newton_demo":
+            del raw["matrix"], raw["run"]
+            raw["newton"] = {"n_samples": 20, "n_features": 4, "max_iters": 3,
+                             "cert_trials": 2}
+        run_experiment(parse_config(raw), tmp_path)
+        header = (tmp_path / f"{experiment}.csv").read_text().splitlines()[1]
+        assert header == _readme_schemas()[case]
+
+
 class TestPlotData:
     def test_long_format_columns(self, tmp_path):
         cfg = parse_config(_base_config())
@@ -368,6 +437,30 @@ class TestCli:
         assert main(argv) == 1
         assert "sketch.k: " in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("case", ["profile", "newton_demo", "dataset"])
+    def test_s_above_rows_exit_code(self, tmp_path, capsys, case):
+        cfg = _s_too_large(case, tmp_path)
+        path = _write(tmp_path, cfg)
+        argv = [cfg["experiment"].replace("_", "-"), "--config", str(path),
+                "--out", str(tmp_path / "o")]
+        assert main(argv) == 1
+        assert "sketch.s: 50 exceeds the" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("families", [["gaussian", "less_uniform"], ["gaussian"]])
+    def test_sparsity_sweep_svg_with_dense_family(self, tmp_path, families):
+        # a dense cell has no s, so it has no point on the chart
+        cfg = _base_config(experiment="sparsity_sweep",
+                           matrix={"kind": "gaussian_unit", "m": 40, "n": 6},
+                           sketch={"families": families, "k": [3], "s": [2, 4]},
+                           run={"runs": 2, "iters": 3})
+        argv = ["sparsity-sweep", "--config", str(_write(tmp_path, cfg)), "--out"]
+        assert main(argv + [str(tmp_path / "plain")]) == 0
+        assert main(argv + [str(tmp_path / "o"), "--svg"]) == 0
+        assert (tmp_path / "o" / "sparsity_sweep.svg").read_text().startswith("<svg")
+        plot = "sparsity_sweep_plot.csv"
+        assert (tmp_path / "o" / plot).read_bytes() == (tmp_path / "plain" / plot).read_bytes()
 
     def test_dataset_k_above_rows_exit_code(self, tmp_path, capsys):
         # a dataset's row count is only known once the file is read

@@ -14,7 +14,6 @@ from sketchsolve.solver import (
     estimate_rate,
     project_step,
     solve,
-    write_iter_logs,
 )
 
 
@@ -233,20 +232,6 @@ class TestEigencomponentDecay:
         cfg = SolverConfig(sketch=SketchSpec("gaussian", k=2, seed_stream=38))
         with pytest.raises(ValueError, match="orthonormal"):
             eigencomponent_decay(system, cfg, np.ones((8, 2)), runs=2)
-
-
-class TestIterLogCsv:
-    def test_schema_and_roundtrip(self, tmp_path):
-        system = _random_system(seed=39)
-        cfg = SolverConfig(sketch=SketchSpec("gaussian", k=2, seed_stream=40), max_iters=10)
-        logs = [solve(system, cfg, trial=r)[1] for r in range(2)]
-        path = tmp_path / "runs.csv"
-        write_iter_logs(path, logs)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "run,t,dist,rel_err,fallback_flag"
-        first = lines[1].split(",")
-        assert first[0] == "0" and first[1] == "0"
-        assert float(first[2]) == logs[0].dist[0]
 
 
 _FAMILIES = ("gaussian", "rademacher", "less", "less_uniform", "row_sampling")
