@@ -17,6 +17,7 @@ __all__ = ["emit_plot_data", "render_svg"]
 
 _PALETTE = ["#1b6ca8", "#d1495b", "#3a7d44", "#8d5a97", "#c77d2e", "#4f6d7a",
             "#a03e99", "#2e933c", "#b8336a", "#726953"]
+_WIDTH, _HEIGHT = 640, 480  # SVG canvas, pixels
 
 
 def _series_name(row: dict, parts: list[str]) -> str:
@@ -94,8 +95,7 @@ def _surrogate_rows(table: ResultTable) -> list[dict]:
     return rows
 
 
-def render_svg(rows: list[dict], path, title: str = "",
-               width: int = 640, height: int = 480) -> None:
+def render_svg(rows: list[dict], path, title: str = "") -> None:
     """Deterministic polyline chart of the long-format rows; a row without an
     x (a dense cell of a sparsity sweep has no s) is left out."""
     series: dict[str, list[tuple[float, float, float | None, float | None]]] = {}
@@ -121,22 +121,22 @@ def render_svg(rows: list[dict], path, title: str = "",
     pad = 50.0
 
     def sx(x: float) -> float:
-        return pad + (x - x0) / (x1 - x0) * (width - 2 * pad)
+        return pad + (x - x0) / (x1 - x0) * (_WIDTH - 2 * pad)
 
     def sy(y: float) -> float:
         if logy:
             y = math.log10(y)
-        return height - pad - (y - y0) / (y1 - y0) * (height - 2 * pad)
+        return _HEIGHT - pad - (y - y0) / (y1 - y0) * (_HEIGHT - 2 * pad)
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
+        f'<text x="{_WIDTH / 2:.1f}" y="20" text-anchor="middle" '
         f'font-family="monospace" font-size="14">{title}{" (log y)" if logy else ""}</text>',
-        f'<line x1="{pad}" y1="{height - pad}" x2="{width - pad}" y2="{height - pad}" '
+        f'<line x1="{pad}" y1="{_HEIGHT - pad}" x2="{_WIDTH - pad}" y2="{_HEIGHT - pad}" '
         f'stroke="black"/>',
-        f'<line x1="{pad}" y1="{pad}" x2="{pad}" y2="{height - pad}" stroke="black"/>',
+        f'<line x1="{pad}" y1="{pad}" x2="{pad}" y2="{_HEIGHT - pad}" stroke="black"/>',
     ]
     for i, (name, pts) in enumerate(sorted(series.items())):
         color = _PALETTE[i % len(_PALETTE)]
@@ -151,7 +151,7 @@ def render_svg(rows: list[dict], path, title: str = "",
         parts.append(
             f'<polyline points="{line}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         parts.append(
-            f'<text x="{width - pad + 4:.1f}" y="{pad + 14 * i:.1f}" fill="{color}" '
+            f'<text x="{_WIDTH - pad + 4:.1f}" y="{pad + 14 * i:.1f}" fill="{color}" '
             f'font-family="monospace" font-size="10" text-anchor="end">{name}</text>')
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

@@ -6,7 +6,7 @@
    own input checks and returns its empty :class:`ResultTable` (its schema),
    the matrix label, the (m, n) its grid is built on and ``rows(cell, spec)``.
 2. Output directory: made only after the set-up succeeded, so a
-   configuration error writes nothing; the built A is cached to ``matrix.csv``.
+   configuration error writes nothing; A is not written (``build_system`` rebuilds it).
 3. Per-cell rows: for each (family, k, s) grid cell in order, the value
    columns from ``rows`` behind the key columns ``matrix,family,k,s``.
 
@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .. import __version__
-from ..matgen import LinearSystem, save_matrix_csv
+from ..matgen import LinearSystem
 from ..newton import full_newton, logistic_objective, rho_certificate, rsn_solve
 from ..randsvd import best_rank_error, err_monte_carlo, err_upper_bound_min_p
 from ..rng import child_seed, stream
@@ -103,7 +103,7 @@ def _grid(cfg: ExperimentConfig, m: int, n: int) -> list[_Cell]:
     """Cells in deterministic order; s only varies for sparse families."""
     cells = []
     idx = 0
-    default_s = max(1, math.ceil(n * math.log(n))) if n > 1 else 1
+    default_s = min(m, math.ceil(n * math.log(n))) if n > 1 else 1  # at most the rows
     for family in cfg.families:
         for k in cfg.k_list:
             if family in ("gaussian", "rademacher"):
@@ -147,8 +147,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict[str, ResultTable]:
                                   f"({exc})") from exc
     table, label, (m, n), rows = _EXPERIMENTS[cfg.experiment](cfg, system)
     out.mkdir(parents=True, exist_ok=True)
-    if system is not None:
-        save_matrix_csv(out / "matrix.csv", system.A)  # cache of the built A
     for cell in _grid(cfg, m, n):
         key = dict(zip(_KEY, (label, cell.family, cell.k, cell.s)))
         spec = _cell_spec(cfg, cell, system, leverage_p)

@@ -43,7 +43,6 @@ __all__ = [
 ]
 
 FAMILIES = ("gaussian", "rademacher", "less", "less_uniform", "row_sampling")
-_DENSE = ("gaussian", "rademacher")
 #: trials per stacked QR in :func:`sketched_bases`; bounds a block's memory
 TRIAL_BLOCK = 16
 #: factor by which a trial's QR must clear the rank cutoff to skip the SVD

@@ -204,14 +204,6 @@ class TestRateSweep:
         assert first.startswith("# config_hash=")
         assert "master_seed=99" in first and "version=" in first
 
-    def test_matrix_cache_written(self, tmp_path):
-        from sketchsolve.matgen import load_matrix_csv
-
-        cfg = parse_config(_base_config())
-        run_experiment(cfg, tmp_path)
-        A = load_matrix_csv(tmp_path / "matrix.csv")
-        assert np.array_equal(A, np.eye(30))
-
 
 class TestReproducibility:
     def test_byte_identical_reruns(self, tmp_path):
@@ -226,6 +218,13 @@ class TestReproducibility:
         emit_plot_data(tables["rate_sweep"], "rate_sweep", out2, svg=True)
         for name in ("rate_sweep.csv", "rate_sweep_plot.csv", "rate_sweep.svg"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_build_system_rebuilds_matrix(self):
+        # A is not written with the results; the config and seed rebuild it
+        raw = _base_config(matrix={"kind": "profile", "model": "poly1.5", "m": 40, "n": 6})
+        first, second = parse_config(raw).build_system(), parse_config(raw).build_system()
+        assert first.A.tobytes() == second.A.tobytes()
+        assert first.b.tobytes() == second.b.tobytes()
 
 
 class TestOtherExperiments:
@@ -361,6 +360,7 @@ class TestSchemas:
             raw["newton"] = {"n_samples": 20, "n_features": 4, "max_iters": 3,
                              "cert_trials": 2}
         run_experiment(parse_config(raw), tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [f"{experiment}.csv"]
         header = (tmp_path / f"{experiment}.csv").read_text().splitlines()[1]
         assert header == _readme_schemas()[case]
 
@@ -447,6 +447,21 @@ class TestCli:
         assert main(argv) == 1
         assert "sketch.s: 50 exceeds the" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("experiment,rows", [("rate_sweep", 30), ("newton_demo", 10)])
+    def test_default_s_capped_at_rows(self, tmp_path, experiment, rows):
+        # without sketch.s, ceil(n ln n) exceeds the rows of a square problem
+        cfg = _base_config(experiment=experiment, sketch={"families": ["less_uniform"], "k": [3]})
+        if experiment == "newton_demo":
+            del cfg["matrix"], cfg["run"]
+            cfg["newton"] = {"n_samples": 40, "n_features": rows, "max_iters": 20,
+                             "cert_trials": 10}
+        argv = [experiment.replace("_", "-"), "--config", str(_write(tmp_path, cfg)),
+                "--out", str(tmp_path / "o")]
+        assert main(argv) == 0
+        lines = (tmp_path / "o" / f"{experiment}.csv").read_text().splitlines()[1:]
+        s_col = lines[0].split(",").index("s")
+        assert [line.split(",")[s_col] for line in lines[1:]] == [str(rows)]
 
     @pytest.mark.parametrize("families", [["gaussian", "less_uniform"], ["gaussian"]])
     def test_sparsity_sweep_svg_with_dense_family(self, tmp_path, families):
