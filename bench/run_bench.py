@@ -1,7 +1,7 @@
 """Per-layer timings of the sketch apply, the Monte-Carlo trial kernel, one
-RSN step and the RSN rate certificate, and end-to-end timings of the seven
-experiments, for this checkout and, optionally, a parent checkout to compare
-against.
+RSN step, a short RSN solve and the RSN rate certificate, and end-to-end
+timings of the seven experiments, for this checkout and, optionally, a parent
+checkout to compare against.
 
     python3 bench/run_bench.py --out BENCH.json [--parent-src DIR] [--rounds N]
 
@@ -31,6 +31,9 @@ spectra (1000 x 50 and 4096 x 128) and k in {5, 10, 20, 40}:
   with N = 2000 samples and d = 100 features, for ``gaussian`` and
   ``less_uniform`` (s = 8) sketches with k in {5, 10, 20}, drawn outside the
   timed region;
+- ``rsn_solve/<family>/k=<k>``: 20 steps of ``rsn_solve`` with ``tol=0`` from
+  the same point on that objective, same families and k, which includes the
+  sketch draws and the line search;
 - ``rho_certificate/<family>/k=<k>``: one ``rho_certificate`` with 400
   trials (the ``newton_demo`` default) on the Hessian of that objective, same
   families and k;
@@ -70,6 +73,7 @@ RSN_SHAPE = (2000, 100)  # logistic samples x features
 RSN_FAMILIES = ("gaussian", "less_uniform")
 RSN_KS = (5, 10, 20)
 RSN_S = 8
+RSN_SOLVE_STEPS = 20
 CERT_TRIALS = 400
 CLI_SKETCH = {"families": ["gaussian", "less_uniform"], "k": [4, 10], "s": [8]}
 CLI_GRID = {"matrix": {"kind": "profile", "model": "poly1.5", "m": 200, "n": 20},
@@ -134,7 +138,7 @@ def measure() -> dict:
     import numpy as np
 
     from sketchsolve.matgen import SpectralProfile, gen_spectral_matrix
-    from sketchsolve.newton import logistic_objective, rho_certificate, rsn_step
+    from sketchsolve.newton import logistic_objective, rho_certificate, rsn_solve, rsn_step
     from sketchsolve.randsvd import err_monte_carlo
     from sketchsolve.sketch import (SketchSpec, apply_sketch, build_less_distribution,
                                     draw_sketch, row_factor, sketched_bases)
@@ -184,6 +188,8 @@ def measure() -> dict:
             spec = SketchSpec(family, k=k, s=RSN_S, seed_stream=7)
             case(f"rsn_step/{family}/k={k}", lambda S: rsn_step(obj, x, S),
                  lambda count: [draw_sketch(spec, d, t) for t in range(count)])
+            case(f"rsn_solve/{family}/k={k}",
+                 lambda _: rsn_solve(obj, x, spec, max_iters=RSN_SOLVE_STEPS, tol=0.0))
             case(f"rho_certificate/{family}/k={k}",
                  lambda _: rho_certificate(H, spec, CERT_TRIALS))
 

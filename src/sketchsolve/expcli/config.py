@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -91,15 +92,28 @@ def _optional_int(section: dict, key: str) -> int | None:
 def _as_float(value, path: str, positive: bool = False) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigError(f"{path}: expected number, got {value!r}")
-    if positive and not value > 0:
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{path}: must be finite, got {value}")
+    if positive and not number > 0:
         raise ConfigError(f"{path}: must be positive, got {value}")
-    return float(value)
+    return number
 
 
 def _as_int_list(value, path: str, minimum: int = 1) -> list[int]:
     if not isinstance(value, list) or not value:
         raise ConfigError(f"{path}: expected a non-empty list")
     return [_as_int(v, f"{path}[{i}]", minimum) for i, v in enumerate(value)]
+
+
+def _check_unique(values: list, path: str) -> None:
+    """Raise ConfigError if ``values`` repeats an entry: it would name one grid cell twice."""
+    for i, v in enumerate(values):
+        if v in values[:i]:
+            raise ConfigError(f"{path}[{i}]: names the same cell as {path}[{values.index(v)}]")
 
 
 def parse_model_name(name: str, n: int, sigma_max: float = 6.8) -> SpectralProfile:
@@ -254,12 +268,16 @@ class ExperimentConfig:
 
 def _check_rows(cfg: ExperimentConfig, rows: int) -> None:
     """Raise ConfigError unless every k, and every s that a sparse family
-    reads, fits the ``rows`` the sketch acts on (s = 0 means all of them)."""
+    reads, fits the ``rows`` the sketch acts on (s = 0 means all of them),
+    and no two of those s name the same cell."""
     if max(cfg.k_list) > rows:
         raise ConfigError(f"sketch.k: {max(cfg.k_list)} exceeds the {rows} rows the sketch acts on")
+    if not {"less", "less_uniform"} & set(cfg.families):
+        return
     s_max = max(cfg.s_list, default=0)
-    if s_max > rows and {"less", "less_uniform"} & set(cfg.families):
+    if s_max > rows:
         raise ConfigError(f"sketch.s: {s_max} exceeds the {rows} rows the sketch acts on")
+    _check_unique([s if s > 0 else rows for s in cfg.s_list], "sketch.s")
 
 
 def _hash_config(raw: dict) -> str:
@@ -296,7 +314,9 @@ def parse_config(raw: dict, experiment: str | None = None) -> ExperimentConfig:
     for fam in families:
         if fam not in FAMILIES:
             raise ConfigError(f"sketch.families: unknown family {fam!r}")
+    _check_unique(families, "sketch.families")
     k_list = _as_int_list(_require(sk, "k", "sketch"), "sketch.k", 1)
+    _check_unique(k_list, "sketch.k")
     s_list = _as_int_list(sk["s"], "sketch.s", 0) if "s" in sk else []
 
     run = _section(raw.get("run", {}), "run", _RUN_KEYS)

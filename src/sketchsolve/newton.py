@@ -40,19 +40,27 @@ SUBGAUSSIAN_CONST = 1.0
 
 @dataclass
 class ConvexObjective:
-    """Callbacks for a smooth convex function: value, gradient, Hessian, and the
-    sketched Hessian ``S H(x) S^T`` that an RSN step reads (by default
-    ``hessian(x)`` sketched from both sides)."""
+    """Callbacks for a smooth convex function: value, gradient, Hessian, the
+    sketched Hessian ``S H(x) S^T`` (by default ``hessian(x)`` sketched from
+    both sides), and the per-point oracle ``at(x)`` that :func:`rsn_solve`
+    reads.  ``at(x)`` returns ``(f(x), grad f(x), S -> S H(x) S^T,
+    d -> (eta -> f(x + eta d)))``; by default it is built from the other
+    callbacks, so an objective can instead share work between them at x."""
 
     dim: int
     value: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
     hessian: Callable[[np.ndarray], np.ndarray]
     sketched_hessian: Callable[[np.ndarray, object], np.ndarray] | None = None
+    at: Callable[[np.ndarray], tuple] | None = None
 
     def __post_init__(self):
         if self.sketched_hessian is None:
             self.sketched_hessian = lambda x, S: _sandwich(S, self.hessian(x))
+        if self.at is None:
+            self.at = lambda x: (float(self.value(x)), self.gradient(x),
+                                 lambda S: self.sketched_hessian(x, S),
+                                 lambda d: lambda eta: self.value(x + eta * d))
 
 
 @dataclass
@@ -80,16 +88,15 @@ def _sandwich(S, H: np.ndarray) -> np.ndarray:
     return symmetrize(apply_sketch(S, apply_sketch(S, H).T))
 
 
-def _newton_direction(obj: ConvexObjective, x: np.ndarray, g: np.ndarray, S) -> np.ndarray:
-    """Sketched Newton direction ``-S^T (S H S^T)^+ S g`` at ``x`` with gradient ``g``."""
-    W = obj.sketched_hessian(x, S)
-    z, _ = solve_psd(W, apply_sketch(S, g), n_ambient=obj.dim)
+def _newton_direction(W: np.ndarray, g: np.ndarray, S, dim: int) -> np.ndarray:
+    """Sketched Newton direction ``-S^T W^+ S g`` for ``W = S H S^T``."""
+    z, _ = solve_psd(W, apply_sketch(S, g), n_ambient=dim)
     return -apply_sketch_t(S, z)
 
 
 def rsn_step(obj: ConvexObjective, x: np.ndarray, S, eta: float = 1.0) -> np.ndarray:
     """One sketched Newton step ``x - eta * S^T (S H S^T)^+ S g``."""
-    return x + eta * _newton_direction(obj, x, obj.gradient(x), S)
+    return x + eta * _newton_direction(obj.sketched_hessian(x, S), obj.gradient(x), S, obj.dim)
 
 
 def rsn_solve(
@@ -102,6 +109,7 @@ def rsn_solve(
 ):
     """Iterate RSN with Armijo backtracking until the gradient norm <= tol.
 
+    Each step makes one ``obj.at(x)`` call and calls nothing else on ``obj``.
     The line search starts at eta = 1, halves the step, and requires the
     sufficient decrease ``f(x + eta d) <= f(x) + 1e-4 eta <g, d>``; after 50
     shrinks the iteration is skipped and retried with a fresh sketch.
@@ -110,20 +118,21 @@ def rsn_solve(
     key = as_key(trial)
     trace = NewtonTrace()
     for t in range(max_iters):
-        g = obj.gradient(x)
+        f_x, g, sketched_hessian, line = obj.at(x)
         gnorm = float(np.linalg.norm(g))
-        f_x = float(obj.value(x))
         if gnorm <= tol:
             trace.f.append(f_x)
             trace.grad_norm.append(gnorm)
             break
-        d = _newton_direction(obj, x, g, draw_sketch(spec, obj.dim, trial=key + (t,)))
+        S = draw_sketch(spec, obj.dim, trial=key + (t,))
+        d = _newton_direction(sketched_hessian(S), g, S, obj.dim)
         slope = float(g @ d)
         eta = 1.0
         accepted = False
         if slope < 0.0:
+            f_along = line(d)
             for _ in range(50):
-                if obj.value(x + eta * d) <= f_x + 1e-4 * eta * slope:
+                if f_along(eta) <= f_x + 1e-4 * eta * slope:
                     accepted = True
                     break
                 eta *= 0.5
@@ -210,7 +219,9 @@ def logistic_objective(X: np.ndarray, y: np.ndarray, ridge: float) -> ConvexObje
 
     f(w) = (1/N) sum_i log(1 + exp(-y_i x_i^T w)) + (ridge/2) ||w||^2.
     The sketched Hessian ``Y^T diag(c) Y / N + ridge S S^T``, ``Y = X S^T``,
-    never forms the d x d Hessian ``X^T diag(c) X / N + ridge I``.
+    never forms the d x d Hessian ``X^T diag(c) X / N + ridge I``.  Every
+    callback starts from the margins ``y * (X w)``; ``at`` computes them once
+    for f, the gradient and the curvatures.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -220,34 +231,52 @@ def logistic_objective(X: np.ndarray, y: np.ndarray, ridge: float) -> ConvexObje
         raise ValueError("labels must be +/-1")
     N, d = X.shape
 
-    def value(w):
-        margins = y * (X @ w)
-        return float(np.mean(np.logaddexp(0.0, -margins)) + 0.5 * ridge * (w @ w))
+    def margins(w):
+        return y * (X @ w)
 
-    def sigmoids(w):
-        """sigma(-m) and the curvatures c = sigma(m) sigma(-m) at the margins
-        m = y * (X w), from ``exp(-|m|) <= 1`` so that nothing overflows."""
-        margins = y * (X @ w)
-        e = np.exp(-np.abs(margins))
+    def loss(m, w):
+        """f at w from its margins m = y * (X w)."""
+        return float(np.mean(np.logaddexp(0.0, -m)) + 0.5 * ridge * (w @ w))
+
+    def sigmoids(m):
+        """sigma(-m) and the curvatures c = sigma(m) sigma(-m) at the margins m,
+        from ``exp(-|m|) <= 1`` so that nothing overflows."""
+        e = np.exp(-np.abs(m))
         inv = 1.0 / (1.0 + e)
-        return np.where(margins >= 0.0, e * inv, inv), e * inv * inv
+        return np.where(m >= 0.0, e * inv, inv), e * inv * inv
 
-    def gradient(w):
-        sig_neg, _ = sigmoids(w)
+    def grad(sig_neg, w):
         return -(X.T @ (y * sig_neg)) / N + ridge * w
 
-    def hessian(w):
-        _, curv = sigmoids(w)
-        return (X.T * curv) @ X / N + ridge * np.eye(d)
-
-    def sketched_hessian(w, S):
-        _, curv = sigmoids(w)
+    def sandwich(curv, S):
         Z = densify(S)  # k x d
         Y = X @ Z.T  # N x k
         return symmetrize((Y.T * curv) @ Y / N + ridge * (Z @ Z.T))
 
-    return ConvexObjective(dim=d, value=value, gradient=gradient, hessian=hessian,
-                           sketched_hessian=sketched_hessian)
+    def hessian(w):
+        _, curv = sigmoids(margins(w))
+        return (X.T * curv) @ X / N + ridge * np.eye(d)
+
+    def at(w):
+        """One pass over X at w; f(w + eta d) then reads the margins
+        ``m + eta * (y * X d)`` from one more pass per direction d."""
+        m = margins(w)
+        sig_neg, curv = sigmoids(m)
+
+        def line(direction):
+            m_d = margins(direction)
+            return lambda eta: loss(m + eta * m_d, w + eta * direction)
+
+        return loss(m, w), grad(sig_neg, w), lambda S: sandwich(curv, S), line
+
+    return ConvexObjective(
+        dim=d,
+        value=lambda w: loss(margins(w), w),
+        gradient=lambda w: grad(sigmoids(margins(w))[0], w),
+        hessian=hessian,
+        sketched_hessian=lambda w, S: sandwich(sigmoids(margins(w))[1], S),
+        at=at,
+    )
 
 
 def quadratic_objective(H: np.ndarray, b: np.ndarray) -> ConvexObjective:

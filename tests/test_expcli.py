@@ -171,6 +171,11 @@ class TestConfigValidation:
                            run={"err_trials": 2})
         assert run_experiment(parse_config(raw), tmp_path / "o")["randsvd_err"].rows[0]["s"] == 5
 
+    def test_repeated_s_of_dense_family_accepted(self):
+        # only the sparse families read s, so a repeat names no cell twice
+        cfg = parse_config(_base_config(sketch={"families": ["gaussian"], "k": [2], "s": [4, 4]}))
+        assert cfg.s_list == [4, 4]
+
     def test_readme_config_parses(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         block = re.search(r"```yaml\n(.*?)```", readme, re.S).group(1)
@@ -446,6 +451,57 @@ class TestCli:
                 "--out", str(tmp_path / "o")]
         assert main(argv) == 1
         assert "sketch.s: 50 exceeds the" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("sketch,error", [
+        ({"families": ["gaussian", "gaussian"], "k": [2]}, "sketch.families[1]"),
+        ({"families": ["gaussian"], "k": [2, 3, 2]}, "sketch.k[2]"),
+        ({"families": ["less_uniform"], "k": [2], "s": [4, 4]}, "sketch.s[1]"),
+        ({"families": ["less_uniform"], "k": [2], "s": [0, 60]}, "sketch.s[1]"),  # 0 means m
+        ({"families": ["less_uniform"], "k": [2], "s": [60, 0]}, "sketch.s[1]"),
+    ])
+    def test_duplicate_grid_entry_exit_code(self, tmp_path, capsys, sketch, error):
+        cfg = _base_config(matrix={"kind": "profile", "m": 60, "n": 8, "model": "lin.01"},
+                           sketch=sketch)
+        path = _write(tmp_path, cfg)
+        assert main(["rate-sweep", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert f"{error}: names the same cell as" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_dataset_s_zero_repeats_rows_exit_code(self, tmp_path, capsys):
+        # a dataset's row count, and so what s = 0 means, is known only once read
+        data = tmp_path / "tiny.libsvm"
+        data.write_text("".join(f"1 1:{i + 1}.0 2:{i % 3}.0\n" for i in range(5)))
+        cfg = _base_config(experiment="randsvd_err",
+                           matrix={"kind": "dataset", "path": str(data)},
+                           sketch={"families": ["less_uniform"], "k": [2], "s": [0, 5]},
+                           run={"err_trials": 2})
+        path = _write(tmp_path, cfg)
+        assert main(["randsvd-err", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert "sketch.s[1]: names the same cell as sketch.s[0]" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("experiment,section,key,value", [
+        ("newton_demo", "newton", "ridge", ".inf"),
+        ("rate_sweep", "run", "stop_tol", ".inf"),
+        ("newton_demo", "newton", "tol", ".nan"),
+        ("rate_sweep", "run", "stop_tol", "1" + "0" * 400),  # an int beyond float range
+    ])
+    def test_non_finite_float_exit_code(self, tmp_path, capsys, experiment, section, key,
+                                        value):
+        cfg = _base_config(experiment=experiment)
+        if experiment == "newton_demo":
+            del cfg["matrix"], cfg["run"]
+            cfg["newton"] = {"n_samples": 40, "n_features": 6, "max_iters": 20,
+                             "cert_trials": 10}
+        cfg[section][key] = 1.0
+        text = yaml.safe_dump(cfg).replace(f"{key}: 1.0", f"{key}: {value}")
+        path = tmp_path / "cfg.yaml"
+        path.write_text(text)
+        argv = [experiment.replace("_", "-"), "--config", str(path), "--out", str(tmp_path / "o")]
+        assert main(argv) == 1
+        assert f"{section}.{key}: must be finite" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("experiment,rows", [("rate_sweep", 30), ("newton_demo", 10)])

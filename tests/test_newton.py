@@ -202,6 +202,39 @@ class TestSketchedHessian:
         assert calls == []
 
 
+class TestPointOracle:
+    @pytest.mark.parametrize("family", ["gaussian", "less_uniform", "row_sampling"])
+    def test_logistic_oracle_matches_default_oracle(self, family):
+        # a far start makes some steps backtrack, so the line search along
+        # X d is checked against value(x + eta d) at several eta
+        X, y = _logistic_data(60, 8, seed=41)
+        obj = logistic_objective(X, y, ridge=1e-4)
+        value_calls = []
+        generic = ConvexObjective(8, lambda w: value_calls.append(1) or obj.value(w),
+                                  obj.gradient, obj.hessian, obj.sketched_hessian)
+        x0 = 5.0 * np.random.default_rng(41).standard_normal(8)
+        spec = SketchSpec(family, k=3, s=3, seed_stream=42)
+        x, trace = rsn_solve(obj, x0, spec, max_iters=40, tol=1e-10)
+        x_ref, trace_ref = rsn_solve(generic, x0, spec, max_iters=40, tol=1e-10)
+        assert len(value_calls) > 2 * len(trace_ref.f)
+        np.testing.assert_array_equal(x, x_ref)
+        np.testing.assert_array_equal(trace.f, trace_ref.f)
+        np.testing.assert_array_equal(trace.grad_norm, trace_ref.grad_norm)
+        assert trace.line_search_failures == trace_ref.line_search_failures
+
+    def test_rsn_solve_reads_only_the_logistic_oracle(self):
+        X, y = _logistic_data(100, 12, seed=43)
+        obj = logistic_objective(X, y, ridge=1e-2)
+
+        def forbidden(*args):
+            raise AssertionError("rsn_solve called a separate callback")
+
+        obj.value = obj.gradient = obj.hessian = obj.sketched_hessian = forbidden
+        spec = SketchSpec("gaussian", k=4, seed_stream=44)
+        _, trace = rsn_solve(obj, np.zeros(12), spec, max_iters=10, tol=0.0)
+        assert len(trace.f) == 10
+
+
 class TestRhoCertificate:
     def test_identity_hessian_symmetry(self):
         m, k, trials = 40, 4, 400
