@@ -11,7 +11,7 @@ import hashlib
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -246,17 +246,17 @@ class ExperimentConfig:
     matrix: MatrixSource
     families: list[str]
     k_list: list[int]
-    s_list: list[int] = field(default_factory=list)
-    runs: int = 100
-    tail: int = 50
-    max_iters: int = 1000
-    stop_tol: float = 1e-5
-    trials: int = 1600
-    err_trials: int = 50
-    iters: int = 30
-    with_bounds: bool = False
-    newton: dict = field(default_factory=dict)
-    config_hash: str = ""
+    s_list: list[int]
+    runs: int
+    tail: int
+    max_iters: int
+    stop_tol: float
+    trials: int
+    err_trials: int
+    iters: int
+    with_bounds: bool
+    newton: dict
+    config_hash: str
 
     def build_system(self) -> LinearSystem | None:
         """The system A x = b; None for newton_demo, which draws its own data."""

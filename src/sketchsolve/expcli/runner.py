@@ -159,13 +159,21 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict[str, ResultTable]:
 # --- individual experiments: set-up, then rows(cell, spec) per grid cell ------
 
 
+def _singular_values(cfg, A: np.ndarray) -> np.ndarray:
+    """Singular values of A; ConfigError if a k exceeds their number."""
+    sigma = np.linalg.svd(A, compute_uv=False)
+    if max(cfg.k_list) > sigma.size:
+        raise ConfigError(f"sketch.k: {max(cfg.k_list)} exceeds the {sigma.size} singular values of A")
+    return sigma
+
+
 def _exp_rate_sweep(cfg, system):
     columns = ["rate", "runs", "tail", "samples", "short_tail"]
     if cfg.with_bounds:
         columns += ["bound_simple", "bound_gaussian", "gaussian_epsilon",
                     "gaussian_epsilon_log10", "gaussian_vacuous",
                     "bound_surrogate", "err_mean"]
-        sigma = np.linalg.svd(system.A, compute_uv=False)
+        sigma = _singular_values(cfg, system.A)
         R = row_factor(system.A)
 
     def rows(cell, spec):
@@ -259,7 +267,7 @@ def _exp_sparsity_sweep(cfg, system):
 
 
 def _exp_randsvd_err(cfg, system):
-    sigma = np.linalg.svd(system.A, compute_uv=False)
+    sigma = _singular_values(cfg, system.A)
     fro_sq = float(np.sum(sigma**2))
     R = row_factor(system.A)
 

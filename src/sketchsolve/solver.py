@@ -5,7 +5,7 @@ freshly sketched subsystem ``S A x = S b``:
 
     x' = x - B^{-1} A^T S^T (S A B^{-1} A^T S^T)^+ S (A x - b)
 
-Distances to the retained solution are logged per iteration, and the
+Errors to the retained solution are logged per iteration, and the
 empirical per-iteration contraction over the tail of many runs estimates the
 stabilized convergence rate.
 """
@@ -37,14 +37,11 @@ class SolverConfig:
     """Iteration budget, stopping rule, and sketch family for one solve.
 
     ``stop_tol`` applies to the relative error ``||x_t - x*||_B / ||x*||_B``.
-    ``record_components`` is an optional orthonormal basis V; when set, the
-    log records the inner products of the error with each basis vector.
     """
 
     sketch: SketchSpec
     max_iters: int = 1000
     stop_tol: float = 1e-5
-    record_components: np.ndarray | None = None
     x0: np.ndarray | None = None
 
     def __post_init__(self):
@@ -56,12 +53,16 @@ class SolverConfig:
 
 @dataclass
 class IterLog:
-    """Per-iteration distances for one run (index 0 is the starting point)."""
+    """Per-iteration errors for one run (index 0 is the starting point).
 
+    ``err`` is the ``(T+1, n)`` path of errors ``x_t - x*``, and ``dist[t]``
+    is ``system.metric_norm(err[t])``.
+    """
+
+    err: np.ndarray
     dist: np.ndarray
     rel_err: np.ndarray
     fallback: np.ndarray
-    components: np.ndarray | None
 
     @property
     def iterations(self) -> int:
@@ -117,33 +118,31 @@ def solve(system: LinearSystem, config: SolverConfig, trial: KeyPath = 0):
     x_star = system.x_star
     denom = system.metric_norm(x_star)
     Binv = None if system.metric is None else np.linalg.inv(system.metric)
-    V = config.record_components
 
     def rel(d: float) -> float:
         if denom > 0.0:
             return d / denom
         return 0.0 if d == 0.0 else float("inf")
 
-    dist = [system.metric_norm(x - x_star)]
+    err = [x - x_star]
+    dist = [system.metric_norm(err[0])]
     rel_err = [rel(dist[0])]
     fall = [False]
-    comps = [V.T @ (x - x_star)] if V is not None else None
     t = 0
     while t < config.max_iters and rel_err[-1] > config.stop_tol:
         SAb = sketch_times(spec, Ab, key + (t,), R)
         x, fb = _project(x, SAb[:, :n], SAb[:, n], Binv)
-        d = system.metric_norm(x - x_star)
+        err.append(x - x_star)
+        d = system.metric_norm(err[-1])
         dist.append(d)
         rel_err.append(rel(d))
         fall.append(fb)
-        if comps is not None:
-            comps.append(V.T @ (x - x_star))
         t += 1
     log = IterLog(
+        err=np.asarray(err),
         dist=np.asarray(dist),
         rel_err=np.asarray(rel_err),
         fallback=np.asarray(fall, dtype=bool),
-        components=np.asarray(comps) if comps is not None else None,
     )
     return x, log
 
@@ -175,9 +174,7 @@ def estimate_rate(
         prev = d[-use - 1 : -1]
         cur = d[-use:]
         valid = prev > 0.0
-        ratio = np.zeros(use)
-        ratio[valid] = (cur[valid] / prev[valid]) ** 2
-        samples.extend(1.0 - ratio[valid])
+        samples.extend(1.0 - (cur[valid] / prev[valid]) ** 2)
     rate = float(np.mean(samples))
     return RateReport(
         empirical_rate=float(np.clip(rate, 0.0, 1.0)),
@@ -209,19 +206,12 @@ def eigencomponent_decay(
         raise ValueError(f"basis rows {V.shape[0]} != system dimension {n}")
     if not np.allclose(V.T @ V, np.eye(V.shape[1]), atol=1e-8):
         raise ValueError("basis columns must be orthonormal")
-    cfg = SolverConfig(
-        sketch=config.sketch,
-        max_iters=config.max_iters,
-        stop_tol=config.stop_tol,
-        record_components=V,
-        x0=config.x0,
-    )
     cross = np.zeros(V.shape[1])
     energy = np.zeros(V.shape[1])
     counts = np.zeros(V.shape[1], dtype=int)
     for r in range(runs):
-        _, log = solve(system, cfg, trial=r)
-        c = log.components  # (T+1, n_components)
+        _, log = solve(system, config, trial=r)
+        c = log.err @ V  # (T+1, n_components)
         prev, cur = c[:-1], c[1:]
         valid = np.abs(prev) > 1e-10
         cross += np.sum(prev * cur * valid, axis=0)

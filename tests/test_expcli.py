@@ -443,6 +443,21 @@ class TestCli:
         assert "sketch.k: " in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("experiment,run", [
+        ("randsvd_err", {}),
+        ("rate_sweep", {"with_bounds": True}),
+    ], ids=["randsvd_err", "rate_sweep_with_bounds"])
+    def test_k_above_singular_values_exit_code(self, tmp_path, capsys, experiment, run):
+        cfg = _base_config(experiment=experiment,
+                           matrix={"kind": "profile", "m": 60, "n": 8, "model": "lin.01"},
+                           sketch={"families": ["gaussian"], "k": [10]},
+                           run={"runs": 2, "tail": 3, "max_iters": 5, "err_trials": 2, **run})
+        argv = [experiment.replace("_", "-"), "--config", str(_write(tmp_path, cfg)),
+                "--out", str(tmp_path / "o")]
+        assert main(argv) == 1
+        assert "sketch.k: 10 exceeds the 8 singular values" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("case", ["profile", "newton_demo", "dataset"])
     def test_s_above_rows_exit_code(self, tmp_path, capsys, case):
         cfg = _s_too_large(case, tmp_path)

@@ -135,7 +135,37 @@ class TestProjectStep:
         assert np.mean(ratios) == pytest.approx(expected, abs=1e-10)
 
 
+def _err_path_case(metric, family):
+    """A 40 x 8 system, Euclidean or in a random SPD metric, and a solver
+    config that starts from a random x0 and runs 25 steps."""
+    rng = np.random.default_rng(41)
+    B = None
+    if metric == "spd":
+        G = rng.standard_normal((8, 8))
+        B = G @ G.T + 8.0 * np.eye(8)
+    system = _random_system(seed=39, metric=B)
+    spec = SketchSpec(family, k=3, s=4 if family == "less_uniform" else None, seed_stream=40)
+    cfg = SolverConfig(sketch=spec, max_iters=25, stop_tol=1e-12,
+                       x0=rng.standard_normal(8))
+    return system, cfg
+
+
+_ERR_PATH_CASES = pytest.mark.parametrize("metric,family", [
+    (metric, family) for metric in ("euclidean", "spd")
+    for family in ("gaussian", "less_uniform")])
+
+
 class TestSolve:
+    @_ERR_PATH_CASES
+    def test_err_path_matches_iterates_and_distances(self, metric, family):
+        system, cfg = _err_path_case(metric, family)
+        x, log = solve(system, cfg, trial=2)
+        assert log.err.shape == (log.iterations + 1, system.n)
+        assert np.array_equal(log.err[0], cfg.x0 - system.x_star)
+        assert np.array_equal(log.err[-1], x - system.x_star)
+        dist = np.array([system.metric_norm(e) for e in log.err])
+        assert np.array_equal(dist, log.dist)  # bitwise: the stop rule reads dist
+
     def test_zero_solution_converges_immediately(self):
         A = gen_gaussian_unit_rows(20, 4, seed=15)
         system = LinearSystem(A=A, b=np.zeros(20), x_star=np.zeros(4))
@@ -226,6 +256,22 @@ class TestEigencomponentDecay:
         cfg = SolverConfig(sketch=spec, max_iters=60, stop_tol=1e-10)
         contraction = eigencomponent_decay(system, cfg, eigvecs, runs=60)
         np.testing.assert_allclose(contraction, 1.0 - eigvals, atol=0.06)
+
+    @_ERR_PATH_CASES
+    def test_matches_per_step_component_reference(self, metric, family):
+        system, cfg = _err_path_case(metric, family)
+        V = np.linalg.svd(system.A, full_matrices=False)[2].T
+        runs = 4
+        cross = energy = 0.0
+        for r in range(runs):
+            err = solve(system, cfg, trial=r)[1].err
+            c = np.array([V.T @ e for e in err])
+            prev, cur = c[:-1], c[1:]
+            valid = np.abs(prev) > 1e-10
+            cross = cross + np.sum(prev * cur * valid, axis=0)
+            energy = energy + np.sum(prev * prev * valid, axis=0)
+        contraction = eigencomponent_decay(system, cfg, V, runs)
+        np.testing.assert_allclose(contraction, cross / energy, rtol=1e-12, atol=0)
 
     def test_non_orthonormal_basis_rejected(self):
         system = _random_system(seed=37)
