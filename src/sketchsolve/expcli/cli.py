@@ -39,9 +39,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     try:
-        tables = run_experiment(cfg, args.out)
-        for name, table in tables.items():
-            emit_plot_data(table, name, args.out, svg=args.svg)
+        emit_plot_data(run_experiment(cfg, args.out), args.out, svg=args.svg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -42,13 +42,14 @@ _LAYOUTS = {
 }
 
 
-def emit_plot_data(table: ResultTable, experiment: str, out_dir,
-                   svg: bool = False) -> Path:
-    """Write ``<experiment>_plot.csv`` (and optionally an SVG chart).
+def emit_plot_data(table: ResultTable, out_dir, svg: bool = False) -> Path:
+    """Write ``<experiment>_plot.csv`` (and optionally an SVG chart), with the
+    experiment's layout taken from ``table.name``.
 
     Raises ValueError for an unknown experiment or an empty table; no file is
     written in either case.
     """
+    experiment = table.name
     if experiment == "surrogate_compare":
         rows = _surrogate_rows(table)
     else:

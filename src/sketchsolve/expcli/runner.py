@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .. import __version__
-from ..matgen import LinearSystem
+from ..matgen import LinearSystem, _rank
 from ..newton import full_newton, logistic_objective, rho_certificate, rsn_solve
 from ..randsvd import best_rank_error, err_monte_carlo, err_upper_bound_min_p
 from ..rng import child_seed, stream
@@ -130,11 +130,9 @@ def _cell_spec(cfg: ExperimentConfig, cell: _Cell, system: LinearSystem,
     )
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir) -> dict[str, ResultTable]:
-    """Run the configured experiment and write its CSV outputs to ``out_dir``.
-
-    Returns the result tables keyed by output name (the CSV file stem).
-    """
+def run_experiment(cfg: ExperimentConfig, out_dir) -> ResultTable:
+    """Run the configured experiment, write its CSV to ``out_dir`` and return
+    its table (the CSV file stem is ``table.name``)."""
     out = Path(out_dir)
     system, leverage_p = cfg.build_system(), None
     if system is not None:
@@ -153,7 +151,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict[str, ResultTable]:
         table.rows += [{**key, **row} for row in rows(cell, spec)]
     meta = f"config_hash={cfg.config_hash} master_seed={cfg.master_seed} version={__version__}"
     table.write_csv(out / f"{table.name}.csv", meta)
-    return {table.name: table}
+    return table
 
 
 # --- individual experiments: set-up, then rows(cell, spec) per grid cell ------
@@ -174,6 +172,10 @@ def _exp_rate_sweep(cfg, system):
                     "gaussian_epsilon_log10", "gaussian_vacuous",
                     "bound_surrogate", "err_mean"]
         sigma = _singular_values(cfg, system.A)
+        rank = _rank(sigma, system.m, system.n)
+        if max(cfg.k_list) - 1 >= rank:  # Err(A, k-1) is then roundoff
+            raise ConfigError(f"sketch.k: the bounds need k - 1 < rank(A) = {rank}, "
+                              f"got k = {max(cfg.k_list)}")
         R = row_factor(system.A)
 
     def rows(cell, spec):
@@ -292,6 +294,8 @@ def _exp_randsvd_err(cfg, system):
 
 def _exp_eigendecay(cfg, system):
     """Empirical per-eigencomponent contraction vs. spectral predictions."""
+    if system.rank_deficient:  # components past rank(A) never contract
+        raise ConfigError("matrix: eigendecay needs a full-column-rank A")
     _, svals, Vt = np.linalg.svd(system.A, full_matrices=False)
     sigma_sq = svals**2
     try:  # the surrogate's gamma needs k < rank(A)

@@ -30,7 +30,7 @@ def orth_rowspace(M: np.ndarray) -> np.ndarray:
     return Vt[:r].T
 
 
-def solve_psd(W: np.ndarray, rhs: np.ndarray, n_ambient: int | None = None):
+def solve_psd(W: np.ndarray, rhs: np.ndarray, n_ambient: int):
     """Solve ``W z = rhs`` for symmetric PSD ``W`` with a guarded Cholesky.
 
     Falls back to an SVD pseudoinverse when the smallest Cholesky pivot drops
@@ -43,8 +43,6 @@ def solve_psd(W: np.ndarray, rhs: np.ndarray, n_ambient: int | None = None):
     """
     W = np.asarray(W, dtype=float)
     k = W.shape[0]
-    if n_ambient is None:
-        n_ambient = k
     if k == 0:
         return np.zeros_like(rhs), False
     norm_w = float(np.linalg.norm(W))

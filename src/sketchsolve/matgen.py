@@ -247,6 +247,12 @@ def parse_libsvm(path, n_features: int | None = None):
     return A, np.asarray(labels)
 
 
+def _rank(s: np.ndarray, m: int, n: int) -> int:
+    """Numerical rank of an m x n matrix from its singular values s: those above
+    ``max(m, n) * s[0] * RANK_RTOL``."""
+    return int(np.sum(s > max(m, n) * float(s[0]) * RANK_RTOL)) if s.size else 0
+
+
 def make_system(A: np.ndarray, seed: int, metric: np.ndarray | None = None) -> LinearSystem:
     """Assemble a consistent system with a known solution from a seeded draw.
 
@@ -260,9 +266,7 @@ def make_system(A: np.ndarray, seed: int, metric: np.ndarray | None = None) -> L
     m, n = A.shape
     x_seed = stream(seed).standard_normal(n)
     b = A @ x_seed
-    s = np.linalg.svd(A, compute_uv=False)
-    cutoff = max(m, n) * float(s[0]) * RANK_RTOL if s.size else 0.0
-    deficient = bool(np.sum(s > cutoff) < n)
+    deficient = _rank(np.linalg.svd(A, compute_uv=False), m, n) < n
     if deficient:
         x_star, *_ = np.linalg.lstsq(A, b, rcond=RANK_RTOL * max(m, n))
     else:

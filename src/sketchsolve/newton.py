@@ -40,26 +40,23 @@ SUBGAUSSIAN_CONST = 1.0
 
 @dataclass
 class ConvexObjective:
-    """Callbacks for a smooth convex function: value, gradient, Hessian, the
-    sketched Hessian ``S H(x) S^T`` (by default ``hessian(x)`` sketched from
-    both sides), and the per-point oracle ``at(x)`` that :func:`rsn_solve`
-    reads.  ``at(x)`` returns ``(f(x), grad f(x), S -> S H(x) S^T,
+    """Callbacks for a smooth convex function: value, gradient, Hessian, and
+    the per-point oracle ``at(x)`` that :func:`rsn_step` and :func:`rsn_solve`
+    read.  ``at(x)`` returns ``(f(x), grad f(x), S -> S H(x) S^T,
     d -> (eta -> f(x + eta d)))``; by default it is built from the other
-    callbacks, so an objective can instead share work between them at x."""
+    callbacks, with ``hessian(x)`` sketched from both sides, so an objective
+    can instead share work between them at x."""
 
     dim: int
     value: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
     hessian: Callable[[np.ndarray], np.ndarray]
-    sketched_hessian: Callable[[np.ndarray, object], np.ndarray] | None = None
     at: Callable[[np.ndarray], tuple] | None = None
 
     def __post_init__(self):
-        if self.sketched_hessian is None:
-            self.sketched_hessian = lambda x, S: _sandwich(S, self.hessian(x))
         if self.at is None:
             self.at = lambda x: (float(self.value(x)), self.gradient(x),
-                                 lambda S: self.sketched_hessian(x, S),
+                                 lambda S: _sandwich(S, self.hessian(x)),
                                  lambda d: lambda eta: self.value(x + eta * d))
 
 
@@ -95,8 +92,10 @@ def _newton_direction(W: np.ndarray, g: np.ndarray, S, dim: int) -> np.ndarray:
 
 
 def rsn_step(obj: ConvexObjective, x: np.ndarray, S, eta: float = 1.0) -> np.ndarray:
-    """One sketched Newton step ``x - eta * S^T (S H S^T)^+ S g``."""
-    return x + eta * _newton_direction(obj.sketched_hessian(x, S), obj.gradient(x), S, obj.dim)
+    """One sketched Newton step ``x - eta * S^T (S H S^T)^+ S g``, with g and
+    ``S H S^T`` from ``obj.at(x)``."""
+    _, g, sketched_hessian, _ = obj.at(x)
+    return x + eta * _newton_direction(sketched_hessian(S), g, S, obj.dim)
 
 
 def rsn_solve(
@@ -274,7 +273,6 @@ def logistic_objective(X: np.ndarray, y: np.ndarray, ridge: float) -> ConvexObje
         value=lambda w: loss(margins(w), w),
         gradient=lambda w: grad(sigmoids(margins(w))[0], w),
         hessian=hessian,
-        sketched_hessian=lambda w, S: sandwich(sigmoids(margins(w))[1], S),
         at=at,
     )
 

@@ -164,24 +164,17 @@ def build_less_distribution(A: np.ndarray) -> LeverageDistribution:
 
 def _draw_sparse(spec: SketchSpec, m: int, rng: np.random.Generator) -> SparseSketch:
     k = spec.k
-    if spec.family == "row_sampling":
-        s = 1
-        p = spec.sampling
-    elif spec.family == "less_uniform":
-        s = int(spec.s)
-        p = None
-    else:  # less
-        s = int(spec.s)
-        p = spec.sampling
+    s = 1 if spec.family == "row_sampling" else int(spec.s)
+    p = None if spec.family == "less_uniform" else spec.sampling
     if p is None:
         idx = rng.integers(0, m, size=(k, s))
     else:
         cdf = np.cumsum(p)
         cdf[-1] = 1.0
         idx = np.searchsorted(cdf, rng.random((k, s)), side="right")
+    p_drawn = 1.0 / m if p is None else p[idx]
     r = rng.standard_normal((k, s))
-    p_eff = np.full(m, 1.0 / m) if p is None else p
-    return SparseSketch(indices=idx, values=r / np.sqrt(k * s * p_eff[idx]), m=m)
+    return SparseSketch(indices=idx, values=r / np.sqrt(k * s * p_drawn), m=m)
 
 
 def draw_sketch(spec: SketchSpec, m: int, trial: KeyPath = 0):
@@ -255,12 +248,7 @@ def sketch_times(spec: SketchSpec, A: np.ndarray, trial: KeyPath = 0,
         return apply_sketch(draw_sketch(spec, A.shape[0], trial), A)
     spec.validate(A.shape[0])
     R = row_factor(A) if R is None else R
-    return _gaussian_draw(spec, R, trial) @ R
-
-
-def _gaussian_draw(spec: SketchSpec, R: np.ndarray, trial: KeyPath) -> np.ndarray:
-    """The k x rows(R) Gaussian G of the trial's stream; ``G R`` has the law of ``S A``."""
-    return stream(spec.seed_stream, trial).standard_normal((spec.k, R.shape[0]))
+    return stream(spec.seed_stream, trial).standard_normal((spec.k, R.shape[0])) @ R
 
 
 def _row_bases(SA: np.ndarray) -> np.ndarray:
@@ -291,14 +279,13 @@ def sketched_bases(spec: SketchSpec, A: np.ndarray, trials: int,
     Rows past a trial's rank (the ``orth_rowspace`` cutoff) are zero, so
     ``V[t].T @ V[t]`` projects onto rowspan(S_t A)."""
     A = np.asarray(A, dtype=float)
-    if spec.family == "gaussian":
-        spec.validate(A.shape[0])
-        R = row_factor(A) if R is None else R
+    if spec.family == "gaussian" and R is None:
+        R = row_factor(A)
     for lo in range(0, trials, TRIAL_BLOCK):
-        block = range(lo, min(lo + TRIAL_BLOCK, trials))
-        yield _row_bases(np.stack([_gaussian_draw(spec, R, t) for t in block]) @ R
-                         if spec.family == "gaussian"
-                         else np.stack([sketch_times(spec, A, t) for t in block]))
+        SA = np.empty((min(TRIAL_BLOCK, trials - lo), spec.k, A.shape[1]))
+        for i in range(SA.shape[0]):  # filled in place: stacking a list raised peak RSS
+            SA[i] = sketch_times(spec, A, lo + i, R)
+        yield _row_bases(SA)
 
 
 def fwht(X: np.ndarray) -> np.ndarray:

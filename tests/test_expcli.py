@@ -169,7 +169,7 @@ class TestConfigValidation:
         raw = _base_config(experiment="randsvd_err", matrix={"kind": "dataset", "path": str(data)},
                            sketch={"families": ["less_uniform"], "k": [2], "s": [5]},
                            run={"err_trials": 2})
-        assert run_experiment(parse_config(raw), tmp_path / "o")["randsvd_err"].rows[0]["s"] == 5
+        assert run_experiment(parse_config(raw), tmp_path / "o").rows[0]["s"] == 5
 
     def test_repeated_s_of_dense_family_accepted(self):
         # only the sparse families read s, so a repeat names no cell twice
@@ -197,8 +197,8 @@ class TestRateSweep:
             run={"runs": 60, "tail": 40, "max_iters": 400, "stop_tol": 1e-5},
         )
         cfg = parse_config(raw)
-        tables = run_experiment(cfg, tmp_path)
-        rows = tables["rate_sweep"].rows
+        table = run_experiment(cfg, tmp_path)
+        rows = table.rows
         assert rows[0]["rate"] == pytest.approx(0.1, abs=0.02)
         assert rows[1]["rate"] == pytest.approx(0.2, abs=0.02)
 
@@ -217,10 +217,10 @@ class TestReproducibility:
         )
         cfg = parse_config(raw)
         out1, out2 = tmp_path / "a", tmp_path / "b"
-        tables = run_experiment(cfg, out1)
+        table = run_experiment(cfg, out1)
         run_experiment(parse_config(raw), out2)
-        emit_plot_data(tables["rate_sweep"], "rate_sweep", out1, svg=True)
-        emit_plot_data(tables["rate_sweep"], "rate_sweep", out2, svg=True)
+        emit_plot_data(table, out1, svg=True)
+        emit_plot_data(table, out2, svg=True)
         for name in ("rate_sweep.csv", "rate_sweep_plot.csv", "rate_sweep.svg"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
@@ -240,8 +240,8 @@ class TestOtherExperiments:
             sketch={"families": ["gaussian", "less_uniform"], "k": [4], "s": [2, 6, 0]},
             run={"runs": 5, "iters": 10},
         )
-        tables = run_experiment(parse_config(raw), tmp_path)
-        rows = tables["sparsity_sweep"].rows
+        table = run_experiment(parse_config(raw), tmp_path)
+        rows = table.rows
         # dense reference + one row per sparsity level (0 maps to s=m)
         assert [r["s"] for r in rows] == [None, 2, 6, 120]
         assert all(r["rel_err_min"] <= r["rel_err_mean"] <= r["rel_err_max"] for r in rows)
@@ -253,8 +253,8 @@ class TestOtherExperiments:
             sketch={"families": ["gaussian"], "k": [4]},
             run={"trials": 300, "err_trials": 20},
         )
-        tables = run_experiment(parse_config(raw), tmp_path)
-        row = tables["surrogate_compare"].rows[0]
+        table = run_experiment(parse_config(raw), tmp_path)
+        row = table.rows[0]
         assert 0.0 < row["s_min"] < 1.0 and 0.0 < row["surrogate"] < 1.0
 
     def test_convergence_curves_padding(self, tmp_path):
@@ -264,8 +264,8 @@ class TestOtherExperiments:
             sketch={"families": ["gaussian"], "k": [10]},  # converges in 1 step
             run={"runs": 3, "max_iters": 5, "stop_tol": 1e-9},
         )
-        tables = run_experiment(parse_config(raw), tmp_path)
-        rows = tables["convergence_curves"].rows
+        table = run_experiment(parse_config(raw), tmp_path)
+        rows = table.rows
         assert len(rows) == 6  # t = 0..5 with converged value carried forward
         assert rows[-1]["rel_err_mean"] <= 1e-9
 
@@ -276,8 +276,8 @@ class TestOtherExperiments:
             sketch={"families": ["gaussian"], "k": [2, 6]},
             run={"err_trials": 20},
         )
-        tables = run_experiment(parse_config(raw), tmp_path)
-        rows = tables["randsvd_err"].rows
+        table = run_experiment(parse_config(raw), tmp_path)
+        rows = table.rows
         assert rows[0]["rf_bound"] is None  # k=2 has no admissible p
         assert rows[1]["rf_bound"] > 0 and rows[1]["rf_bound_p"] >= 2
         assert rows[1]["err_mean"] <= rows[1]["rf_bound"] + 3 * rows[1]["err_stderr"]
@@ -289,8 +289,8 @@ class TestOtherExperiments:
             sketch={"families": ["gaussian"], "k": [3]},
             run={"runs": 10, "max_iters": 30, "trials": 200, "stop_tol": 1e-9},
         )
-        tables = run_experiment(parse_config(raw), tmp_path)
-        rows = tables["eigendecay"].rows
+        table = run_experiment(parse_config(raw), tmp_path)
+        rows = table.rows
         assert len(rows) == 12
         for row in rows:
             assert row["contraction"] == pytest.approx(1.0 - 3 / 12, abs=0.15)
@@ -303,8 +303,8 @@ class TestOtherExperiments:
             "newton": {"n_samples": 80, "n_features": 10, "ridge": 1e-2,
                        "max_iters": 300, "tol": 1e-8, "cert_trials": 60},
         }
-        tables = run_experiment(parse_config(raw), tmp_path)
-        row = tables["newton_demo"].rows[0]
+        table = run_experiment(parse_config(raw), tmp_path)
+        row = table.rows[0]
         assert row["monotone"]
         assert row["f_gap_final"] <= 1e-6
         assert row["crude_bound"] <= row["rho_hat"] + 3 / np.sqrt(60)
@@ -323,8 +323,8 @@ class TestOtherExperiments:
             sketch={"families": ["gaussian"], "k": [2]},
             run={"err_trials": 10},
         )
-        tables = run_experiment(parse_config(raw), tmp_path)
-        assert tables["randsvd_err"].rows[0]["matrix"] == "tiny"
+        table = run_experiment(parse_config(raw), tmp_path)
+        assert table.rows[0]["matrix"] == "tiny"
 
 
 #: every result table: one per experiment, and rate_sweep with ``with_bounds``
@@ -373,8 +373,8 @@ class TestSchemas:
 class TestPlotData:
     def test_long_format_columns(self, tmp_path):
         cfg = parse_config(_base_config())
-        tables = run_experiment(cfg, tmp_path)
-        path = emit_plot_data(tables["rate_sweep"], "rate_sweep", tmp_path)
+        table = run_experiment(cfg, tmp_path)
+        path = emit_plot_data(table, tmp_path)
         lines = path.read_text().splitlines()
         assert lines[0] == "series,x,y,ylo,yhi"
         assert lines[1].startswith("identity30/gaussian,3,")
@@ -386,8 +386,8 @@ class TestPlotData:
             sketch={"families": ["less_uniform"], "k": [3], "s": [2, 4]},
             run={"runs": 4, "iters": 5},
         )
-        tables = run_experiment(parse_config(raw), tmp_path)
-        path = emit_plot_data(tables["sparsity_sweep"], "sparsity_sweep", tmp_path)
+        table = run_experiment(parse_config(raw), tmp_path)
+        path = emit_plot_data(table, tmp_path)
         lines = path.read_text().splitlines()[1:]
         assert all(len(line.split(",")) == 5 for line in lines)
         assert all(line.split(",")[3] != "" for line in lines)  # ylo populated
@@ -395,13 +395,13 @@ class TestPlotData:
     def test_empty_table_rejected_without_file(self, tmp_path):
         table = ResultTable("rate_sweep", ["matrix"], ["matrix"])
         with pytest.raises(ValueError):
-            emit_plot_data(table, "rate_sweep", tmp_path)
+            emit_plot_data(table, tmp_path)
         assert not (tmp_path / "rate_sweep_plot.csv").exists()
 
     def test_unknown_experiment_rejected(self, tmp_path):
-        table = ResultTable("x", ["matrix"], ["matrix"], rows=[{"matrix": "a"}])
+        table = ResultTable("mystery", ["matrix"], ["matrix"], rows=[{"matrix": "a"}])
         with pytest.raises(ValueError, match="unknown experiment"):
-            emit_plot_data(table, "mystery", tmp_path)
+            emit_plot_data(table, tmp_path)
 
 
 class TestCli:
@@ -456,6 +456,26 @@ class TestCli:
                 "--out", str(tmp_path / "o")]
         assert main(argv) == 1
         assert "sketch.k: 10 exceeds the 8 singular values" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("experiment,k,run,error", [
+        ("rate_sweep", [3], {"with_bounds": True}, "sketch.k: the bounds need k - 1 < rank(A) = 2"),
+        ("eigendecay", [1, 2], {"trials": 4}, "matrix: eigendecay needs a full-column-rank A"),
+    ], ids=["rate_sweep_with_bounds", "eigendecay"])
+    def test_rank_deficient_exit_code(self, tmp_path, capsys, experiment, k, run, error, seed):
+        # column 2 is twice column 1: rank(A) = 2 < n = 3
+        data = tmp_path / "rank2.libsvm"
+        data.write_text("".join(f"1 1:{i % 7 + 1}.0 2:{2 * (i % 7 + 1)}.0 3:{i % 5 - 2}.0\n"
+                                for i in range(30)))
+        cfg = _base_config(experiment=experiment, master_seed=seed,
+                           matrix={"kind": "dataset", "path": str(data)},
+                           sketch={"families": ["gaussian"], "k": k},
+                           run={"runs": 2, "tail": 3, "max_iters": 5, "err_trials": 2, **run})
+        argv = [experiment.replace("_", "-"), "--config", str(_write(tmp_path, cfg)),
+                "--out", str(tmp_path / "o")]
+        assert main(argv) == 1
+        assert error in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("case", ["profile", "newton_demo", "dataset"])

@@ -158,7 +158,7 @@ class TestSketchedHessian:
         for t in range(3):
             S = draw_sketch(spec, 9, trial=t)
             ref = _sandwich(S, obj.hessian(w))
-            np.testing.assert_allclose(obj.sketched_hessian(w, S), ref, rtol=1e-12,
+            np.testing.assert_allclose(obj.at(w)[2](S), ref, rtol=1e-12,
                                        atol=1e-12 * np.abs(ref).max())
 
     def test_logistic_oracle_sums_repeated_indices(self):
@@ -169,7 +169,7 @@ class TestSketchedHessian:
         assert any(np.unique(row).size < row.size for row in S.indices)
         w = np.random.default_rng(36).standard_normal(5)
         ref = _sandwich(S, obj.hessian(w))
-        np.testing.assert_allclose(obj.sketched_hessian(w, S), ref, rtol=1e-12,
+        np.testing.assert_allclose(obj.at(w)[2](S), ref, rtol=1e-12,
                                    atol=1e-12 * np.abs(ref).max())
 
     @pytest.mark.parametrize("family", ["gaussian", "less_uniform"])
@@ -210,8 +210,14 @@ class TestPointOracle:
         X, y = _logistic_data(60, 8, seed=41)
         obj = logistic_objective(X, y, ridge=1e-4)
         value_calls = []
-        generic = ConvexObjective(8, lambda w: value_calls.append(1) or obj.value(w),
-                                  obj.gradient, obj.hessian, obj.sketched_hessian)
+
+        def value(w):
+            value_calls.append(1)
+            return obj.value(w)
+
+        generic = ConvexObjective(8, value, obj.gradient, obj.hessian, at=lambda w: (
+            float(value(w)), obj.gradient(w), obj.at(w)[2],
+            lambda d: lambda eta: value(w + eta * d)))
         x0 = 5.0 * np.random.default_rng(41).standard_normal(8)
         spec = SketchSpec(family, k=3, s=3, seed_stream=42)
         x, trace = rsn_solve(obj, x0, spec, max_iters=40, tol=1e-10)
@@ -229,7 +235,7 @@ class TestPointOracle:
         def forbidden(*args):
             raise AssertionError("rsn_solve called a separate callback")
 
-        obj.value = obj.gradient = obj.hessian = obj.sketched_hessian = forbidden
+        obj.value = obj.gradient = obj.hessian = forbidden
         spec = SketchSpec("gaussian", k=4, seed_stream=44)
         _, trace = rsn_solve(obj, np.zeros(12), spec, max_iters=10, tol=0.0)
         assert len(trace.f) == 10
@@ -373,7 +379,7 @@ class TestLogisticObjective:
         # sigma(-800) underflows to 0 and sigma(1600) is 1: g = -(2 * -1) / 2 + 8
         np.testing.assert_allclose(obj.gradient(w), [9.0])
         np.testing.assert_allclose(obj.hessian(w), [[0.01]])  # curvatures underflow to 0
-        np.testing.assert_allclose(obj.sketched_hessian(w, np.array([[2.0]])), [[0.04]])
+        np.testing.assert_allclose(obj.at(w)[2](np.array([[2.0]])), [[0.04]])
         assert np.isfinite(obj.value(w))
 
     def test_bad_labels_rejected(self):

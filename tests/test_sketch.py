@@ -140,6 +140,9 @@ class TestDrawSketch:
             (SketchSpec("row_sampling", k=8, sampling=np.arange(1.0, 21.0) / 210.0,
                         seed_stream=5), 20, 1,
              "237bd1936508b44482799e7e11a3138b91634347734227b62cf3e875a741d8d3"),
+            # uniform row sampling: every CLI row_sampling cell draws this way
+            (SketchSpec("row_sampling", k=8, seed_stream=5), 20, 1,
+             "23a47c2333b2fbaacec7674147658d1a4c1bb8a0e022137224a5a4204d21ca22"),
         ]
         for spec, m, trial, digest in cases:
             S = draw_sketch(spec, m, trial=trial)
