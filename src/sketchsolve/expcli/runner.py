@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .. import __version__
-from ..matgen import LinearSystem, _rank
+from ..matgen import LinearSystem
 from ..newton import full_newton, logistic_objective, rho_certificate, rsn_solve
 from ..randsvd import best_rank_error, err_monte_carlo, err_upper_bound_min_p
 from ..rng import child_seed, stream
@@ -172,9 +172,8 @@ def _exp_rate_sweep(cfg, system):
                     "gaussian_epsilon_log10", "gaussian_vacuous",
                     "bound_surrogate", "err_mean"]
         sigma = _singular_values(cfg, system.A)
-        rank = _rank(sigma, system.m, system.n)
-        if max(cfg.k_list) - 1 >= rank:  # Err(A, k-1) is then roundoff
-            raise ConfigError(f"sketch.k: the bounds need k - 1 < rank(A) = {rank}, "
+        if max(cfg.k_list) - 1 >= system.rank:  # Err(A, k-1) is then roundoff
+            raise ConfigError(f"sketch.k: the bounds need k - 1 < rank(A) = {system.rank}, "
                               f"got k = {max(cfg.k_list)}")
         R = row_factor(system.A)
 
@@ -294,8 +293,9 @@ def _exp_randsvd_err(cfg, system):
 
 def _exp_eigendecay(cfg, system):
     """Empirical per-eigencomponent contraction vs. spectral predictions."""
-    if system.rank_deficient:  # components past rank(A) never contract
-        raise ConfigError("matrix: eigendecay needs a full-column-rank A")
+    if system.rank < min(system.m, system.n):  # components past rank(A) never contract
+        raise ConfigError(f"matrix: eigendecay needs rank(A) = min(m, n), "
+                          f"got {system.rank} < {min(system.m, system.n)}")
     _, svals, Vt = np.linalg.svd(system.A, full_matrices=False)
     sigma_sq = svals**2
     try:  # the surrogate's gamma needs k < rank(A)

@@ -120,14 +120,19 @@ class LinearSystem:
     """An (A, b, x_star) triple, optionally with an SPD metric for distances.
 
     ``x_star`` is the exact solution when A has full column rank, otherwise
-    the least-norm least-squares solution.
+    the least-norm least-squares solution.  ``rank`` is the numerical rank of
+    A, which :func:`make_system` sets; ``None`` counts as full column rank.
     """
 
     A: np.ndarray
     b: np.ndarray
     x_star: np.ndarray
     metric: np.ndarray | None = None
-    rank_deficient: bool = False
+    rank: int | None = None
+
+    @property
+    def rank_deficient(self) -> bool:
+        return self.rank is not None and self.rank < self.n
 
     @property
     def m(self) -> int:
@@ -247,12 +252,6 @@ def parse_libsvm(path, n_features: int | None = None):
     return A, np.asarray(labels)
 
 
-def _rank(s: np.ndarray, m: int, n: int) -> int:
-    """Numerical rank of an m x n matrix from its singular values s: those above
-    ``max(m, n) * s[0] * RANK_RTOL``."""
-    return int(np.sum(s > max(m, n) * float(s[0]) * RANK_RTOL)) if s.size else 0
-
-
 def make_system(A: np.ndarray, seed: int, metric: np.ndarray | None = None) -> LinearSystem:
     """Assemble a consistent system with a known solution from a seeded draw.
 
@@ -266,8 +265,10 @@ def make_system(A: np.ndarray, seed: int, metric: np.ndarray | None = None) -> L
     m, n = A.shape
     x_seed = stream(seed).standard_normal(n)
     b = A @ x_seed
-    deficient = _rank(np.linalg.svd(A, compute_uv=False), m, n) < n
-    if deficient:
+    s = np.linalg.svd(A, compute_uv=False)
+    cutoff = max(m, n) * float(s[0]) * RANK_RTOL if s.size else 0.0
+    rank = int(np.sum(s > cutoff))
+    if rank < n:
         x_star, *_ = np.linalg.lstsq(A, b, rcond=RANK_RTOL * max(m, n))
     else:
         x_star = x_seed
@@ -276,7 +277,7 @@ def make_system(A: np.ndarray, seed: int, metric: np.ndarray | None = None) -> L
 
         check_spd(metric)
         metric = np.asarray(metric, dtype=float)
-    return LinearSystem(A=A, b=b, x_star=x_star, metric=metric, rank_deficient=deficient)
+    return LinearSystem(A=A, b=b, x_star=x_star, metric=metric, rank=rank)
 
 
 def save_matrix_csv(path, A: np.ndarray) -> None:

@@ -332,5 +332,5 @@ def hadamard_precondition(system: LinearSystem, seed: int) -> LinearSystem:
         b=b_new,
         x_star=system.x_star.copy(),
         metric=system.metric,
-        rank_deficient=system.rank_deficient,
+        rank=system.rank,
     )

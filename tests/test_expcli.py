@@ -461,7 +461,8 @@ class TestCli:
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("experiment,k,run,error", [
         ("rate_sweep", [3], {"with_bounds": True}, "sketch.k: the bounds need k - 1 < rank(A) = 2"),
-        ("eigendecay", [1, 2], {"trials": 4}, "matrix: eigendecay needs a full-column-rank A"),
+        ("eigendecay", [1, 2], {"trials": 4},
+         "matrix: eigendecay needs rank(A) = min(m, n), got 2 < 3"),
     ], ids=["rate_sweep_with_bounds", "eigendecay"])
     def test_rank_deficient_exit_code(self, tmp_path, capsys, experiment, k, run, error, seed):
         # column 2 is twice column 1: rank(A) = 2 < n = 3
@@ -477,6 +478,19 @@ class TestCli:
         assert main(argv) == 1
         assert error in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_eigendecay_wide_full_row_rank(self, tmp_path, seed):
+        # m < n: rank(A) = m, every error stays in the row space, so no
+        # component is dead and the run succeeds
+        cfg = _base_config(experiment="eigendecay", master_seed=seed,
+                           matrix={"kind": "gaussian_unit", "m": 8, "n": 20},
+                           sketch={"families": ["gaussian"], "k": [2]},
+                           run={"runs": 2, "max_iters": 5, "trials": 4})
+        argv = ["eigendecay", "--config", str(_write(tmp_path, cfg)),
+                "--out", str(tmp_path / "o")]
+        assert main(argv) == 0
+        assert (tmp_path / "o" / "eigendecay.csv").exists()
 
     @pytest.mark.parametrize("case", ["profile", "newton_demo", "dataset"])
     def test_s_above_rows_exit_code(self, tmp_path, capsys, case):
