@@ -27,6 +27,9 @@ spectra (1000 x 50 and 4096 x 128) and k in {5, 10, 20, 40}:
 - ``sketched_bases/...``: one block of 16 trials from the trial kernel alone,
   with the factor given (Gaussian sketches draw through it);
 - ``row_factor/<size>``: the factorization alone;
+- ``set_up/<size>``: ``make_system`` plus ``build_less_distribution`` given the
+  system's factor (A alone where the tree's signature takes no ``R``), the
+  set-up of a CLI run with a ``less`` family;
 - ``rsn_step/<family>/k=<k>``: one ``rsn_step`` on a ridge-logistic objective
   with N = 2000 samples and d = 100 features, for ``gaussian`` and
   ``less_uniform`` (s = 8) sketches with k in {5, 10, 20}, drawn outside the
@@ -137,7 +140,7 @@ def measure() -> dict:
     call (``raw``) and the calibration loop timed just before it (``calibration_s``)."""
     import numpy as np
 
-    from sketchsolve.matgen import SpectralProfile, gen_spectral_matrix
+    from sketchsolve.matgen import SpectralProfile, gen_spectral_matrix, make_system
     from sketchsolve.newton import logistic_objective, rho_certificate, rsn_solve, rsn_step
     from sketchsolve.randsvd import err_monte_carlo
     from sketchsolve.sketch import (SketchSpec, apply_sketch, build_less_distribution,
@@ -145,7 +148,7 @@ def measure() -> dict:
     from sketchsolve.spectral import expected_projection
 
     takes_r = {f: "R" in inspect.signature(f).parameters
-               for f in (expected_projection, err_monte_carlo)}
+               for f in (expected_projection, err_monte_carlo, build_less_distribution)}
     out = {"raw": {}, "calibration_s": {}}
 
     def case(name, run, prepare=None):
@@ -158,6 +161,13 @@ def measure() -> dict:
         p = build_less_distribution(A).probabilities
         R = row_factor(A)
         case(f"row_factor/{size}", lambda _: row_factor(A))
+
+        def set_up(_):
+            system = make_system(A, seed=2)
+            given_r = {"R": system.R} if takes_r[build_less_distribution] else {}
+            build_less_distribution(system.A, **given_r)
+
+        case(f"set_up/{size}", set_up)
         for family in FAMILIES:
             for k in KS:
                 spec = SketchSpec(family, k=k, s=32 if family.startswith("less") else None,

@@ -8,7 +8,7 @@ __version__ = "0.3.0"
 from .matgen import LinearSystem, SpectralProfile, gen_gaussian_unit_rows, \
     gen_spectral_matrix, gen_step_profile, make_system, parse_libsvm
 from .sketch import LeverageDistribution, SketchSpec, SparseSketch, apply_sketch, \
-    build_less_distribution, draw_sketch, hadamard_precondition, leverage_scores
+    build_less_distribution, draw_sketch, leverage_scores
 from .solver import IterLog, RateReport, SolverConfig, eigencomponent_decay, \
     estimate_rate, project_step, solve
 from .randsvd import ErrEstimate, LowRankFactorization, best_rank_error, \
@@ -25,8 +25,7 @@ __all__ = [
     "LinearSystem", "SpectralProfile", "gen_gaussian_unit_rows",
     "gen_spectral_matrix", "gen_step_profile", "make_system", "parse_libsvm",
     "LeverageDistribution", "SketchSpec", "SparseSketch", "apply_sketch",
-    "build_less_distribution", "draw_sketch", "hadamard_precondition",
-    "leverage_scores",
+    "build_less_distribution", "draw_sketch", "leverage_scores",
     "IterLog", "RateReport", "SolverConfig", "eigencomponent_decay",
     "estimate_rate", "project_step", "solve",
     "ErrEstimate", "LowRankFactorization", "best_rank_error", "err_monte_carlo",

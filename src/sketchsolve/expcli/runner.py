@@ -2,9 +2,10 @@
 
 1. Set-up: it builds the linear system (``newton_demo`` has none),
    checks that the sketch fits its rows and takes the ``less`` leverage
-   scores; the experiment's own set-up factors A or draws its data, runs its
-   own input checks and returns its empty :class:`ResultTable` (its schema),
-   the matrix label, the (m, n) its grid is built on and ``rows(cell, spec)``.
+   scores; the experiment's own set-up reads the system's factor or draws
+   its data, runs its own input checks and returns its empty
+   :class:`ResultTable` (its schema), the matrix label, the (m, n) its grid
+   is built on and ``rows(cell, spec)``.
 2. Output directory: made only after the set-up succeeded, so a
    configuration error writes nothing; A is not written (``build_system`` rebuilds it).
 3. Per-cell rows: for each (family, k, s) grid cell in order, the value
@@ -29,7 +30,7 @@ from ..matgen import LinearSystem
 from ..newton import full_newton, logistic_objective, rho_certificate, rsn_solve
 from ..randsvd import best_rank_error, err_monte_carlo, err_upper_bound_min_p
 from ..rng import child_seed, stream
-from ..sketch import SketchSpec, build_less_distribution, row_factor
+from ..sketch import SketchSpec, build_less_distribution
 from ..solver import SolverConfig, eigencomponent_decay, estimate_rate, solve
 from ..spectral import (
     expected_projection,
@@ -139,7 +140,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> ResultTable:
         _check_rows(cfg, system.m)  # a dataset's rows are known only now
         if "less" in cfg.families:
             try:
-                leverage_p = build_less_distribution(system.A).probabilities
+                leverage_p = build_less_distribution(system.A, system.R).probabilities
             except ValueError as exc:
                 raise ConfigError(f"sketch.families: less needs a full-column-rank A "
                                   f"({exc})") from exc
@@ -157,9 +158,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> ResultTable:
 # --- individual experiments: set-up, then rows(cell, spec) per grid cell ------
 
 
-def _singular_values(cfg, A: np.ndarray) -> np.ndarray:
+def _singular_values(cfg, system: LinearSystem) -> np.ndarray:
     """Singular values of A; ConfigError if a k exceeds their number."""
-    sigma = np.linalg.svd(A, compute_uv=False)
+    sigma = system.sigma
     if max(cfg.k_list) > sigma.size:
         raise ConfigError(f"sketch.k: {max(cfg.k_list)} exceeds the {sigma.size} singular values of A")
     return sigma
@@ -171,11 +172,10 @@ def _exp_rate_sweep(cfg, system):
         columns += ["bound_simple", "bound_gaussian", "gaussian_epsilon",
                     "gaussian_epsilon_log10", "gaussian_vacuous",
                     "bound_surrogate", "err_mean"]
-        sigma = _singular_values(cfg, system.A)
+        sigma = _singular_values(cfg, system)
         if max(cfg.k_list) - 1 >= system.rank:  # Err(A, k-1) is then roundoff
             raise ConfigError(f"sketch.k: the bounds need k - 1 < rank(A) = {system.rank}, "
                               f"got k = {max(cfg.k_list)}")
-        R = row_factor(system.A)
 
     def rows(cell, spec):
         solver_cfg = SolverConfig(sketch=spec, max_iters=cfg.max_iters, stop_tol=cfg.stop_tol)
@@ -190,7 +190,7 @@ def _exp_rate_sweep(cfg, system):
         if cfg.with_bounds:
             err_spec = SketchSpec(family="gaussian", k=max(cell.k - 1, 1),
                                   seed_stream=child_seed(spec.seed_stream, 3))
-            err = err_monte_carlo(system.A, cell.k - 1, err_spec, cfg.err_trials, R)
+            err = err_monte_carlo(system.A, cell.k - 1, err_spec, cfg.err_trials, system.R)
             bounds = rate_bound_set(sigma, cell.k, err.mean)
             row.update(
                 bound_simple=bounds.simple,
@@ -238,10 +238,8 @@ def _exp_convergence_curves(cfg, system):
 
 
 def _exp_surrogate_compare(cfg, system):
-    R = row_factor(system.A)
-
     def rows(cell, spec):
-        comp = surrogate_vs_empirical(system.A, spec, cfg.trials, cfg.err_trials, R)
+        comp = surrogate_vs_empirical(system.A, spec, cfg.trials, cfg.err_trials, system.R)
         return [{
             "s_min": comp.s_min,
             "surrogate": comp.surrogate,
@@ -268,12 +266,11 @@ def _exp_sparsity_sweep(cfg, system):
 
 
 def _exp_randsvd_err(cfg, system):
-    sigma = _singular_values(cfg, system.A)
+    sigma = _singular_values(cfg, system)
     fro_sq = float(np.sum(sigma**2))
-    R = row_factor(system.A)
 
     def rows(cell, spec):
-        est = err_monte_carlo(system.A, cell.k, spec, cfg.err_trials, R)
+        est = err_monte_carlo(system.A, cell.k, spec, cfg.err_trials, system.R)
         bound, p = err_upper_bound_min_p(sigma, cell.k) if cell.k >= 4 else (None, None)
         return [{
             "trials": est.trials,
@@ -296,19 +293,18 @@ def _exp_eigendecay(cfg, system):
     if system.rank < min(system.m, system.n):  # components past rank(A) never contract
         raise ConfigError(f"matrix: eigendecay needs rank(A) = min(m, n), "
                           f"got {system.rank} < {min(system.m, system.n)}")
-    _, svals, Vt = np.linalg.svd(system.A, full_matrices=False)
+    _, svals, Vt = np.linalg.svd(system.R, full_matrices=False)  # A = Q R: same V
     sigma_sq = svals**2
     try:  # the surrogate's gamma needs k < rank(A)
         gamma_implicit(sigma_sq, max(cfg.k_list))
     except ValueError as exc:
         raise ConfigError(f"sketch.k: {exc}") from exc
-    R = row_factor(system.A)
 
     def rows(cell, spec):
         solver_cfg = SolverConfig(sketch=spec, max_iters=cfg.max_iters, stop_tol=cfg.stop_tol)
         contraction = eigencomponent_decay(system, solver_cfg, Vt.T, cfg.runs)
         est = expected_projection(system.A, spec.with_seed(
-            child_seed(spec.seed_stream, 5)), cfg.trials, R)
+            child_seed(spec.seed_stream, 5)), cfg.trials, system.R)
         lam_sur = surrogate_eigenvalues(sigma_sq, gamma_implicit(sigma_sq, cell.k))
         return [
             {

@@ -1,5 +1,6 @@
-"""Shared dense linear-algebra helpers: rank cutoffs, orthonormal bases,
-guarded symmetric solves, and PSD matrix functions.
+"""Shared dense linear-algebra helpers: rank cutoffs, the triangular factor
+of a matrix, orthonormal bases, guarded symmetric solves, and PSD matrix
+functions.
 
 All routines operate on float64 numpy arrays and are deterministic.
 """
@@ -9,12 +10,27 @@ from __future__ import annotations
 import numpy as np
 
 EPS = np.finfo(np.float64).eps
+#: singular values below ``max(m, n) * sigma_max * RANK_RTOL`` count as zero
+RANK_RTOL = 1e-12
 
 
 def rank_cutoff(singular_values: np.ndarray, rows: int, cols: int):
     """Absolute threshold below which singular values are treated as zero
     (one per spectrum, shaped to broadcast, for a stack of spectra)."""
     return max(rows, cols) * EPS * singular_values[..., :1]
+
+
+def numerical_rank(singular_values: np.ndarray, rows: int, cols: int) -> int:
+    """Rank of a rows x cols matrix with these singular values (descending):
+    the count above ``max(rows, cols) * sigma_max * RANK_RTOL``."""
+    s = singular_values
+    return int(np.sum(s > max(rows, cols) * float(s[0]) * RANK_RTOL)) if s.size else 0
+
+
+def row_factor(A: np.ndarray) -> np.ndarray:
+    """Triangular factor R of ``A = Q R`` (Q with orthonormal columns), so that
+    ``R^T R = A^T A`` and ``||A X||_F = ||R X||_F`` for every X."""
+    return np.linalg.qr(np.asarray(A, dtype=float), mode="r")
 
 
 def orth_rowspace(M: np.ndarray) -> np.ndarray:

@@ -12,6 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .linalg import RANK_RTOL, check_spd, numerical_rank, row_factor
 from .rng import stream
 
 __all__ = [
@@ -26,9 +27,6 @@ __all__ = [
     "save_matrix_csv",
     "load_matrix_csv",
 ]
-
-#: singular values below ``max(m, n) * sigma_max * RANK_RTOL`` count as zero
-RANK_RTOL = 1e-12
 
 _PROFILE_KINDS = ("linear", "polynomial", "exponential", "explicit")
 
@@ -120,19 +118,29 @@ class LinearSystem:
     """An (A, b, x_star) triple, optionally with an SPD metric for distances.
 
     ``x_star`` is the exact solution when A has full column rank, otherwise
-    the least-norm least-squares solution.  ``rank`` is the numerical rank of
-    A, which :func:`make_system` sets; ``None`` counts as full column rank.
+    the least-norm least-squares solution.  :func:`make_system` also stores
+    A's one factorization: ``R`` from ``A = Q R`` (:func:`row_factor`) and
+    ``sigma``, the singular values of R and so of A.  A system built without
+    ``sigma`` counts as full rank.
     """
 
     A: np.ndarray
     b: np.ndarray
     x_star: np.ndarray
     metric: np.ndarray | None = None
-    rank: int | None = None
+    R: np.ndarray | None = None
+    sigma: np.ndarray | None = None
+
+    @property
+    def rank(self) -> int:
+        """Numerical rank of A (:func:`numerical_rank` of ``sigma``)."""
+        if self.sigma is None:
+            return min(self.m, self.n)
+        return numerical_rank(self.sigma, self.m, self.n)
 
     @property
     def rank_deficient(self) -> bool:
-        return self.rank is not None and self.rank < self.n
+        return self.rank < self.n
 
     @property
     def m(self) -> int:
@@ -258,6 +266,7 @@ def make_system(A: np.ndarray, seed: int, metric: np.ndarray | None = None) -> L
     A Gaussian ``x_seed`` defines ``b = A x_seed``.  For full-column-rank A
     the solution is ``x_seed`` itself; for rank-deficient A the retained
     solution is the least-norm least-squares solution of ``min ||Ax - b||``.
+    A is factored here once, and the system keeps the factor and spectrum.
     """
     A = np.asarray(A, dtype=float)
     if not np.all(np.isfinite(A)):
@@ -265,19 +274,16 @@ def make_system(A: np.ndarray, seed: int, metric: np.ndarray | None = None) -> L
     m, n = A.shape
     x_seed = stream(seed).standard_normal(n)
     b = A @ x_seed
-    s = np.linalg.svd(A, compute_uv=False)
-    cutoff = max(m, n) * float(s[0]) * RANK_RTOL if s.size else 0.0
-    rank = int(np.sum(s > cutoff))
-    if rank < n:
+    R = row_factor(A)
+    sigma = np.linalg.svd(R, compute_uv=False)
+    if numerical_rank(sigma, m, n) < n:
         x_star, *_ = np.linalg.lstsq(A, b, rcond=RANK_RTOL * max(m, n))
     else:
         x_star = x_seed
     if metric is not None:
-        from .linalg import check_spd
-
         check_spd(metric)
         metric = np.asarray(metric, dtype=float)
-    return LinearSystem(A=A, b=b, x_star=x_star, metric=metric, rank=rank)
+    return LinearSystem(A=A, b=b, x_star=x_star, metric=metric, R=R, sigma=sigma)
 
 
 def save_matrix_csv(path, A: np.ndarray) -> None:

@@ -1,6 +1,5 @@
 """Sketching distributions: dense Gaussian/Rademacher, sparse leverage-score
-sketches, row sampling, plus leverage scores and randomized Hadamard
-preconditioning.
+sketches and row sampling, plus leverage scores.
 
 Sparse families store one row as its ``s`` drawn (index, value) terms, in
 draw order and unmerged (:class:`SparseSketch`); the per-row formula is
@@ -20,8 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import EPS, rank_cutoff
-from .matgen import LinearSystem
+from .linalg import EPS, numerical_rank, rank_cutoff, row_factor
 from .rng import KeyPath, stream
 
 __all__ = [
@@ -38,8 +36,6 @@ __all__ = [
     "apply_sketch",
     "apply_sketch_t",
     "densify",
-    "hadamard_precondition",
-    "fwht",
 ]
 
 FAMILIES = ("gaussian", "rademacher", "less", "less_uniform", "row_sampling")
@@ -139,25 +135,25 @@ class LeverageDistribution:
     probabilities: np.ndarray
 
 
-def leverage_scores(A: np.ndarray) -> np.ndarray:
-    """Leverage scores l_i = ||row i of Q||^2 for Q an orthonormal column basis.
+def leverage_scores(A: np.ndarray, R: np.ndarray | None = None) -> np.ndarray:
+    """Leverage scores l_i = ||row i of A R^{-1}||^2 = a_i^T (A^T A)^{-1} a_i.
 
-    Numerically equivalent to a_i^T (A^T A)^{-1} a_i for full-column-rank A.
-    Raises if A is rank deficient.
+    ``R`` is the triangular factor of ``A = Q R`` (:func:`row_factor`, computed
+    unless given), so A R^{-1} = Q and l_i is the squared norm of row i of Q.
+    Raises unless A has full column rank.
     """
     A = np.asarray(A, dtype=float)
+    R = row_factor(A) if R is None else R
     m, n = A.shape
-    U, svals, _ = np.linalg.svd(A, full_matrices=False)
-    from .matgen import RANK_RTOL
-
-    if svals.size == 0 or svals[-1] <= max(m, n) * svals[0] * RANK_RTOL:
+    if numerical_rank(np.linalg.svd(R, compute_uv=False), m, n) < n:
         raise ValueError("rank-deficient input: leverage scores undefined")
-    return np.sum(U * U, axis=1)
+    return np.sum(np.linalg.solve(R.T, A.T) ** 2, axis=0)
 
 
-def build_less_distribution(A: np.ndarray) -> LeverageDistribution:
-    """Exact leverage-score sampling distribution p_i = l_i / n."""
-    scores = leverage_scores(A)
+def build_less_distribution(A: np.ndarray, R: np.ndarray | None = None) -> LeverageDistribution:
+    """Exact leverage-score sampling distribution p_i = l_i / n (``R`` as in
+    :func:`leverage_scores`)."""
+    scores = leverage_scores(A, R)
     p = scores / scores.sum()
     return LeverageDistribution(scores=scores, probabilities=p)
 
@@ -226,12 +222,6 @@ def apply_sketch_t(S, Y: np.ndarray) -> np.ndarray:
     return np.asarray(S, dtype=float).T @ Y
 
 
-def row_factor(A: np.ndarray) -> np.ndarray:
-    """Triangular factor R of ``A = Q R`` (Q with orthonormal columns), so that
-    ``R^T R = A^T A`` and ``||A X||_F = ||R X||_F`` for every X."""
-    return np.linalg.qr(np.asarray(A, dtype=float), mode="r")
-
-
 def sketch_times(spec: SketchSpec, A: np.ndarray, trial: KeyPath = 0,
                  R: np.ndarray | None = None) -> np.ndarray:
     """``S A`` for a fresh sketch of ``spec``; a pure function of (spec, A, trial).
@@ -286,51 +276,3 @@ def sketched_bases(spec: SketchSpec, A: np.ndarray, trials: int,
         for i in range(SA.shape[0]):  # filled in place: stacking a list raised peak RSS
             SA[i] = sketch_times(spec, A, lo + i, R)
         yield _row_bases(SA)
-
-
-def fwht(X: np.ndarray) -> np.ndarray:
-    """Orthonormal fast Walsh-Hadamard transform along axis 0.
-
-    The leading dimension must be a power of two; scaled by 1/sqrt(n) so the
-    transform is orthogonal.
-    """
-    X = np.asarray(X, dtype=float)
-    n = X.shape[0]
-    if n & (n - 1):
-        raise ValueError(f"leading dimension {n} is not a power of two")
-    squeeze = X.ndim == 1
-    out = X.reshape(n, -1).copy()
-    h = 1
-    while h < n:
-        blocks = out.reshape(n // (2 * h), 2, h, -1)
-        top = blocks[:, 0] + blocks[:, 1]
-        bot = blocks[:, 0] - blocks[:, 1]
-        out = np.concatenate([top[:, None], bot[:, None]], axis=1).reshape(n, -1)
-        h *= 2
-    out /= np.sqrt(n)
-    return out.reshape(-1) if squeeze else out.reshape((n,) + X.shape[1:])
-
-
-def hadamard_precondition(system: LinearSystem, seed: int) -> LinearSystem:
-    """Randomized Hadamard preconditioning: A -> H D A_pad, b -> H D b_pad.
-
-    Rows are zero-padded to the next power of two; D is a random +/-1
-    diagonal and H the orthonormal Walsh-Hadamard transform, so the solution
-    set (and x_star) is unchanged while row leverage scores flatten out.
-    """
-    m, n = system.A.shape
-    m_pad = 1 << (m - 1).bit_length()
-    A_pad = np.zeros((m_pad, n))
-    A_pad[:m] = system.A
-    b_pad = np.zeros(m_pad)
-    b_pad[:m] = system.b
-    signs = stream(seed).integers(0, 2, size=m_pad).astype(float) * 2.0 - 1.0
-    A_new = fwht(A_pad * signs[:, None])
-    b_new = fwht(b_pad * signs)
-    return LinearSystem(
-        A=A_new,
-        b=b_new,
-        x_star=system.x_star.copy(),
-        metric=system.metric,
-        rank=system.rank,
-    )

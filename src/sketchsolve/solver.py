@@ -171,10 +171,8 @@ def estimate_rate(
         steps = d.size - 1
         use = min(tail, steps)
         short = short or use < tail
-        prev = d[-use - 1 : -1]
-        cur = d[-use:]
-        valid = prev > 0.0
-        samples.extend(1.0 - (cur[valid] / prev[valid]) ** 2)
+        # every step ran while rel_err > stop_tol > 0, so no prev is 0
+        samples.extend(1.0 - (d[-use:] / d[-use - 1 : -1]) ** 2)
     rate = float(np.mean(samples))
     return RateReport(
         empirical_rate=float(np.clip(rate, 0.0, 1.0)),

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sketchsolve.matgen import gen_gaussian_unit_rows, make_system
+from sketchsolve.matgen import gen_gaussian_unit_rows
 from sketchsolve.sketch import (
     SketchSpec,
     SparseSketch,
@@ -14,8 +14,6 @@ from sketchsolve.sketch import (
     build_less_distribution,
     densify,
     draw_sketch,
-    fwht,
-    hadamard_precondition,
     leverage_scores,
 )
 
@@ -265,41 +263,3 @@ class TestSpecValidation:
         spec = SketchSpec("row_sampling", k=2, sampling=np.array([0.5, 0.6]))
         with pytest.raises(ValueError, match="sum to 1"):
             spec.validate(2)
-
-
-class TestHadamard:
-    def test_fwht_is_orthogonal(self):
-        H = fwht(np.eye(32))
-        np.testing.assert_allclose(H @ H.T, np.eye(32), atol=1e-12)
-
-    def test_fwht_power_of_two_required(self):
-        with pytest.raises(ValueError):
-            fwht(np.zeros(12))
-
-    def test_solution_preserved(self):
-        A = gen_gaussian_unit_rows(100, 9, seed=5)
-        system = make_system(A, seed=6)
-        pre = hadamard_precondition(system, seed=7)
-        x_tilde, *_ = np.linalg.lstsq(pre.A, pre.b, rcond=None)
-        assert np.linalg.norm(x_tilde - system.x_star) <= 1e-10
-        np.testing.assert_allclose(pre.x_star, system.x_star)
-
-    def test_frobenius_preserved(self):
-        A = gen_gaussian_unit_rows(70, 5, seed=1)
-        system = make_system(A, seed=2)
-        pre = hadamard_precondition(system, seed=3)
-        assert np.linalg.norm(pre.A) == pytest.approx(np.linalg.norm(A), abs=1e-10)
-
-    def test_coherent_matrix_leverage_flattening(self):
-        # first n rows of I_m: maximally coherent (leverage 1 on n rows)
-        m, n = 300, 8
-        A = np.zeros((m, n))
-        A[:n] = np.eye(n)
-        system = make_system(A, seed=1)
-        threshold = 4.0 * n * np.log(m) / m
-        hits = 0
-        for seed in range(20):
-            pre = hadamard_precondition(system, seed=seed)
-            if leverage_scores(pre.A).max() < threshold:
-                hits += 1
-        assert hits >= 18  # probability >= 0.9 over 20 seeds

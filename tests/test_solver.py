@@ -236,6 +236,24 @@ class TestEstimateRate:
         assert report.short_tail
         assert report.samples <= 6
 
+    @pytest.mark.parametrize("case", ["euclidean", "metric", "zero_solution"])
+    def test_every_tail_step_is_a_sample(self, case):
+        # solve steps only while rel_err > stop_tol > 0, so no tail step
+        # starts from distance 0 and each one is a sample
+        if case == "zero_solution":
+            A = gen_gaussian_unit_rows(30, 5, seed=33)
+            system = LinearSystem(A=A, b=np.zeros(30), x_star=np.zeros(5))
+            x0 = np.ones(5)
+        else:
+            metric = np.diag(np.linspace(1.0, 3.0, 5)) if case == "metric" else None
+            system, x0 = _random_system(m=30, n=5, seed=33, metric=metric), None
+        cfg = SolverConfig(sketch=SketchSpec("gaussian", k=3, seed_stream=34), max_iters=40,
+                           stop_tol=1e-6, x0=x0)
+        runs, tail = 4, 25
+        steps = [solve(system, cfg, trial=r)[1].iterations for r in range(runs)]
+        report = estimate_rate(system, cfg, runs, tail)
+        assert report.samples == sum(min(tail, s) for s in steps)
+
 
 class TestEigencomponentDecay:
     def test_identity_uniform_contraction(self):
