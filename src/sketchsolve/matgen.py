@@ -139,10 +139,6 @@ class LinearSystem:
         return numerical_rank(self.sigma, self.m, self.n)
 
     @property
-    def rank_deficient(self) -> bool:
-        return self.rank < self.n
-
-    @property
     def m(self) -> int:
         return self.A.shape[0]
 

@@ -140,13 +140,17 @@ def leverage_scores(A: np.ndarray, R: np.ndarray | None = None) -> np.ndarray:
 
     ``R`` is the triangular factor of ``A = Q R`` (:func:`row_factor`, computed
     unless given), so A R^{-1} = Q and l_i is the squared norm of row i of Q.
-    Raises unless A has full column rank.
+    A wide A of full row rank has an m x m orthogonal Q, so every score is 1.
+    Raises if rank(A) < min(m, n).
     """
     A = np.asarray(A, dtype=float)
     R = row_factor(A) if R is None else R
     m, n = A.shape
-    if numerical_rank(np.linalg.svd(R, compute_uv=False), m, n) < n:
+    sigma = np.linalg.svd(R, compute_uv=False)
+    if sigma.size == 0 or numerical_rank(sigma, m, n) < min(m, n):
         raise ValueError("rank-deficient input: leverage scores undefined")
+    if m < n:
+        return np.ones(m)
     return np.sum(np.linalg.solve(R.T, A.T) ** 2, axis=0)
 
 

@@ -492,6 +492,18 @@ class TestCli:
         assert main(argv) == 0
         assert (tmp_path / "o" / "eigendecay.csv").exists()
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_less_wide_full_row_rank(self, tmp_path, seed):
+        # m < n with rank(A) = m: every leverage score is 1, so less samples uniformly
+        cfg = _base_config(master_seed=seed,
+                           matrix={"kind": "gaussian_unit", "m": 8, "n": 20},
+                           sketch={"families": ["gaussian", "less"], "k": [2], "s": [3]},
+                           run={"runs": 2, "tail": 3, "max_iters": 10})
+        argv = ["rate-sweep", "--config", str(_write(tmp_path, cfg)),
+                "--out", str(tmp_path / "o")]
+        assert main(argv) == 0
+        assert (tmp_path / "o" / "rate_sweep.csv").exists()
+
     @pytest.mark.parametrize("case", ["profile", "newton_demo", "dataset"])
     def test_s_above_rows_exit_code(self, tmp_path, capsys, case):
         cfg = _s_too_large(case, tmp_path)

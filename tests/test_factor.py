@@ -83,8 +83,20 @@ def test_leverage_scores_from_the_factor(case):
     np.testing.assert_allclose(given_r, reference, rtol=0.0, atol=1e-12)
 
 
-@pytest.mark.parametrize("case", ["wide", "rank_deficient"])
-def test_leverage_scores_need_full_column_rank(case):
-    A = _inputs()[case]
-    with pytest.raises(ValueError, match="rank-deficient"):
-        leverage_scores(A, make_system(A, seed=1).R)
+def test_wide_full_row_rank_leverage_scores_are_ones():
+    # m < n with rank m: Q is m x m orthogonal, so A A^+ = I_m and p is uniform
+    A = _inputs()["wide"]
+    U = np.linalg.svd(A, full_matrices=False)[0]
+    np.testing.assert_allclose(np.sum(U * U, axis=1), np.ones(8), rtol=0.0, atol=1e-12)
+    np.testing.assert_array_equal(leverage_scores(A, make_system(A, seed=1).R), np.ones(8))
+    np.testing.assert_array_equal(leverage_scores(A), np.ones(8))
+
+
+@pytest.mark.parametrize("case", ["rank_deficient", "wide_rank_deficient"])
+def test_leverage_scores_need_full_rank(case):
+    rng = np.random.default_rng(6)
+    A = (_inputs()["rank_deficient"] if case == "rank_deficient"
+         else rng.standard_normal((8, 5)) @ rng.standard_normal((5, 20)))
+    for R in (make_system(A, seed=1).R, None):
+        with pytest.raises(ValueError, match="rank-deficient"):
+            leverage_scores(A, R)

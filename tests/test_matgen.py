@@ -194,7 +194,7 @@ class TestMakeSystem:
     def test_identity_system(self):
         system = make_system(np.eye(12), seed=4)
         np.testing.assert_allclose(system.b, system.x_star)
-        assert not system.rank_deficient
+        assert system.rank == system.n
 
     def test_full_rank_residual(self):
         A = gen_gaussian_unit_rows(60, 10, seed=8)
@@ -205,7 +205,7 @@ class TestMakeSystem:
         rng = np.random.default_rng(0)
         u, v = rng.standard_normal(15), rng.standard_normal(6)
         system = make_system(np.outer(u, v), seed=2)
-        assert system.rank_deficient
+        assert system.rank < system.n
         # closed form: x* = v (v . x_seed) / ||v||^2, parallel to v
         cosine = abs(system.x_star @ v) / (np.linalg.norm(system.x_star) * np.linalg.norm(v))
         assert cosine == pytest.approx(1.0, abs=1e-10)
