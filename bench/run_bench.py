@@ -1,7 +1,7 @@
-"""Per-layer timings of the sketch apply, the Monte-Carlo trial kernel, one
-RSN step, a short RSN solve and the RSN rate certificate, and end-to-end
-timings of the seven experiments, for this checkout and, optionally, a parent
-checkout to compare against.
+"""Per-layer timings of RNG stream seating, the sketch apply, the Monte-Carlo
+trial kernel, one RSN step, a short RSN solve and the RSN rate certificate,
+and end-to-end timings of the seven experiments, for this checkout and,
+optionally, a parent checkout to compare against.
 
     python3 bench/run_bench.py --out BENCH.json [--parent-src DIR] [--rounds N]
 
@@ -15,6 +15,10 @@ over its measured time, which cancels most of the drift in the speed of one
 core on a shared host.  Cases, on two matrices with polynomially decaying
 spectra (1000 x 50 and 4096 x 128) and k in {5, 10, 20, 40}:
 
+- ``stream/per_key/k=<k>``: ``rng.stream`` for one ``(run, t)`` key plus a
+  k x 51 Gaussian draw from it (one solver step's draw on an n = 50 system);
+- ``stream/batched/k=<k>``: the same draws from ``rng.streams``, per key over
+  128 keys; skipped for a tree without ``rng.streams``;
 - ``apply_sketch/<size>/<family>/k=<k>``: ``apply_sketch(S, A)`` for a freshly
   drawn sketch (the draw is outside the timed region; ``less`` and
   ``less_uniform`` use s = 32);
@@ -77,6 +81,7 @@ RSN_FAMILIES = ("gaussian", "less_uniform")
 RSN_KS = (5, 10, 20)
 RSN_S = 8
 RSN_SOLVE_STEPS = 20
+STREAM_KEYS = 128
 CERT_TRIALS = 400
 CLI_SKETCH = {"families": ["gaussian", "less_uniform"], "k": [4, 10], "s": [8]}
 CLI_GRID = {"matrix": {"kind": "profile", "model": "poly1.5", "m": 200, "n": 20},
@@ -140,6 +145,7 @@ def measure() -> dict:
     call (``raw``) and the calibration loop timed just before it (``calibration_s``)."""
     import numpy as np
 
+    from sketchsolve import rng as rng_module
     from sketchsolve.matgen import SpectralProfile, gen_spectral_matrix, make_system
     from sketchsolve.newton import logistic_objective, rho_certificate, rsn_solve, rsn_step
     from sketchsolve.randsvd import err_monte_carlo
@@ -151,9 +157,18 @@ def measure() -> dict:
                for f in (expected_projection, err_monte_carlo, build_less_distribution)}
     out = {"raw": {}, "calibration_s": {}}
 
-    def case(name, run, prepare=None):
+    def case(name, run, prepare=None, keys=1):
         out["calibration_s"][name] = calibrate()
-        out["raw"][name] = _per_call(run, prepare)
+        out["raw"][name] = _per_call(run, prepare) / keys
+
+    for k in KS:
+        case(f"stream/per_key/k={k}",
+             lambda t: rng_module.stream(7, (3, t)).standard_normal((k, 51)), range)
+        if hasattr(rng_module, "streams"):
+            case(f"stream/batched/k={k}",
+                 lambda _: [g.standard_normal((k, 51)) for g in
+                            rng_module.streams(7, ((3, t) for t in range(STREAM_KEYS)))],
+                 keys=STREAM_KEYS)
 
     for m, n in SIZES:
         size = f"{m}x{n}"

@@ -238,6 +238,10 @@ def _exp_convergence_curves(cfg, system):
 
 
 def _exp_surrogate_compare(cfg, system):
+    if system.rank < system.n:  # E[P] is then singular: s_min = 0 and the gap is undefined
+        raise ConfigError(f"matrix: surrogate-compare needs rank(A) = n, "
+                          f"got {system.rank} < {system.n}")
+
     def rows(cell, spec):
         comp = surrogate_vs_empirical(system.A, spec, cfg.trials, cfg.err_trials, system.R)
         return [{

@@ -18,7 +18,7 @@ import numpy as np
 
 from .linalg import lambda_min_plus, solve_psd, symmetrize
 from .randsvd import err_monte_carlo
-from .rng import KeyPath, as_key, child_seed
+from .rng import KeyPath, as_key, child_seed, streams
 from .sketch import SketchSpec, apply_sketch, apply_sketch_t, densify, draw_sketch, row_factor
 from .spectral import expected_projection, gaussian_rate_bound
 
@@ -108,22 +108,24 @@ def rsn_solve(
 ):
     """Iterate RSN with Armijo backtracking until the gradient norm <= tol.
 
-    Each step makes one ``obj.at(x)`` call and calls nothing else on ``obj``.
-    The line search starts at eta = 1, halves the step, and requires the
-    sufficient decrease ``f(x + eta d) <= f(x) + 1e-4 eta <g, d>``; after 50
-    shrinks the iteration is skipped and retried with a fresh sketch.
+    Each step makes one ``obj.at(x)`` call and calls nothing else on ``obj``;
+    step t draws its sketch from the stream keyed by ``(*trial, t)``, seated
+    in batches (:func:`rng.streams`).  The line search starts at eta = 1,
+    halves the step, and requires the sufficient decrease
+    ``f(x + eta d) <= f(x) + 1e-4 eta <g, d>``; after 50 shrinks the
+    iteration is skipped and retried with a fresh sketch.
     """
     x = np.asarray(x0, dtype=float).copy()
     key = as_key(trial)
     trace = NewtonTrace()
-    for t in range(max_iters):
+    for rng in streams(spec.seed_stream, (key + (t,) for t in range(max_iters))):
         f_x, g, sketched_hessian, line = obj.at(x)
         gnorm = float(np.linalg.norm(g))
         if gnorm <= tol:
             trace.f.append(f_x)
             trace.grad_norm.append(gnorm)
             break
-        S = draw_sketch(spec, obj.dim, trial=key + (t,))
+        S = draw_sketch(spec, obj.dim, trial=rng)
         d = _newton_direction(sketched_hessian(S), g, S, obj.dim)
         slope = float(g @ d)
         eta = 1.0

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .linalg import EPS, numerical_rank, rank_cutoff, row_factor
-from .rng import KeyPath, stream
+from .rng import KeyPath, stream, streams
 
 __all__ = [
     "SketchSpec",
@@ -177,15 +177,20 @@ def _draw_sparse(spec: SketchSpec, m: int, rng: np.random.Generator) -> SparseSk
     return SparseSketch(indices=idx, values=r / np.sqrt(k * s * p_drawn), m=m)
 
 
-def draw_sketch(spec: SketchSpec, m: int, trial: KeyPath = 0):
+def _generator(spec: SketchSpec, trial) -> np.random.Generator:
+    return trial if isinstance(trial, np.random.Generator) else stream(spec.seed_stream, trial)
+
+
+def draw_sketch(spec: SketchSpec, m: int, trial: KeyPath | np.random.Generator = 0):
     """Draw one sketching matrix; a pure function of (spec, m, trial).
 
     Dense families return a (k, m) ndarray, sparse families a
     :class:`SparseSketch`.  ``trial`` may be an int or a tuple of ints
-    addressing nested streams (e.g. ``(run, iteration)``).
+    addressing nested streams (e.g. ``(run, iteration)``), or a Generator
+    already seated on that trial's stream (as :func:`rng.streams` yields).
     """
     spec.validate(m)
-    rng = stream(spec.seed_stream, trial)
+    rng = _generator(spec, trial)
     if spec.family == "gaussian":
         return rng.standard_normal((spec.k, m))
     if spec.family == "rademacher":
@@ -226,7 +231,7 @@ def apply_sketch_t(S, Y: np.ndarray) -> np.ndarray:
     return np.asarray(S, dtype=float).T @ Y
 
 
-def sketch_times(spec: SketchSpec, A: np.ndarray, trial: KeyPath = 0,
+def sketch_times(spec: SketchSpec, A: np.ndarray, trial: KeyPath | np.random.Generator = 0,
                  R: np.ndarray | None = None) -> np.ndarray:
     """``S A`` for a fresh sketch of ``spec``; a pure function of (spec, A, trial).
 
@@ -235,14 +240,14 @@ def sketch_times(spec: SketchSpec, A: np.ndarray, trial: KeyPath = 0,
     G a k x rows(R) Gaussian drawn from the trial's stream.  That draws k n
     numbers instead of k m.  ``R`` defaults to :func:`row_factor` of A; pass
     it to share one factorization across trials.  Every other family returns
-    ``apply_sketch(draw_sketch(spec, m, trial), A)``.
+    ``apply_sketch(draw_sketch(spec, m, trial), A)``; ``trial`` is as there.
     """
     A = np.asarray(A, dtype=float)
     if spec.family != "gaussian":
         return apply_sketch(draw_sketch(spec, A.shape[0], trial), A)
     spec.validate(A.shape[0])
     R = row_factor(A) if R is None else R
-    return stream(spec.seed_stream, trial).standard_normal((spec.k, R.shape[0])) @ R
+    return _generator(spec, trial).standard_normal((spec.k, R.shape[0])) @ R
 
 
 def _row_bases(SA: np.ndarray) -> np.ndarray:
@@ -271,12 +276,14 @@ def sketched_bases(spec: SketchSpec, A: np.ndarray, trials: int,
     as ``(b, min(k, n), n)`` blocks of b <= :data:`TRIAL_BLOCK` trials, from one
     stacked QR with an SVD for the trials it cannot certify (:func:`_row_bases`).
     Rows past a trial's rank (the ``orth_rowspace`` cutoff) are zero, so
-    ``V[t].T @ V[t]`` projects onto rowspan(S_t A)."""
+    ``V[t].T @ V[t]`` projects onto rowspan(S_t A).  The trials' streams are
+    seated in batches (:func:`rng.streams`)."""
     A = np.asarray(A, dtype=float)
     if spec.family == "gaussian" and R is None:
         R = row_factor(A)
+    rngs = streams(spec.seed_stream, range(trials))
     for lo in range(0, trials, TRIAL_BLOCK):
         SA = np.empty((min(TRIAL_BLOCK, trials - lo), spec.k, A.shape[1]))
         for i in range(SA.shape[0]):  # filled in place: stacking a list raised peak RSS
-            SA[i] = sketch_times(spec, A, lo + i, R)
+            SA[i] = sketch_times(spec, A, next(rngs), R)
         yield _row_bases(SA)

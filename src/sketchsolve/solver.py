@@ -18,7 +18,7 @@ import numpy as np
 
 from .linalg import solve_psd
 from .matgen import LinearSystem
-from .rng import KeyPath, as_key
+from .rng import KeyPath, as_key, streams
 from .sketch import SketchSpec, apply_sketch, draw_sketch, row_factor, sketch_times
 
 __all__ = [
@@ -102,10 +102,11 @@ def solve(system: LinearSystem, config: SolverConfig, trial: KeyPath = 0):
     """Run the iteration from x0 (default all zeros) with a fresh sketch per step.
 
     A pure function of (system, config, trial): iteration t draws its sketch
-    from the stream keyed by ``(*trial, t)``.  Each step sketches the augmented
-    ``[A | b]`` with ``sketch_times``, so S A and S b come from one k x (n+1)
-    product (Gaussian steps through the factor of ``[A | b]``, exact in law
-    for any b and metric) and then projects as :func:`project_step` does.
+    from the stream keyed by ``(*trial, t)``, seated in batches
+    (:func:`rng.streams`).  Each step sketches the augmented ``[A | b]`` with
+    ``sketch_times``, so S A and S b come from one k x (n+1) product
+    (Gaussian steps through the factor of ``[A | b]``, exact in law for any b
+    and metric) and then projects as :func:`project_step` does.
     Returns the final iterate and the full :class:`IterLog`.
     """
     spec = config.sketch
@@ -128,9 +129,10 @@ def solve(system: LinearSystem, config: SolverConfig, trial: KeyPath = 0):
     dist = [system.metric_norm(err[0])]
     rel_err = [rel(dist[0])]
     fall = [False]
+    rngs = streams(spec.seed_stream, (key + (t,) for t in range(config.max_iters)))
     t = 0
     while t < config.max_iters and rel_err[-1] > config.stop_tol:
-        SAb = sketch_times(spec, Ab, key + (t,), R)
+        SAb = sketch_times(spec, Ab, next(rngs), R)
         x, fb = _project(x, SAb[:, :n], SAb[:, n], Binv)
         err.append(x - x_star)
         d = system.metric_norm(err[-1])

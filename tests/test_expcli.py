@@ -463,7 +463,9 @@ class TestCli:
         ("rate_sweep", [3], {"with_bounds": True}, "sketch.k: the bounds need k - 1 < rank(A) = 2"),
         ("eigendecay", [1, 2], {"trials": 4},
          "matrix: eigendecay needs rank(A) = min(m, n), got 2 < 3"),
-    ], ids=["rate_sweep_with_bounds", "eigendecay"])
+        ("surrogate_compare", [2], {"trials": 4},
+         "matrix: surrogate-compare needs rank(A) = n, got 2 < 3"),
+    ], ids=["rate_sweep_with_bounds", "eigendecay", "surrogate_compare"])
     def test_rank_deficient_exit_code(self, tmp_path, capsys, experiment, k, run, error, seed):
         # column 2 is twice column 1: rank(A) = 2 < n = 3
         data = tmp_path / "rank2.libsvm"
@@ -491,6 +493,19 @@ class TestCli:
                 "--out", str(tmp_path / "o")]
         assert main(argv) == 0
         assert (tmp_path / "o" / "eigendecay.csv").exists()
+
+    @pytest.mark.parametrize("seed", [1, 4242])
+    def test_surrogate_compare_wide_exit_code(self, tmp_path, capsys, seed):
+        # m < n: rank(A) <= m < n, so E[P] is singular and s_min reads 0
+        cfg = _base_config(experiment="surrogate_compare", master_seed=seed,
+                           matrix={"kind": "gaussian_unit", "m": 8, "n": 20},
+                           sketch={"families": ["gaussian"], "k": [2, 4]},
+                           run={"trials": 4, "err_trials": 2})
+        argv = ["surrogate-compare", "--config", str(_write(tmp_path, cfg)),
+                "--out", str(tmp_path / "o")]
+        assert main(argv) == 1
+        assert "matrix: surrogate-compare needs rank(A) = n, got 8 < 20" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_less_wide_full_row_rank(self, tmp_path, seed):
