@@ -1,7 +1,7 @@
 """Per-layer timings of RNG stream seating, the sketch apply, the Monte-Carlo
-trial kernel, one RSN step, a short RSN solve and the RSN rate certificate,
-and end-to-end timings of the seven experiments, for this checkout and,
-optionally, a parent checkout to compare against.
+trial kernel, a solver run, one RSN step, a short RSN solve and the RSN rate
+certificate, and end-to-end timings of the seven experiments, for this
+checkout and, optionally, a parent checkout to compare against.
 
     python3 bench/run_bench.py --out BENCH.json [--parent-src DIR] [--rounds N]
 
@@ -30,6 +30,9 @@ spectra (1000 x 50 and 4096 x 128) and k in {5, 10, 20, 40}:
   signature takes one;
 - ``sketched_bases/...``: one block of 16 trials from the trial kernel alone,
   with the factor given (Gaussian sketches draw through it);
+- ``solve/1000x50/<family>/k=<k>``: one ``solve`` run of 64 steps (stop
+  tolerance 1e-300) on a system built once, after one untimed run, so a
+  tree that keeps the ``[A | b]`` factor with the system has it warm;
 - ``row_factor/<size>``: the factorization alone;
 - ``set_up/<size>``: ``make_system`` plus ``build_less_distribution`` given the
   system's factor (A alone where the tree's signature takes no ``R``), the
@@ -82,6 +85,8 @@ RSN_KS = (5, 10, 20)
 RSN_S = 8
 RSN_SOLVE_STEPS = 20
 STREAM_KEYS = 128
+SOLVE_SIZE = (1000, 50)
+SOLVE_STEPS = 64
 CERT_TRIALS = 400
 CLI_SKETCH = {"families": ["gaussian", "less_uniform"], "k": [4, 10], "s": [8]}
 CLI_GRID = {"matrix": {"kind": "profile", "model": "poly1.5", "m": 200, "n": 20},
@@ -151,6 +156,7 @@ def measure() -> dict:
     from sketchsolve.randsvd import err_monte_carlo
     from sketchsolve.sketch import (SketchSpec, apply_sketch, build_less_distribution,
                                     draw_sketch, row_factor, sketched_bases)
+    from sketchsolve.solver import SolverConfig, solve
     from sketchsolve.spectral import expected_projection
 
     takes_r = {f: "R" in inspect.signature(f).parameters
@@ -183,6 +189,7 @@ def measure() -> dict:
             build_less_distribution(system.A, **given_r)
 
         case(f"set_up/{size}", set_up)
+        system = make_system(A, seed=2) if (m, n) == SOLVE_SIZE else None
         for family in FAMILIES:
             for k in KS:
                 spec = SketchSpec(family, k=k, s=32 if family.startswith("less") else None,
@@ -200,6 +207,9 @@ def measure() -> dict:
                         case(f"{fn.__name__}/{cell}/given_R", lambda _: fn(A, *args, R=R))
                 case(f"sketched_bases/{cell}",
                      lambda _: list(sketched_bases(spec, A, BLOCK_TRIALS, R)))
+                if system is not None:
+                    solver_cfg = SolverConfig(sketch=spec, max_iters=SOLVE_STEPS, stop_tol=1e-300)
+                    case(f"solve/{cell}", lambda _: solve(system, solver_cfg, 0))
 
     rng = np.random.default_rng(1)
     N, d = RSN_SHAPE

@@ -61,15 +61,21 @@ def solve_psd(W: np.ndarray, rhs: np.ndarray, n_ambient: int):
     k = W.shape[0]
     if k == 0:
         return np.zeros_like(rhs), False
-    norm_w = float(np.linalg.norm(W))
-    try:
-        min_pivot = float(np.min(np.diagonal(np.linalg.cholesky(W)))) ** 2
-        if min_pivot >= k * EPS * norm_w:
-            return np.linalg.solve(W, rhs), False
-    except np.linalg.LinAlgError:
-        pass
+    if _certified(W):
+        return np.linalg.solve(W, rhs), False
     z = np.linalg.pinv(W, rcond=max(k, n_ambient) * EPS, hermitian=True) @ rhs
     return z, True
+
+
+def _certified(W: np.ndarray):
+    """:func:`solve_psd`'s guard, for one k x k W or each of a stack (all False
+    when the Cholesky factorization of one W fails)."""
+    try:
+        pivot = np.diagonal(np.linalg.cholesky(W), axis1=-2, axis2=-1).min(axis=-1)
+    except np.linalg.LinAlgError:
+        return np.zeros(W.shape[:-2], dtype=bool)
+    Wf = W.reshape(W.shape[:-2] + (1, -1))  # ||W||_F from one dot product
+    return pivot**2 >= W.shape[-1] * EPS * np.sqrt(Wf @ np.swapaxes(Wf, -1, -2))[..., 0, 0]
 
 
 def symmetrize(M: np.ndarray) -> np.ndarray:

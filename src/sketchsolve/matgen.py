@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -137,6 +138,14 @@ class LinearSystem:
         if self.sigma is None:
             return min(self.m, self.n)
         return numerical_rank(self.sigma, self.m, self.n)
+
+    @cached_property  # the solver's [A | b] and its factor, built on first use
+    def _augmented(self) -> np.ndarray:
+        return np.column_stack([self.A, self.b])
+
+    @cached_property
+    def _augmented_R(self) -> np.ndarray:
+        return row_factor(self._augmented)
 
     @property
     def m(self) -> int:

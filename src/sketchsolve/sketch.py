@@ -284,6 +284,12 @@ def sketched_bases(spec: SketchSpec, A: np.ndarray, trials: int,
     rngs = streams(spec.seed_stream, range(trials))
     for lo in range(0, trials, TRIAL_BLOCK):
         SA = np.empty((min(TRIAL_BLOCK, trials - lo), spec.k, A.shape[1]))
-        for i in range(SA.shape[0]):  # filled in place: stacking a list raised peak RSS
-            SA[i] = sketch_times(spec, A, next(rngs), R)
-        yield _row_bases(SA)
+        yield _row_bases(_fill_times(spec, A, rngs, R, SA))
+
+
+def _fill_times(spec: SketchSpec, A: np.ndarray, rngs, R: np.ndarray | None, out: np.ndarray):
+    """``out[i] = sketch_times(spec, A, next(rngs), R)`` for each i, in place
+    (stacking a list of them raised peak RSS); returns ``out``."""
+    for i in range(len(out)):
+        out[i] = sketch_times(spec, A, next(rngs), R)
+    return out

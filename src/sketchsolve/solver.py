@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import solve_psd
+from .linalg import _certified, solve_psd
 from .matgen import LinearSystem
 from .rng import KeyPath, as_key, streams
-from .sketch import SketchSpec, apply_sketch, draw_sketch, row_factor, sketch_times
+from .sketch import SketchSpec, _fill_times, apply_sketch, draw_sketch  # noqa: F401 (perfbench)
 
 __all__ = [
     "SolverConfig",
@@ -30,6 +30,9 @@ __all__ = [
     "estimate_rate",
     "eigencomponent_decay",
 ]
+
+#: steps that :func:`solve` draws and certifies together
+_STEP_BLOCK = 8
 
 
 @dataclass
@@ -45,8 +48,9 @@ class SolverConfig:
     x0: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, (int, np.integer)) \
+                or self.max_iters < 1:
+            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
         if not self.stop_tol > 0.0:
             raise ValueError("stop_tol must be positive")
 
@@ -105,17 +109,21 @@ def solve(system: LinearSystem, config: SolverConfig, trial: KeyPath = 0):
     from the stream keyed by ``(*trial, t)``, seated in batches
     (:func:`rng.streams`).  Each step sketches the augmented ``[A | b]`` with
     ``sketch_times``, so S A and S b come from one k x (n+1) product
-    (Gaussian steps through the factor of ``[A | b]``, exact in law for any b
-    and metric) and then projects as :func:`project_step` does.
-    Returns the final iterate and the full :class:`IterLog`.
+    (Gaussian steps through the system's factor of ``[A | b]``, exact in law
+    for any b and metric), and then projects as :func:`_project` does: steps
+    are drawn :data:`_STEP_BLOCK` at a time, one stacked Cholesky applies
+    :func:`solve_psd`'s guard to the block, and a certified step takes its
+    LU solve directly.  Returns the final iterate and the full :class:`IterLog`.
     """
     spec = config.sketch
     spec.validate(system.m)
     key = as_key(trial)
     n = system.n
-    Ab = np.column_stack([system.A, system.b])
-    R = row_factor(Ab) if spec.family == "gaussian" else None
     x = np.zeros(n) if config.x0 is None else np.asarray(config.x0, dtype=float).copy()
+    if x.shape != (n,):
+        raise ValueError(f"x0 has shape {x.shape}, expected ({n},)")
+    Ab = system._augmented
+    R = system._augmented_R if spec.family == "gaussian" else None
     x_star = system.x_star
     denom = system.metric_norm(x_star)
     Binv = None if system.metric is None else np.linalg.inv(system.metric)
@@ -130,16 +138,27 @@ def solve(system: LinearSystem, config: SolverConfig, trial: KeyPath = 0):
     rel_err = [rel(dist[0])]
     fall = [False]
     rngs = streams(spec.seed_stream, (key + (t,) for t in range(config.max_iters)))
-    t = 0
-    while t < config.max_iters and rel_err[-1] > config.stop_tol:
-        SAb = sketch_times(spec, Ab, next(rngs), R)
-        x, fb = _project(x, SAb[:, :n], SAb[:, n], Binv)
-        err.append(x - x_star)
-        d = system.metric_norm(err[-1])
-        dist.append(d)
-        rel_err.append(rel(d))
-        fall.append(fb)
-        t += 1
+    for lo in range(0, config.max_iters, _STEP_BLOCK):
+        if not rel_err[-1] > config.stop_tol:
+            break
+        SAb = np.empty((min(_STEP_BLOCK, config.max_iters - lo), spec.k, n + 1))
+        _fill_times(spec, Ab, rngs, R, SAb)
+        M, c = SAb[:, :, :n], SAb[:, :, n]
+        Mt = M.transpose(0, 2, 1) if Binv is None else Binv @ M.transpose(0, 2, 1)
+        W = M @ Mt
+        ok = _certified(W).tolist()  # all False if one W_t is not positive definite
+        for i in range(len(SAb)):
+            if ok[i]:  # solve_psd's certified branch, as _project takes it
+                x, fb = x - Mt[i] @ np.linalg.solve(W[i], M[i] @ x - c[i]), False
+            else:
+                x, fb = _project(x, M[i], c[i], Binv)
+            err.append(x - x_star)
+            d = system.metric_norm(err[-1])
+            dist.append(d)
+            rel_err.append(rel(d))
+            fall.append(fb)
+            if not rel_err[-1] > config.stop_tol:
+                break
     log = IterLog(
         err=np.asarray(err),
         dist=np.asarray(dist),

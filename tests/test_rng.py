@@ -166,7 +166,7 @@ def test_solve_matches_per_key_loop(spec, trial, monkeypatch):
     config = solver.SolverConfig(sketch=spec, max_iters=150, stop_tol=1e-300)
     _, log = solver.solve(system, config, trial)
     key = rng.as_key(trial)
-    _per_key(monkeypatch, solver, "sketch_times", lambda t: key + (t,))
+    _per_key(monkeypatch, sketch, "sketch_times", lambda t: key + (t,))  # solve's block fill
     _, ref = solver.solve(system, config, trial)
     assert log.iterations == ref.iterations == 150
     for field in ("err", "dist", "rel_err", "fallback"):

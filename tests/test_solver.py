@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sketchsolve.linalg import symmetrize
+from sketchsolve import matgen, solver
+from sketchsolve.linalg import row_factor, symmetrize
 from sketchsolve.matgen import LinearSystem, gen_gaussian_unit_rows, make_system
-from sketchsolve.sketch import SketchSpec, build_less_distribution, draw_sketch
+from sketchsolve.rng import as_key, stream
+from sketchsolve.sketch import SketchSpec, build_less_distribution, draw_sketch, sketch_times
 from sketchsolve.solver import (
     SolverConfig,
     eigencomponent_decay,
@@ -204,6 +206,147 @@ class TestSolve:
         _, log = solve(system, cfg)
         assert log.dist.size == 1  # starts converged
 
+    def test_augmented_factor_once_per_system(self, monkeypatch):
+        def case():
+            return _random_system(m=50, n=6, seed=50)
+
+        system = case()
+        cfg = SolverConfig(sketch=SketchSpec("gaussian", k=3, seed_stream=51), max_iters=30,
+                           stop_tol=1e-300)
+        shapes = []
+
+        def counted(A):
+            shapes.append(A.shape)
+            return row_factor(A)
+
+        monkeypatch.setattr(matgen, "row_factor", counted)
+        logs = [solve(system, cfg, trial=r)[1] for r in (0, 1)]
+        assert shapes == [(50, 7)]  # [A | b], factored on the first solve only
+        assert np.array_equal(system._augmented_R,
+                              row_factor(np.column_stack([system.A, system.b])))
+        for r, log in enumerate(logs):
+            fresh = solve(case(), cfg, trial=r)[1]
+            for field in ("err", "dist", "rel_err", "fallback"):
+                assert np.array_equal(getattr(log, field), getattr(fresh, field)), field
+
+    @pytest.mark.parametrize("x0", [0.5, np.zeros(1), np.zeros(9)], ids=["scalar", "len1", "len9"])
+    def test_x0_shape_checked(self, x0):
+        system = _random_system(m=30, n=8, seed=52)
+        cfg = SolverConfig(sketch=SketchSpec("gaussian", k=2, seed_stream=53), x0=x0)
+        with pytest.raises(ValueError, match=r"x0 has shape .*, expected \(8,\)"):
+            solve(system, cfg)
+
+    @pytest.mark.parametrize("max_iters", [2.5, 0, True, "3"])
+    def test_max_iters_must_be_a_positive_integer(self, max_iters):
+        with pytest.raises(ValueError, match="max_iters must be an integer >= 1"):
+            SolverConfig(sketch=SketchSpec("gaussian", k=2), max_iters=max_iters)
+
+
+_FAMILIES = ("gaussian", "rademacher", "less", "less_uniform", "row_sampling")
+
+
+def _per_step_reference(system, config, trial):
+    """The iterates and fallback flags of one step at a time: ``sketch_times``
+    on the stream of ``(*trial, t)`` and then ``solver._project``."""
+    spec, n = config.sketch, system.n
+    Ab = np.column_stack([system.A, system.b])
+    R = row_factor(Ab) if spec.family == "gaussian" else None
+    Binv = None if system.metric is None else np.linalg.inv(system.metric)
+    denom = system.metric_norm(system.x_star)
+    x, xs, flags = np.zeros(n), [np.zeros(n)], [False]
+    for t in range(config.max_iters):
+        if not system.metric_norm(x - system.x_star) / denom > config.stop_tol:
+            break
+        SAb = sketch_times(spec, Ab, stream(spec.seed_stream, as_key(trial) + (t,)), R)
+        x, fallback = solver._project(x, SAb[:, :n], SAb[:, n], Binv)
+        xs.append(x)
+        flags.append(fallback)
+    return np.array(xs), np.array(flags)
+
+
+def _kernel_case(family, metric, A=None, k=3):
+    rng = np.random.default_rng(60)
+    A = gen_gaussian_unit_rows(60, 8, seed=61) if A is None else A
+    n = A.shape[1]
+    B = None
+    if metric == "spd":
+        G = rng.standard_normal((n, n))
+        B = G @ G.T + 0.5 * n * np.eye(n)
+    system = make_system(A, seed=62, metric=B)
+    p = build_less_distribution(A).probabilities if family == "less" else None
+    spec = SketchSpec(family, k=k, s=4 if family in ("less", "less_uniform") else None,
+                      sampling=p, seed_stream=63)
+    return system, spec
+
+
+def _assert_matches_per_step(system, cfg, trial):
+    """``solve`` takes the same steps, bit for bit, with the same flags."""
+    x, log = solve(system, cfg, trial)
+    ref, ref_fallback = _per_step_reference(system, cfg, trial)
+    assert log.iterations == len(ref) - 1
+    assert np.array_equal(log.fallback, ref_fallback)
+    assert np.array_equal(log.err, ref - system.x_star)
+    assert np.array_equal(x, ref[-1])
+    return log
+
+
+class TestBlockKernel:
+    """``solve`` steps in blocks of ``solver._STEP_BLOCK``; each step must be
+    the one-step-at-a-time path it replaces."""
+
+    @pytest.mark.parametrize("metric", ["euclidean", "spd"])
+    @pytest.mark.parametrize("family", _FAMILIES)
+    def test_budget_not_a_block_multiple(self, family, metric):
+        system, spec = _kernel_case(family, metric)
+        cfg = SolverConfig(sketch=spec, max_iters=37, stop_tol=1e-300)
+        assert cfg.max_iters % solver._STEP_BLOCK != 0
+        assert _assert_matches_per_step(system, cfg, (2, 1)).iterations == 37
+
+    @pytest.mark.parametrize("metric", ["euclidean", "spd"])
+    @pytest.mark.parametrize("family", _FAMILIES)
+    def test_stop_inside_a_block(self, family, metric):
+        system, spec = _kernel_case(family, metric)
+        loose = SolverConfig(sketch=spec, max_iters=40, stop_tol=1e-300)
+        ref = _per_step_reference(system, loose, 4)[0]
+        rel = np.array([system.metric_norm(e) for e in ref - system.x_star])
+        rel /= system.metric_norm(system.x_star)
+        stop = 13  # tolerance between the errors after steps 12 and 13
+        assert stop % solver._STEP_BLOCK != 0 and rel[stop] < rel[stop - 1]
+        cfg = SolverConfig(sketch=spec, max_iters=40,
+                           stop_tol=float(np.sqrt(rel[stop] * rel[stop - 1])))
+        assert _assert_matches_per_step(system, cfg, 4).iterations == stop
+
+    @pytest.mark.parametrize("metric", ["euclidean", "spd"])
+    def test_row_sampling_with_repeated_rows(self, metric, monkeypatch):
+        # repeated rows make some W_t singular: the stacked Cholesky of a block
+        # raises, or a W_t factors but fails solve_psd's guard
+        A = np.repeat(gen_gaussian_unit_rows(10, 6, seed=64), 4, axis=0)
+        system, spec = _kernel_case("row_sampling", metric, A=A, k=4)
+        cfg = SolverConfig(sketch=spec, max_iters=120, stop_tol=1e-300)
+        blocks, guard_failed = [], []
+        cholesky, project = np.linalg.cholesky, solver._project
+
+        def stacked_cholesky(W):
+            if W.ndim == 3:
+                blocks.append("raised")
+                L = cholesky(W)
+                blocks[-1] = "factored"
+                return L
+            return cholesky(W)
+
+        def counted_project(*args):
+            out = project(*args)
+            guard_failed.append(out[1] and blocks[-1] == "factored")
+            return out
+
+        monkeypatch.setattr(np.linalg, "cholesky", stacked_cholesky)
+        monkeypatch.setattr(solver, "_project", counted_project)
+        solve(system, cfg, 2)
+        monkeypatch.undo()
+        assert "raised" in blocks and any(guard_failed)
+        assert len(blocks) == -(-cfg.max_iters // solver._STEP_BLOCK)
+        _assert_matches_per_step(system, cfg, 2)
+
 
 class TestEstimateRate:
     def test_full_rank_sketch_rate_one(self):
@@ -296,9 +439,6 @@ class TestEigencomponentDecay:
         cfg = SolverConfig(sketch=SketchSpec("gaussian", k=2, seed_stream=38))
         with pytest.raises(ValueError, match="orthonormal"):
             eigencomponent_decay(system, cfg, np.ones((8, 2)), runs=2)
-
-
-_FAMILIES = ("gaussian", "rademacher", "less", "less_uniform", "row_sampling")
 
 
 def _invariant_case(seed, m, n, k, family, metric):
