@@ -161,6 +161,8 @@ def measure() -> dict:
 
     takes_r = {f: "R" in inspect.signature(f).parameters
                for f in (expected_projection, err_monte_carlo, build_less_distribution)}
+    # a parent tree's err_monte_carlo may take k before spec
+    err_takes_k = "k" in inspect.signature(err_monte_carlo).parameters
     out = {"raw": {}, "calibration_s": {}}
 
     def case(name, run, prepare=None, keys=1):
@@ -200,8 +202,8 @@ def measure() -> dict:
                 case(f"draw_apply/{cell}", lambda t: apply_sketch(draw_sketch(spec, m, t), A),
                      range)
                 for fn in (expected_projection, err_monte_carlo):
-                    args = (spec, BLOCK_TRIALS) if fn is expected_projection \
-                        else (k, spec, BLOCK_TRIALS)
+                    args = (k, spec, BLOCK_TRIALS) if fn is err_monte_carlo and err_takes_k \
+                        else (spec, BLOCK_TRIALS)
                     case(f"{fn.__name__}/{cell}", lambda _: fn(A, *args))
                     if takes_r[fn]:
                         case(f"{fn.__name__}/{cell}/given_R", lambda _: fn(A, *args, R=R))

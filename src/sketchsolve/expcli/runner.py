@@ -28,7 +28,7 @@ import numpy as np
 from .. import __version__
 from ..matgen import LinearSystem
 from ..newton import full_newton, logistic_objective, rho_certificate, rsn_solve
-from ..randsvd import best_rank_error, err_monte_carlo, err_upper_bound_min_p
+from ..randsvd import best_rank_error, err_km1, err_monte_carlo, err_upper_bound_min_p
 from ..rng import child_seed, stream
 from ..sketch import SketchSpec, build_less_distribution
 from ..solver import SolverConfig, eigencomponent_decay, estimate_rate, solve
@@ -188,9 +188,8 @@ def _exp_rate_sweep(cfg, system):
             "short_tail": report.short_tail,
         }
         if cfg.with_bounds:
-            err_spec = SketchSpec(family="gaussian", k=max(cell.k - 1, 1),
-                                  seed_stream=child_seed(spec.seed_stream, 3))
-            err = err_monte_carlo(system.A, cell.k - 1, err_spec, cfg.err_trials, system.R)
+            err = err_km1(system.A, cell.k, child_seed(spec.seed_stream, 3), cfg.err_trials,
+                          system.R)
             bounds = rate_bound_set(sigma, cell.k, err.mean)
             row.update(
                 bound_simple=bounds.simple,
@@ -274,7 +273,7 @@ def _exp_randsvd_err(cfg, system):
     fro_sq = float(np.sum(sigma**2))
 
     def rows(cell, spec):
-        est = err_monte_carlo(system.A, cell.k, spec, cfg.err_trials, system.R)
+        est = err_monte_carlo(system.A, spec, cfg.err_trials, system.R)
         bound, p = err_upper_bound_min_p(sigma, cell.k) if cell.k >= 4 else (None, None)
         return [{
             "trials": est.trials,

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .linalg import lambda_min_plus, solve_psd, symmetrize
-from .randsvd import err_monte_carlo
+from .randsvd import err_km1
 from .rng import KeyPath, as_key, child_seed, streams
 from .sketch import SketchSpec, apply_sketch, apply_sketch_t, densify, draw_sketch, row_factor
 from .spectral import expected_projection, gaussian_rate_bound
@@ -171,10 +171,10 @@ def rho_certificate(H: np.ndarray, spec: SketchSpec, trials: int) -> RhoCertific
     (F F^T = H), ``S H^{1/2} = (S F) V_+^T``, so that matrix is
     ``V_+ P V_+^T`` with P the projection onto rowspan(S F): rho_hat is
     lambda_min^+ of :func:`expected_projection` on F, and
-    Err(H^{1/2}, k-1) = Err(F, k-1).  All work stays in the range of H, so
-    roundoff has no null space to land in.  The refined bound is
-    ``(1 - eps) k lambda_min^+(H) / Err(H^{1/2}, k-1)`` and the crude bound
-    ``k lambda_min^+(H) / tr(H)``.  For Gaussian sketches eps is the explicit
+    Err(H^{1/2}, k-1) = Err(F, k-1), estimated by :func:`randsvd.err_km1`.
+    All work stays in the range of H, so roundoff has no null space to land
+    in.  The refined bound is ``(1 - eps) k lambda_min^+(H) / Err(H^{1/2}, k-1)``
+    and the crude bound ``k lambda_min^+(H) / tr(H)``.  For Gaussian sketches eps is the explicit
     expression from :func:`gaussian_rate_bound`; other families use
     ``SUBGAUSSIAN_CONST * (1/sqrt(r) + k/n)`` with r the stable rank of
     H^{1/2}.  Raises ``ValueError`` when k exceeds rank(H): Err(H^{1/2}, k-1)
@@ -196,9 +196,7 @@ def rho_certificate(H: np.ndarray, spec: SketchSpec, trials: int) -> RhoCertific
     lam_min_plus = float(positive[0])
     trace_h = float(np.sum(positive))
 
-    err_spec = SketchSpec(family="gaussian", k=max(spec.k - 1, 1),
-                          seed_stream=child_seed(spec.seed_stream, 7))
-    err = err_monte_carlo(F, spec.k - 1, err_spec, trials=50, R=R)
+    err = err_km1(F, spec.k, child_seed(spec.seed_stream, 7), trials=50, R=R)
     if spec.family == "gaussian":
         eps = gaussian_rate_bound(lam_min_plus, err.mean, spec.k, n_rank).epsilon
     else:

@@ -5,7 +5,7 @@ upper bound from Gaussian range-finder theory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,6 +19,7 @@ __all__ = [
     "rand_svd",
     "residual_error",
     "err_monte_carlo",
+    "err_km1",
     "err_upper_bound",
     "err_upper_bound_min_p",
     "best_rank_error",
@@ -75,19 +76,17 @@ def residual_error(A: np.ndarray, S) -> float:
     return max(float(np.sum(A * A)) - float(np.sum((A @ Q) ** 2)), 0.0)
 
 
-def err_monte_carlo(A: np.ndarray, k: int, spec: SketchSpec, trials: int,
+def err_monte_carlo(A: np.ndarray, spec: SketchSpec, trials: int,
                     R: np.ndarray | None = None) -> ErrEstimate:
-    """Mean and standard error of ``residual_error`` over independent sketches.
+    """Mean and standard error of ``residual_error`` over independent sketches
+    of ``spec``: a Monte-Carlo estimate of Err(A, ``spec.k``).
 
-    ``k = 0`` is exact: the projection is empty so the residual is always
-    ``||A||_F^2`` and the standard error is 0.  Trial t's residual is
-    ``||R||_F^2 - ||R V_t^T||_F^2`` with V_t from ``sketched_bases`` and R the
-    n x n factor of A (computed unless given; ``||A X||_F = ||R X||_F``), exact
-    for every family; Gaussian trials also draw their sketch through R.
+    Trial t's residual is ``||R||_F^2 - ||R V_t^T||_F^2`` with V_t from
+    ``sketched_bases`` and R the n x n factor of A (computed unless given;
+    ``||A X||_F = ||R X||_F``), exact for every family; Gaussian trials also
+    draw their sketch through R.
     """
     A = np.asarray(A, dtype=float)
-    if k == 0:
-        return ErrEstimate(mean=float(np.sum(A * A)), stderr=0.0, trials=0)
     if trials < 2:
         raise ValueError("trials must be >= 2")
     if R is None:
@@ -95,13 +94,26 @@ def err_monte_carlo(A: np.ndarray, k: int, spec: SketchSpec, trials: int,
     total = float(np.sum(R * R))
     samples = np.maximum(np.concatenate([
         total - np.sum((V @ R.T) ** 2, axis=(1, 2))
-        for V in sketched_bases(replace(spec, k=k), A, trials, R)
+        for V in sketched_bases(spec, A, trials, R)
     ]), 0.0)
     return ErrEstimate(
         mean=float(samples.mean()),
         stderr=float(samples.std(ddof=1) / np.sqrt(trials)),
         trials=trials,
     )
+
+
+def err_km1(A: np.ndarray, k: int, seed_stream: int, trials: int,
+            R: np.ndarray | None = None) -> ErrEstimate:
+    """Err(A, k-1), which every rate bound for sketch size k divides by:
+    :func:`err_monte_carlo` over Gaussian sketches of size k-1 on ``seed_stream``.
+    Exact at k = 1 (``||A||_F^2``, standard error 0), where nothing is drawn."""
+    if k < 1:
+        raise ValueError(f"need k >= 1, got k={k}")
+    if k == 1:
+        A = np.asarray(A, dtype=float)
+        return ErrEstimate(mean=float(np.sum(A * A)), stderr=0.0, trials=0)
+    return err_monte_carlo(A, SketchSpec("gaussian", k - 1, seed_stream=seed_stream), trials, R)
 
 
 def best_rank_error(sigma: np.ndarray, k: int) -> float:

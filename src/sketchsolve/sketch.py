@@ -16,6 +16,7 @@ affect solver behavior.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -84,8 +85,19 @@ class SketchSpec:
             p = self.sampling
             if p.shape != (m,):
                 raise ValueError(f"sampling vector has length {p.shape}, expected {m}")
-            if np.any(p < 0.0) or abs(float(p.sum()) - 1.0) > 1e-12:
+            if self._cdf is None:
                 raise ValueError("sampling must be non-negative and sum to 1")
+
+    @cached_property
+    def _cdf(self) -> np.ndarray | None:
+        """CDF of ``sampling`` (last entry exactly 1), checked and built once
+        per spec; None when ``sampling`` is not a probability vector."""
+        p = self.sampling
+        if np.any(p < 0.0) or abs(float(p.sum()) - 1.0) > 1e-12:
+            return None
+        cdf = np.cumsum(p)
+        cdf[-1] = 1.0
+        return cdf
 
     def with_seed(self, seed_stream: int) -> "SketchSpec":
         return replace(self, seed_stream=seed_stream)
@@ -169,9 +181,7 @@ def _draw_sparse(spec: SketchSpec, m: int, rng: np.random.Generator) -> SparseSk
     if p is None:
         idx = rng.integers(0, m, size=(k, s))
     else:
-        cdf = np.cumsum(p)
-        cdf[-1] = 1.0
-        idx = np.searchsorted(cdf, rng.random((k, s)), side="right")
+        idx = np.searchsorted(spec._cdf, rng.random((k, s)), side="right")
     p_drawn = 1.0 / m if p is None else p[idx]
     r = rng.standard_normal((k, s))
     return SparseSketch(indices=idx, values=r / np.sqrt(k * s * p_drawn), m=m)

@@ -113,7 +113,8 @@ def solve(system: LinearSystem, config: SolverConfig, trial: KeyPath = 0):
     for any b and metric), and then projects as :func:`_project` does: steps
     are drawn :data:`_STEP_BLOCK` at a time, one stacked Cholesky applies
     :func:`solve_psd`'s guard to the block, and a certified step takes its
-    LU solve directly.  Returns the final iterate and the full :class:`IterLog`.
+    LU solve directly, any other step :func:`solve_psd` on the same W_t.
+    Returns the final iterate and the full :class:`IterLog`.
     """
     spec = config.sketch
     spec.validate(system.m)
@@ -148,10 +149,12 @@ def solve(system: LinearSystem, config: SolverConfig, trial: KeyPath = 0):
         W = M @ Mt
         ok = _certified(W).tolist()  # all False if one W_t is not positive definite
         for i in range(len(SAb)):
-            if ok[i]:  # solve_psd's certified branch, as _project takes it
-                x, fb = x - Mt[i] @ np.linalg.solve(W[i], M[i] @ x - c[i]), False
+            r = M[i] @ x - c[i]
+            if ok[i]:  # solve_psd's certified branch, without certifying again
+                z, fb = np.linalg.solve(W[i], r), False
             else:
-                x, fb = _project(x, M[i], c[i], Binv)
+                z, fb = solve_psd(W[i], r, n_ambient=n)
+            x = x - Mt[i] @ z
             err.append(x - x_star)
             d = system.metric_norm(err[-1])
             dist.append(d)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import orth_rowspace, symmetrize
-from .randsvd import ErrEstimate, err_monte_carlo
+from .randsvd import ErrEstimate, err_km1
 from .rng import child_seed
 from .sketch import SketchSpec, apply_sketch, row_factor, sketched_bases
 
@@ -76,52 +76,29 @@ class GaussianRateBound:
 
 @dataclass(frozen=True)
 class RateBoundSet:
-    """The stack of closed-form rate lower bounds for one (A, k) cell.
+    """The closed-form rate lower bounds for one (A, k) cell.
 
     ``simple`` is k sigma_min^2 / ||A||_F^2; ``gaussian`` carries the
-    explicit-epsilon bound, ``variant`` the wider-range form with its
-    constant C, ``surrogate`` the Err-based expression, and ``decay`` an
-    optional decay-aware bound labelled by its kind.
+    explicit-epsilon bound and ``surrogate`` the Err-based expression
+    k sigma_min^2 / (k sigma_min^2 + Err(A, k-1)).
     """
 
     k: int
     simple: float
     gaussian: GaussianRateBound
-    variant: float | None
     surrogate: float
-    decay: float | None = None
-    decay_kind: str | None = None
 
 
-def rate_bound_set(
-    sigma: np.ndarray,
-    k: int,
-    err_km1: float,
-    decay_kind: str | None = None,
-    C_user: float = 1.0,
-    **decay_params,
-) -> RateBoundSet:
-    """Assemble every closed-form bound from a spectrum and Err(A, k-1)."""
+def rate_bound_set(sigma: np.ndarray, k: int, err_km1: float) -> RateBoundSet:
+    """Assemble the bounds from a spectrum and Err(A, k-1)."""
     sigma = np.asarray(sigma, dtype=float)
-    n = sigma.size
     sig_min_sq = float(sigma[-1] ** 2)
     fro_sq = float(np.sum(sigma**2))
-    gaussian = gaussian_rate_bound(sig_min_sq, err_km1, k, n)
-    try:
-        variant = gaussian_rate_variant(sig_min_sq, err_km1, k, n)
-    except ValueError:
-        variant = None
-    decay = None
-    if decay_kind is not None:
-        decay = decay_rate_bound(decay_kind, k, sigma, C_user, **decay_params)
     return RateBoundSet(
         k=k,
         simple=min(k * sig_min_sq / fro_sq, 1.0),
-        gaussian=gaussian,
-        variant=variant,
+        gaussian=gaussian_rate_bound(sig_min_sq, err_km1, k, sigma.size),
         surrogate=k * sig_min_sq / (k * sig_min_sq + err_km1),
-        decay=decay,
-        decay_kind=decay_kind,
     )
 
 
@@ -359,11 +336,7 @@ def surrogate_vs_empirical(
     est = expected_projection(A, spec, trials, R)
     s_min = worst_case_rate(est)
     sigma_min_sq = float(np.linalg.svd(R, compute_uv=False)[-1] ** 2)
-    err_spec = SketchSpec(
-        family="gaussian", k=max(k - 1, 1),
-        seed_stream=child_seed(spec.seed_stream, 1),
-    )
-    err = err_monte_carlo(A, k - 1, err_spec, err_trials, R)
+    err = err_km1(A, k, child_seed(spec.seed_stream, 1), err_trials, R)
     surrogate = k * sigma_min_sq / (k * sigma_min_sq + err.mean)
     rel_gap = abs(s_min - surrogate) / s_min if s_min > 0 else float("inf")
     return SurrogateComparison(

@@ -16,7 +16,7 @@ from sketchsolve.linalg import orth_rowspace
 from sketchsolve.matgen import SpectralProfile, gen_gaussian_unit_rows, \
     gen_spectral_matrix, make_system
 from sketchsolve.newton import full_newton, logistic_objective, rho_certificate, rsn_solve
-from sketchsolve.randsvd import err_monte_carlo, err_upper_bound_min_p
+from sketchsolve.randsvd import err_km1, err_monte_carlo, err_upper_bound_min_p
 from sketchsolve.rng import child_seed, stream
 from sketchsolve.sketch import SketchSpec, build_less_distribution, draw_sketch, sketch_times
 from sketchsolve.solver import SolverConfig, estimate_rate, project_step, solve
@@ -50,12 +50,7 @@ def _sandwich(A, family, ks, s, sampling, seed_key, trials=1600):
         spec = SketchSpec(family, k=k, s=s, sampling=sampling,
                           seed_stream=child_seed(SEED, seed_key, k))
         est = expected_projection(A, spec, trials)
-        err = err_monte_carlo(
-            A, k - 1,
-            SketchSpec("gaussian", k=max(k - 1, 1),
-                       seed_stream=child_seed(SEED, seed_key + 1, k)),
-            trials=50,
-        )
+        err = err_km1(A, k, child_seed(SEED, seed_key + 1, k), trials=50)
         lam_bar = np.sort(surrogate_eigenvalues(svals**2, k / err.mean))[::-1]
         ratio = est.eigenvalues / lam_bar
         assert np.all(ratio >= 1.0 - eps_hat), (family, k, ratio.min())
@@ -72,7 +67,7 @@ def test_criterion_01_symmetry_oracle():
         spec = SketchSpec("gaussian", k=k, seed_stream=child_seed(SEED, 1, k))
         lam_min = worst_case_rate(expected_projection(A, spec, trials=4000))
         assert abs(lam_min - k / n) <= 0.02, (k, lam_min)
-        est = err_monte_carlo(A, k, spec.with_seed(child_seed(SEED, 2, k)), trials=50)
+        est = err_monte_carlo(A, spec.with_seed(child_seed(SEED, 2, k)), trials=50)
         assert abs(est.mean - (n - k)) <= 3 * est.stderr + 1e-9, (k, est)
     elapsed = time.perf_counter() - t0
     assert elapsed <= 60.0, f"runtime {elapsed:.1f}s exceeds 1 minute"
@@ -118,11 +113,7 @@ def test_criterion_03_surrogate_tightness(gaus_matrix):
     for k in (5, 10, 15, 20, 25):
         spec = SketchSpec("gaussian", k=k, seed_stream=child_seed(SEED, 7, k))
         s_min = worst_case_rate(expected_projection(A, spec, trials=1600))
-        err = err_monte_carlo(
-            A, k - 1,
-            SketchSpec("gaussian", k=max(k - 1, 1), seed_stream=child_seed(SEED, 8, k)),
-            trials=50,
-        )
+        err = err_km1(A, k, child_seed(SEED, 8, k), trials=50)
         surrogate = k * sig_min_sq / (k * sig_min_sq + err.mean)
         gaps[k] = abs(s_min - surrogate) / s_min
         assert gaps[k] <= 0.10, (k, s_min, surrogate)
@@ -182,8 +173,7 @@ def test_criterion_06_randsvd_error_bound():
         sigma = np.linalg.svd(A, compute_uv=False)
         for k in range(6, 21):
             est = err_monte_carlo(
-                A, k, SketchSpec("gaussian", k=k, seed_stream=child_seed(SEED, 20, k)),
-                trials=50)
+                A, SketchSpec("gaussian", k=k, seed_stream=child_seed(SEED, 20, k)), trials=50)
             bound, _ = err_upper_bound_min_p(sigma, k)
             assert np.isfinite(bound) and bound > 0.0, (name, k)
             assert est.mean <= bound + 3 * est.stderr, (name, k, est.mean, bound)

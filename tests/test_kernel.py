@@ -85,9 +85,8 @@ def _loop_mean_P(A, spec, trials):
     return symmetrize(acc / trials)
 
 
-def _loop_err(A, k, spec, trials):
-    spec_k = replace(spec, k=k)
-    samples = [residual_error(A, _oracle_sketch(spec_k, A, t)) for t in range(trials)]
+def _loop_err(A, spec, trials):
+    samples = [residual_error(A, _oracle_sketch(spec, A, t)) for t in range(trials)]
     return np.mean(samples), np.std(samples, ddof=1) / np.sqrt(trials)
 
 
@@ -106,8 +105,8 @@ def test_expected_projection_matches_loop(name, trials):
 def test_err_monte_carlo_matches_loop(name, trials):
     A = _matrix()
     spec = _specs(A)[name]
-    est = err_monte_carlo(A, spec.k, spec, trials)
-    mean, stderr = _loop_err(A, spec.k, spec, trials)
+    est = err_monte_carlo(A, spec, trials)
+    mean, stderr = _loop_err(A, spec, trials)
     assert est.trials == trials
     _close(est.mean, mean)
     _close(est.stderr, stderr)
@@ -131,7 +130,8 @@ def test_given_factor_is_used_as_is():
     spec = _specs(A)["gaussian"]
     assert np.array_equal(expected_projection(A, spec, 20, R).mean_P,
                           expected_projection(A, spec, 20).mean_P)
-    assert err_monte_carlo(A, 3, spec, 20, R) == err_monte_carlo(A, 3, spec, 20)
+    spec3 = replace(spec, k=3)
+    assert err_monte_carlo(A, spec3, 20, R) == err_monte_carlo(A, spec3, 20)
 
 
 @pytest.mark.parametrize("block", [1, 7])
@@ -140,10 +140,10 @@ def test_results_do_not_depend_on_blocking(monkeypatch, name, block):
     A = _matrix()
     spec = _specs(A)[name]
     P = expected_projection(A, spec, 33)
-    err = err_monte_carlo(A, 3, spec, 33)
+    err = err_monte_carlo(A, replace(spec, k=3), 33)
     monkeypatch.setattr(sketch, "TRIAL_BLOCK", block)
     _close(expected_projection(A, spec, 33).mean_P, P.mean_P)
-    blocked = err_monte_carlo(A, 3, spec, 33)
+    blocked = err_monte_carlo(A, replace(spec, k=3), 33)
     _close(blocked.mean, err.mean)
     _close(blocked.stderr, err.stderr)
 

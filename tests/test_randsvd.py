@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from sketchsolve import randsvd
 from sketchsolve.matgen import SpectralProfile, gen_gaussian_unit_rows, gen_spectral_matrix
 from sketchsolve.randsvd import (
     best_rank_error,
+    err_km1,
     err_monte_carlo,
     err_upper_bound,
     err_upper_bound_min_p,
@@ -89,35 +91,50 @@ class TestResidualError:
 
 
 class TestErrMonteCarlo:
-    def test_k_zero_exact(self):
-        A = np.random.default_rng(4).standard_normal((10, 5))
-        est = err_monte_carlo(A, 0, SketchSpec("gaussian", k=1), trials=10)
-        assert est.mean == pytest.approx(float(np.sum(A * A)))
-        assert est.stderr == 0.0 and est.trials == 0
-
     def test_identity_mean_n_minus_k(self):
         n, k = 40, 7
-        est = err_monte_carlo(np.eye(n), k, SketchSpec("gaussian", k=k, seed_stream=5), 30)
+        est = err_monte_carlo(np.eye(n), SketchSpec("gaussian", k=k, seed_stream=5), 30)
         assert abs(est.mean - (n - k)) <= 3 * est.stderr + 1e-9
 
     def test_monotone_in_k(self):
         A = gen_gaussian_unit_rows(80, 12, seed=6)
-        spec = SketchSpec("gaussian", k=1, seed_stream=7)
-        prev = err_monte_carlo(A, 3, spec, 40)
+        prev = err_monte_carlo(A, SketchSpec("gaussian", k=3, seed_stream=7), 40)
         for k in (4, 6, 9):
-            cur = err_monte_carlo(A, k, spec, 40)
+            cur = err_monte_carlo(A, SketchSpec("gaussian", k=k, seed_stream=7), 40)
             assert cur.mean <= prev.mean + 3 * (cur.stderr + prev.stderr)
             prev = cur
 
     def test_best_rank_floor(self):
         A = gen_spectral_matrix(SpectralProfile.polynomial(1.5, 12), 50, seed=8)
         sigma = np.linalg.svd(A, compute_uv=False)
-        est = err_monte_carlo(A, 4, SketchSpec("gaussian", k=4, seed_stream=9), 40)
+        est = err_monte_carlo(A, SketchSpec("gaussian", k=4, seed_stream=9), 40)
         assert best_rank_error(sigma, 4) <= est.mean + 3 * est.stderr
 
     def test_trials_lower_bound(self):
         with pytest.raises(ValueError):
-            err_monte_carlo(np.eye(4), 2, SketchSpec("gaussian", k=2), trials=1)
+            err_monte_carlo(np.eye(4), SketchSpec("gaussian", k=2), trials=1)
+
+
+class TestErrKm1:
+    def test_k_one_exact(self, monkeypatch):
+        # Err(A, 0) = ||A||_F^2: the empty projection needs no sketch
+        A = np.random.default_rng(4).standard_normal((10, 5))
+        monkeypatch.setattr(randsvd, "err_monte_carlo", None)
+        est = err_km1(A, 1, seed_stream=3, trials=10)
+        assert est.mean == float(np.sum(A * A))
+        assert est.stderr == 0.0 and est.trials == 0
+
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_matches_explicit_gaussian_spec(self, k):
+        A = gen_spectral_matrix(SpectralProfile.polynomial(1.5, 12), 50, seed=8)
+        ref = err_monte_carlo(A, SketchSpec("gaussian", k=k - 1, seed_stream=23), 20)
+        assert err_km1(A, k, 23, 20) == ref
+        assert err_km1(A, k, 23, 20, R=np.linalg.qr(A, mode="r")) == ref
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, k):
+        with pytest.raises(ValueError, match="k >= 1"):
+            err_km1(np.eye(4), k, 0, 10)
 
 
 class TestErrUpperBound:
@@ -157,7 +174,7 @@ class TestErrUpperBound:
         ]:
             sigma = np.linalg.svd(A, compute_uv=False)
             for k in (6, 10, 14):
-                est = err_monte_carlo(A, k, SketchSpec("gaussian", k=k, seed_stream=3), 40)
+                est = err_monte_carlo(A, SketchSpec("gaussian", k=k, seed_stream=3), 40)
                 bound, _ = err_upper_bound_min_p(sigma, k)
                 assert np.isfinite(bound) and bound > 0
                 assert est.mean <= bound + 3 * est.stderr, (name, k)

@@ -119,9 +119,8 @@ class TestReducedCallers:
     def test_err_monte_carlo_matches_residual_error(self):
         A = _matrix()
         Q = _known_q(A)
-        spec = SketchSpec("gaussian", k=2, seed_stream=21)
-        est = err_monte_carlo(A, 3, spec, trials=6)
         spec3 = SketchSpec("gaussian", k=3, seed_stream=21)
+        est = err_monte_carlo(A, spec3, trials=6)
         samples = [residual_error(A, _lifted(spec3, Q, t)) for t in range(6)]
         _close(est.mean, np.mean(samples))
         _close(est.stderr, np.std(samples, ddof=1) / np.sqrt(6))
@@ -129,7 +128,7 @@ class TestReducedCallers:
     def test_err_monte_carlo_exact_for_other_families(self):
         A = _matrix()
         for spec in _other_specs(A):
-            est = err_monte_carlo(A, spec.k, spec, trials=5)
+            est = err_monte_carlo(A, spec, trials=5)
             samples = [residual_error(A, draw_sketch(spec, A.shape[0], t)) for t in range(5)]
             _close(est.mean, np.mean(samples))
 

@@ -178,12 +178,12 @@ def test_solve_matches_per_key_loop(spec, trial, monkeypatch):
 def test_trial_kernel_matches_per_key_loop(spec, monkeypatch):
     trials = 70  # two stream batches, five trial blocks
     est = expected_projection(A_TALL, spec, trials)
-    err = err_monte_carlo(A_TALL, spec.k, spec, trials)
+    err = err_monte_carlo(A_TALL, spec, trials)
     with monkeypatch.context() as patch:
         _per_key(patch, sketch, "sketch_times", lambda t: t)
         ref_est = expected_projection(A_TALL, spec, trials)
     _per_key(monkeypatch, sketch, "sketch_times", lambda t: t)
-    ref_err = err_monte_carlo(A_TALL, spec.k, spec, trials)
+    ref_err = err_monte_carlo(A_TALL, spec, trials)
     assert np.array_equal(est.mean_P, ref_est.mean_P)
     assert err.mean == ref_err.mean and err.stderr == ref_err.stderr
 

@@ -102,6 +102,16 @@ class TestDrawSketch:
         with pytest.raises(ValueError, match="sampling"):
             draw_sketch(spec, 10)
 
+    def test_less_cdf_built_once_per_spec(self, monkeypatch):
+        A = gen_gaussian_unit_rows(60, 8, seed=4)
+        spec = SketchSpec("less", k=5, s=7, sampling=build_less_distribution(A).probabilities,
+                          seed_stream=9)
+        calls, cumsum = [], np.cumsum
+        monkeypatch.setattr(np, "cumsum", lambda *a, **kw: calls.append(a) or cumsum(*a, **kw))
+        for t in range(50):
+            draw_sketch(spec, 60, t)
+        assert len(calls) == 1
+
     def test_sparse_row_support(self):
         A = gen_gaussian_unit_rows(60, 8, seed=4)
         p = build_less_distribution(A).probabilities

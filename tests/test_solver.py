@@ -324,7 +324,7 @@ class TestBlockKernel:
         system, spec = _kernel_case("row_sampling", metric, A=A, k=4)
         cfg = SolverConfig(sketch=spec, max_iters=120, stop_tol=1e-300)
         blocks, guard_failed = [], []
-        cholesky, project = np.linalg.cholesky, solver._project
+        cholesky, solve_psd = np.linalg.cholesky, solver.solve_psd
 
         def stacked_cholesky(W):
             if W.ndim == 3:
@@ -334,13 +334,13 @@ class TestBlockKernel:
                 return L
             return cholesky(W)
 
-        def counted_project(*args):
-            out = project(*args)
+        def counted_solve_psd(*args, **kwargs):
+            out = solve_psd(*args, **kwargs)
             guard_failed.append(out[1] and blocks[-1] == "factored")
             return out
 
         monkeypatch.setattr(np.linalg, "cholesky", stacked_cholesky)
-        monkeypatch.setattr(solver, "_project", counted_project)
+        monkeypatch.setattr(solver, "solve_psd", counted_solve_psd)
         solve(system, cfg, 2)
         monkeypatch.undo()
         assert "raised" in blocks and any(guard_failed)

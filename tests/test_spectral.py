@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sketchsolve.matgen import SpectralProfile, gen_gaussian_unit_rows, gen_spectral_matrix
-from sketchsolve.randsvd import err_monte_carlo
+from sketchsolve.randsvd import err_km1
 from sketchsolve.sketch import SketchSpec, draw_sketch
 from sketchsolve.spectral import (
     decay_rate_bound,
@@ -85,7 +85,7 @@ class TestGammaImplicit:
         sigma_sq = np.linalg.svd(A, compute_uv=False) ** 2
         k = 5
         g_bar = gamma_implicit(sigma_sq, k)
-        est = err_monte_carlo(A, k - 1, SketchSpec("gaussian", k=k - 1, seed_stream=12), 50)
+        est = err_km1(A, k, 12, 50)
         g_mc = k / est.mean
         rel_stderr = est.stderr / est.mean
         assert abs(g_bar - g_mc) / g_bar <= 0.1 + 3 * rel_stderr
@@ -136,8 +136,7 @@ class TestSurrogateRate:
         sig_min_sq = float(np.linalg.svd(A, compute_uv=False)[-1] ** 2)
         n = 20
         for k in (2, 5, 10):
-            est = err_monte_carlo(A, k - 1, SketchSpec("gaussian", k=max(k - 1, 1),
-                                                       seed_stream=15), 30)
+            est = err_km1(A, k, 15, 30)
             gamma = k / est.mean
             lhs = surrogate_rate(sig_min_sq, gamma, 0.0)
             rhs = (1.0 - k / n) * k * sig_min_sq / est.mean
@@ -224,20 +223,11 @@ class TestRateBoundSet:
 
         A = gen_gaussian_unit_rows(400, 20, seed=40)
         sigma = np.linalg.svd(A, compute_uv=False)
-        est = err_monte_carlo(A, 4, SketchSpec("gaussian", k=4, seed_stream=41), 30)
-        bounds = rate_bound_set(sigma, 5, est.mean, decay_kind="general")
+        est = err_km1(A, 5, 41, 30)
+        bounds = rate_bound_set(sigma, 5, est.mean)
         # Err(A, k-1) <= ||A||_F^2, so the simple bound is the weakest form
         assert bounds.simple <= bounds.gaussian.bound / (1.0 - bounds.gaussian.epsilon)
-        assert bounds.variant is not None and bounds.variant > 0.0
         assert 0.0 < bounds.surrogate < 1.0
-        assert bounds.decay == pytest.approx(bounds.simple)
-
-    def test_variant_omitted_outside_range(self):
-        from sketchsolve.spectral import rate_bound_set
-
-        sigma = np.ones(16)
-        bounds = rate_bound_set(sigma, 10, 6.0)  # k >= (sqrt(16)-2)^2 = 4
-        assert bounds.variant is None
 
 
 class TestSurrogateVsEmpirical:
@@ -260,7 +250,7 @@ class TestSurrogateVsEmpirical:
         eps_hat = 5.0 / math.sqrt(r)
         k = 5
         est = expected_projection(A, SketchSpec("rademacher", k=k, seed_stream=18), 500)
-        err = err_monte_carlo(A, k - 1, SketchSpec("gaussian", k=k - 1, seed_stream=19), 50)
+        err = err_km1(A, k, 19, 50)
         lam_bar = np.sort(surrogate_eigenvalues(svals**2, k / err.mean))[::-1]
         ratio = est.eigenvalues / lam_bar
         assert np.all(ratio >= 1.0 - eps_hat)
