@@ -42,10 +42,14 @@ SUBGAUSSIAN_CONST = 1.0
 class ConvexObjective:
     """Callbacks for a smooth convex function: value, gradient, Hessian, and
     the per-point oracle ``at(x)`` that :func:`rsn_step` and :func:`rsn_solve`
-    read.  ``at(x)`` returns ``(f(x), grad f(x), S -> S H(x) S^T,
-    d -> (eta -> f(x + eta d)))``; by default it is built from the other
-    callbacks, with ``hessian(x)`` sketched from both sides, so an objective
-    can instead share work between them at x."""
+    read.  ``at(x)`` returns the point ``(f(x), grad f(x), sketched)``;
+    ``sketched(S)`` returns ``(S H(x) S^T, line)``, and ``line(d, z)``, for the
+    direction ``d = -S^T z``, returns ``along``; ``along(eta)`` returns
+    ``(f(x + eta d), move)``, with ``move()`` the point at ``x + eta d``.  So f
+    at an accepted point comes from the line search, not a fresh evaluation.
+    By default the oracle is built from the other callbacks, with
+    ``hessian(x)`` sketched from both sides, so an objective can instead
+    share work between them at x."""
 
     dim: int
     value: Callable[[np.ndarray], float]
@@ -55,9 +59,24 @@ class ConvexObjective:
 
     def __post_init__(self):
         if self.at is None:
-            self.at = lambda x: (float(self.value(x)), self.gradient(x),
-                                 lambda S: _sandwich(S, self.hessian(x)),
-                                 lambda d: lambda eta: self.value(x + eta * d))
+            self.at = lambda x: _default_point(self, x, float(self.value(x)))
+
+
+def _default_point(obj: ConvexObjective, x: np.ndarray, f: float) -> tuple:
+    """The oracle's point at x, with ``f = value(x)``, from ``obj``'s callbacks."""
+
+    def sketched(S):
+        def line(d, z):
+            def along(eta):
+                x_eta = x + eta * d
+                f_eta = float(obj.value(x_eta))
+                return f_eta, lambda: _default_point(obj, x_eta, f_eta)
+
+            return along
+
+        return _sandwich(S, obj.hessian(x)), line
+
+    return f, obj.gradient(x), sketched
 
 
 @dataclass
@@ -85,17 +104,19 @@ def _sandwich(S, H: np.ndarray) -> np.ndarray:
     return symmetrize(apply_sketch(S, apply_sketch(S, H).T))
 
 
-def _newton_direction(W: np.ndarray, g: np.ndarray, S, dim: int) -> np.ndarray:
-    """Sketched Newton direction ``-S^T W^+ S g`` for ``W = S H S^T``."""
+def _newton_direction(W: np.ndarray, g: np.ndarray, S, dim: int):
+    """Sketched Newton direction ``d = -S^T z``, ``z = W^+ S g`` for
+    ``W = S H S^T``; returns ``(d, z)``."""
     z, _ = solve_psd(W, apply_sketch(S, g), n_ambient=dim)
-    return -apply_sketch_t(S, z)
+    return -apply_sketch_t(S, z), z
 
 
 def rsn_step(obj: ConvexObjective, x: np.ndarray, S, eta: float = 1.0) -> np.ndarray:
     """One sketched Newton step ``x - eta * S^T (S H S^T)^+ S g``, with g and
     ``S H S^T`` from ``obj.at(x)``."""
-    _, g, sketched_hessian, _ = obj.at(x)
-    return x + eta * _newton_direction(sketched_hessian(S), g, S, obj.dim)
+    _, g, sketched = obj.at(x)
+    d, _ = _newton_direction(sketched(S)[0], g, S, obj.dim)
+    return x + eta * d
 
 
 def rsn_solve(
@@ -108,41 +129,51 @@ def rsn_solve(
 ):
     """Iterate RSN with Armijo backtracking until the gradient norm <= tol.
 
-    Each step makes one ``obj.at(x)`` call and calls nothing else on ``obj``;
-    step t draws its sketch from the stream keyed by ``(*trial, t)``, seated
-    in batches (:func:`rng.streams`).  The line search starts at eta = 1,
-    halves the step, and requires the sufficient decrease
+    The run makes one ``obj.at(x0)`` call and calls nothing else on ``obj``:
+    each accepted point comes from the line search's ``move()``, so there is
+    one oracle evaluation per accepted point, and a skipped step reuses the
+    point it started from.  Step t draws its sketch from the stream keyed by
+    ``(*trial, t)``, seated in batches (:func:`rng.streams`).  The line search
+    starts at eta = 1, halves the step, and requires the sufficient decrease
     ``f(x + eta d) <= f(x) + 1e-4 eta <g, d>``; after 50 shrinks the
-    iteration is skipped and retried with a fresh sketch.
+    iteration is skipped and retried with a fresh sketch.  Raises
+    ``ValueError`` unless x0 has shape ``(obj.dim,)`` and max_iters is an
+    integer >= 1.
     """
     x = np.asarray(x0, dtype=float).copy()
+    if x.shape != (obj.dim,):
+        raise ValueError(f"x0 has shape {x.shape}, expected ({obj.dim},)")
+    if isinstance(max_iters, bool) or not isinstance(max_iters, (int, np.integer)) \
+            or max_iters < 1:
+        raise ValueError(f"max_iters must be an integer >= 1, got {max_iters!r}")
     key = as_key(trial)
     trace = NewtonTrace()
+    f_x, g, sketched = obj.at(x)
     for rng in streams(spec.seed_stream, (key + (t,) for t in range(max_iters))):
-        f_x, g, sketched_hessian, line = obj.at(x)
         gnorm = float(np.linalg.norm(g))
-        if gnorm <= tol:
-            trace.f.append(f_x)
-            trace.grad_norm.append(gnorm)
-            break
-        S = draw_sketch(spec, obj.dim, trial=rng)
-        d = _newton_direction(sketched_hessian(S), g, S, obj.dim)
-        slope = float(g @ d)
-        eta = 1.0
-        accepted = False
-        if slope < 0.0:
-            f_along = line(d)
-            for _ in range(50):
-                if f_along(eta) <= f_x + 1e-4 * eta * slope:
-                    accepted = True
-                    break
-                eta *= 0.5
-        if accepted:
-            x = x + eta * d
-        else:
-            trace.line_search_failures += 1
         trace.f.append(f_x)
         trace.grad_norm.append(gnorm)
+        if gnorm <= tol:
+            break
+        S = draw_sketch(spec, obj.dim, trial=rng)
+        W, line = sketched(S)
+        d, z = _newton_direction(W, g, S, obj.dim)
+        slope = float(g @ d)
+        eta = 1.0
+        accepted = None
+        if slope < 0.0:
+            along = line(d, z)
+            for _ in range(50):
+                f_eta, move = along(eta)
+                if f_eta <= f_x + 1e-4 * eta * slope:
+                    accepted = move
+                    break
+                eta *= 0.5
+        if accepted is None:
+            trace.line_search_failures += 1
+        else:
+            x = x + eta * d
+            f_x, g, sketched = accepted()
     return x, trace
 
 
@@ -219,8 +250,10 @@ def logistic_objective(X: np.ndarray, y: np.ndarray, ridge: float) -> ConvexObje
     f(w) = (1/N) sum_i log(1 + exp(-y_i x_i^T w)) + (ridge/2) ||w||^2.
     The sketched Hessian ``Y^T diag(c) Y / N + ridge S S^T``, ``Y = X S^T``,
     never forms the d x d Hessian ``X^T diag(c) X / N + ridge I``.  Every
-    callback starts from the margins ``y * (X w)``; ``at`` computes them once
-    for f, the gradient and the curvatures.
+    callback starts from the margins ``y * (X w)``.  The oracle reads X twice
+    per point, for the gradient and for ``Y^T = S X^T``: the margins along
+    ``d = -S^T z`` are ``-y * (Y z)``, and the line search's accepted trial
+    carries its margins and f into the next point.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -228,15 +261,27 @@ def logistic_objective(X: np.ndarray, y: np.ndarray, ridge: float) -> ConvexObje
         raise ValueError("ridge must be positive (strong convexity)")
     if set(np.unique(y)) - {-1.0, 1.0}:
         raise ValueError("labels must be +/-1")
-    N, d = X.shape
+    logistic = _Logistic(X, y, ridge)
+    return ConvexObjective(dim=X.shape[1], value=logistic.value, gradient=logistic.gradient,
+                           hessian=logistic.hessian, at=logistic.at)
 
-    def margins(w):
-        return y * (X @ w)
 
-    def loss(m, w):
+class _Logistic:
+    """The callbacks of :func:`logistic_objective`.  A module-level class, so
+    that the oracle's points hold X without a reference cycle (a closure that
+    builds the next point from itself keeps X alive until a full GC)."""
+
+    def __init__(self, X: np.ndarray, y: np.ndarray, ridge: float):
+        self.X, self.y, self.ridge = X, y, ridge
+
+    def margins(self, w):
+        return self.y * (self.X @ w)
+
+    def loss(self, m, w):
         """f at w from its margins m = y * (X w)."""
-        return float(np.mean(np.logaddexp(0.0, -m)) + 0.5 * ridge * (w @ w))
+        return float(np.mean(np.logaddexp(0.0, -m)) + 0.5 * self.ridge * (w @ w))
 
+    @staticmethod
     def sigmoids(m):
         """sigma(-m) and the curvatures c = sigma(m) sigma(-m) at the margins m,
         from ``exp(-|m|) <= 1`` so that nothing overflows."""
@@ -244,37 +289,46 @@ def logistic_objective(X: np.ndarray, y: np.ndarray, ridge: float) -> ConvexObje
         inv = 1.0 / (1.0 + e)
         return np.where(m >= 0.0, e * inv, inv), e * inv * inv
 
-    def grad(sig_neg, w):
-        return -(X.T @ (y * sig_neg)) / N + ridge * w
+    def grad(self, sig_neg, w):
+        return -(self.X.T @ (self.y * sig_neg)) / self.X.shape[0] + self.ridge * w
 
-    def sandwich(curv, S):
-        Z = densify(S)  # k x d
-        Y = X @ Z.T  # N x k
-        return symmetrize((Y.T * curv) @ Y / N + ridge * (Z @ Z.T))
+    def value(self, w):
+        return self.loss(self.margins(w), w)
 
-    def hessian(w):
-        _, curv = sigmoids(margins(w))
-        return (X.T * curv) @ X / N + ridge * np.eye(d)
+    def gradient(self, w):
+        return self.grad(self.sigmoids(self.margins(w))[0], w)
 
-    def at(w):
-        """One pass over X at w; f(w + eta d) then reads the margins
-        ``m + eta * (y * X d)`` from one more pass per direction d."""
-        m = margins(w)
-        sig_neg, curv = sigmoids(m)
+    def hessian(self, w):
+        _, curv = self.sigmoids(self.margins(w))
+        X = self.X
+        return (X.T * curv) @ X / X.shape[0] + self.ridge * np.eye(X.shape[1])
 
-        def line(direction):
-            m_d = margins(direction)
-            return lambda eta: loss(m + eta * m_d, w + eta * direction)
+    def at(self, w):
+        m = self.margins(w)
+        return self.point(w, m, self.loss(m, w))
 
-        return loss(m, w), grad(sig_neg, w), lambda S: sandwich(curv, S), line
+    def point(self, w, m, f):
+        """The oracle's point at w from its margins m and ``f = loss(m, w)``."""
+        sig_neg, curv = self.sigmoids(m)
 
-    return ConvexObjective(
-        dim=d,
-        value=lambda w: loss(margins(w), w),
-        gradient=lambda w: grad(sigmoids(margins(w))[0], w),
-        hessian=hessian,
-        at=at,
-    )
+        def sketched(S):
+            Z = densify(S)  # k x d
+            Yt = apply_sketch(Z, self.X.T)  # (X S^T)^T, k x N
+            W = symmetrize((Yt * curv) @ Yt.T / Yt.shape[1] + self.ridge * (Z @ Z.T))
+
+            def line(d, z):
+                m_d = -(self.y * (z @ Yt))  # y * X d, as X d = -X S^T z
+
+                def along(eta):
+                    m_eta, w_eta = m + eta * m_d, w + eta * d
+                    f_eta = self.loss(m_eta, w_eta)
+                    return f_eta, lambda: self.point(w_eta, m_eta, f_eta)
+
+                return along
+
+            return W, line
+
+        return f, self.grad(sig_neg, w), sketched
 
 
 def quadratic_objective(H: np.ndarray, b: np.ndarray) -> ConvexObjective:

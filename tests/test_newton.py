@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -124,6 +127,20 @@ class TestRsnSolve:
 
         assert iters(1) > iters(10)
 
+    def test_bad_x0_rejected(self):
+        obj = quadratic_objective(np.eye(3), np.ones(3))
+        spec = SketchSpec("gaussian", k=2, seed_stream=12)
+        for x0 in (np.zeros(2), np.zeros((3, 1)), 0.0):
+            with pytest.raises(ValueError, match=r"expected \(3,\)"):
+                rsn_solve(obj, x0, spec)
+
+    @pytest.mark.parametrize("max_iters", [0, -1, 2.0, True, "5"])
+    def test_bad_max_iters_rejected(self, max_iters):
+        obj = quadratic_objective(np.eye(3), np.ones(3))
+        spec = SketchSpec("gaussian", k=2, seed_stream=12)
+        with pytest.raises(ValueError, match="max_iters must be an integer >= 1"):
+            rsn_solve(obj, np.zeros(3), spec, max_iters=max_iters)
+
     def test_line_search_failure_skips_iteration(self):
         # sampling concentrated on a coordinate with zero gradient gives
         # S grad = 0, a null direction that cannot decrease f
@@ -158,7 +175,7 @@ class TestSketchedHessian:
         for t in range(3):
             S = draw_sketch(spec, 9, trial=t)
             ref = _sandwich(S, obj.hessian(w))
-            np.testing.assert_allclose(obj.at(w)[2](S), ref, rtol=1e-12,
+            np.testing.assert_allclose(obj.at(w)[2](S)[0], ref, rtol=1e-12,
                                        atol=1e-12 * np.abs(ref).max())
 
     def test_logistic_oracle_sums_repeated_indices(self):
@@ -169,7 +186,7 @@ class TestSketchedHessian:
         assert any(np.unique(row).size < row.size for row in S.indices)
         w = np.random.default_rng(36).standard_normal(5)
         ref = _sandwich(S, obj.hessian(w))
-        np.testing.assert_allclose(obj.at(w)[2](S), ref, rtol=1e-12,
+        np.testing.assert_allclose(obj.at(w)[2](S)[0], ref, rtol=1e-12,
                                    atol=1e-12 * np.abs(ref).max())
 
     @pytest.mark.parametrize("family", ["gaussian", "less_uniform"])
@@ -202,31 +219,155 @@ class TestSketchedHessian:
         assert calls == []
 
 
+def _recording(obj, steps):
+    """``obj`` with its oracle wrapped: each sketched step appends ``(g, d,
+    trials)`` to ``steps``, with trials the ``(eta, f(x + eta d))`` pairs its
+    line search tried (d is None and trials empty if it made none)."""
+
+    def spy(point):
+        f, g, sketched = point
+
+        def spy_sketched(S):
+            W, line = sketched(S)
+            step = [g, None, []]
+            steps.append(step)
+
+            def spy_line(d, z):
+                along = line(d, z)
+                step[1] = d
+
+                def spy_along(eta):
+                    f_eta, move = along(eta)
+                    step[2].append((eta, f_eta))
+                    return f_eta, lambda: spy(move())
+
+                return spy_along
+
+            return W, spy_line
+
+        return f, g, spy_sketched
+
+    return ConvexObjective(obj.dim, obj.value, obj.gradient, obj.hessian,
+                           at=lambda w: spy(obj.at(w)))
+
+
+def _iterates(x0, steps, f):
+    """The points an RSN run visited, replayed from :func:`_recording`'s steps
+    and the run's ``trace.f``: a step moves by its last trial eta when that
+    trial passed the Armijo test."""
+    xs = [np.asarray(x0, dtype=float)]
+    for (g, d, trials), f_x in zip(steps, f):
+        x = xs[-1]
+        if trials:
+            eta, f_eta = trials[-1]
+            if f_eta <= f_x + 1e-4 * eta * float(g @ d):
+                x = x + eta * d
+        xs.append(x)
+    return xs
+
+
 class TestPointOracle:
     @pytest.mark.parametrize("family", ["gaussian", "less_uniform", "row_sampling"])
     def test_logistic_oracle_matches_default_oracle(self, family):
         # a far start makes some steps backtrack, so the line search along
-        # X d is checked against value(x + eta d) at several eta
+        # X d = -(X S^T) z is checked against value(x + eta d) at several eta;
+        # the logistic oracle carries f and the margins from its line search,
+        # so x, f and the gradient norm agree to rounding, the decisions exactly
         X, y = _logistic_data(60, 8, seed=41)
         obj = logistic_objective(X, y, ridge=1e-4)
-        value_calls = []
 
-        def value(w):
-            value_calls.append(1)
-            return obj.value(w)
+        def fresh(w):
+            """The point at w from value and gradient, with no state carried."""
+            def sketched(S):
+                def line(d, z):
+                    return lambda eta: (obj.value(w + eta * d), lambda: fresh(w + eta * d))
+                return obj.at(w)[2](S)[0], line
+            return obj.value(w), obj.gradient(w), sketched
 
-        generic = ConvexObjective(8, value, obj.gradient, obj.hessian, at=lambda w: (
-            float(value(w)), obj.gradient(w), obj.at(w)[2],
-            lambda d: lambda eta: value(w + eta * d)))
+        generic = ConvexObjective(8, obj.value, obj.gradient, obj.hessian, at=fresh)
         x0 = 5.0 * np.random.default_rng(41).standard_normal(8)
         spec = SketchSpec(family, k=3, s=3, seed_stream=42)
-        x, trace = rsn_solve(obj, x0, spec, max_iters=40, tol=1e-10)
-        x_ref, trace_ref = rsn_solve(generic, x0, spec, max_iters=40, tol=1e-10)
-        assert len(value_calls) > 2 * len(trace_ref.f)
-        np.testing.assert_array_equal(x, x_ref)
-        np.testing.assert_array_equal(trace.f, trace_ref.f)
-        np.testing.assert_array_equal(trace.grad_norm, trace_ref.grad_norm)
+        steps, steps_ref = [], []
+        x, trace = rsn_solve(_recording(obj, steps), x0, spec, max_iters=40, tol=1e-10)
+        x_ref, trace_ref = rsn_solve(_recording(generic, steps_ref), x0, spec,
+                                     max_iters=40, tol=1e-10)
+        etas = [[eta for eta, _ in step[2]] for step in steps]
+        assert etas == [[eta for eta, _ in step[2]] for step in steps_ref]
+        assert any(len(e) > 1 for e in etas)
+        assert len(trace.f) == len(trace_ref.f)
         assert trace.line_search_failures == trace_ref.line_search_failures
+        # the carried margins are within an ulp of y * (X x); along this
+        # far-start trajectory (curvatures near e^-75, ridge 1e-4) that grows
+        # to 1.4e-11 in f and 2.4e-11 in the gradient norm (less_uniform).
+        # test_carried_point_matches_fresh_evaluation pins the oracle itself
+        # to 1e-12 at the same iterates
+        np.testing.assert_allclose(x, x_ref, rtol=1e-10)
+        np.testing.assert_allclose(trace.f, trace_ref.f, rtol=1e-10)
+        np.testing.assert_allclose(trace.grad_norm, trace_ref.grad_norm, rtol=1e-10)
+
+    def test_carried_point_matches_fresh_evaluation(self):
+        # criterion 10's size, 500 steps with tol=0, so the run goes on into
+        # the regime where rounding decides the Armijo test: at every iterate
+        # the carried f agrees with value(x), the gradient with gradient(x)
+        # on the gradient's scale, and every decision that rounding cannot
+        # flip is the one value and gradient take
+        X, y = _logistic_data(500, 50, seed=47)
+        obj = logistic_objective(X, y, ridge=1e-2)
+        spec = SketchSpec("gaussian", k=10, seed_stream=48)
+        steps = []
+        x, trace = rsn_solve(_recording(obj, steps), np.zeros(50), spec, max_iters=500,
+                             tol=0.0)
+        xs = _iterates(np.zeros(50), steps, trace.f)
+        assert len(xs) == len(trace.f) + 1 == 501
+        np.testing.assert_array_equal(xs[-1], x)
+        np.testing.assert_allclose(trace.f, [obj.value(w) for w in xs[:-1]], rtol=1e-12)
+        grads = [obj.gradient(w) for w in xs[:-1]]
+        np.testing.assert_allclose(trace.grad_norm, np.linalg.norm(grads, axis=1), rtol=0.0,
+                                   atol=1e-12 * np.linalg.norm(grads[0]))
+        assert min(trace.grad_norm) < 1e-12
+        resolved = 0
+        for (g_carried, d, trials), w, f_w, g in zip(steps, xs, trace.f, grads):
+            f_fresh = obj.value(w)
+            for eta, f_eta in trials:
+                margin = obj.value(w + eta * d) - (f_fresh + 1e-4 * eta * float(g @ d))
+                if abs(margin) > 1e-12 * abs(f_fresh):
+                    resolved += 1
+                    assert (f_eta <= f_w + 1e-4 * eta * float(g_carried @ d)) == (margin <= 0.0)
+        assert resolved > 100
+
+    def test_default_oracle_carries_value_bitwise(self):
+        X, y = _logistic_data(60, 8, seed=49)
+        logistic = logistic_objective(X, y, ridge=1e-4)
+        obj = ConvexObjective(8, logistic.value, logistic.gradient, logistic.hessian)
+        x0 = 5.0 * np.random.default_rng(49).standard_normal(8)
+        steps = []
+        x, trace = rsn_solve(_recording(obj, steps), x0, SketchSpec("gaussian", k=3, seed_stream=50),
+                             max_iters=40, tol=1e-10)
+        xs = _iterates(x0, steps, trace.f)
+        assert any(len(trials) > 1 for _, _, trials in steps)
+        np.testing.assert_array_equal(xs[-1], x)
+        np.testing.assert_array_equal(trace.f, [obj.value(w) for w in xs[:len(trace.f)]])
+        np.testing.assert_array_equal(trace.grad_norm,
+                                      [np.linalg.norm(obj.gradient(w)) for w in xs[:len(trace.f)]])
+        for (_, d, trials), w in zip(steps, xs):
+            assert [f_eta for _, f_eta in trials] == [obj.value(w + eta * d) for eta, _ in trials]
+
+    @pytest.mark.parametrize("family", ["gaussian", "less_uniform"])
+    def test_no_reference_cycle_holds_X(self, family):
+        # the objective's points and closures must free X by reference
+        # counting alone, or each run keeps its data until a full collection
+        X, y = _logistic_data(100, 12, seed=51)
+        gc.disable()
+        try:
+            obj = logistic_objective(X, y, ridge=1e-2)
+            spec = SketchSpec(family, k=4, s=3, seed_stream=52)
+            _, trace = rsn_solve(obj, np.zeros(12), spec, max_iters=20, tol=0.0)
+            assert len(trace.f) == 20
+            ref = weakref.ref(X)
+            del obj, X
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_rsn_solve_reads_only_the_logistic_oracle(self):
         X, y = _logistic_data(100, 12, seed=43)
@@ -379,7 +520,7 @@ class TestLogisticObjective:
         # sigma(-800) underflows to 0 and sigma(1600) is 1: g = -(2 * -1) / 2 + 8
         np.testing.assert_allclose(obj.gradient(w), [9.0])
         np.testing.assert_allclose(obj.hessian(w), [[0.01]])  # curvatures underflow to 0
-        np.testing.assert_allclose(obj.at(w)[2](np.array([[2.0]])), [[0.04]])
+        np.testing.assert_allclose(obj.at(w)[2](np.array([[2.0]]))[0], [[0.04]])
         assert np.isfinite(obj.value(w))
 
     def test_bad_labels_rejected(self):
