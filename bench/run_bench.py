@@ -34,6 +34,8 @@ spectra (1000 x 50 and 4096 x 128) and k in {5, 10, 20, 40}:
   tolerance 1e-300) on a system built once, after one untimed run, so a
   tree that keeps the ``[A | b]`` factor with the system has it warm;
 - ``row_factor/<size>``: the factorization alone;
+- ``gen_matrix/<size>``: ``gen_spectral_matrix`` alone (the Gaussian draws,
+  both orthonormal frames and the product U diag(sigma) V^T);
 - ``set_up/<size>``: ``make_system`` plus ``build_less_distribution`` given the
   system's factor (A alone where the tree's signature takes no ``R``), the
   set-up of a CLI run with a ``less`` family;
@@ -190,6 +192,8 @@ def measure() -> dict:
             given_r = {"R": system.R} if takes_r[build_less_distribution] else {}
             build_less_distribution(system.A, **given_r)
 
+        case(f"gen_matrix/{size}",
+             lambda _: gen_spectral_matrix(SpectralProfile.polynomial(1.5, n), m, seed=1))
         case(f"set_up/{size}", set_up)
         system = make_system(A, seed=2) if (m, n) == SOLVE_SIZE else None
         for family in FAMILIES:

@@ -13,9 +13,9 @@ from .solver import IterLog, RateReport, SolverConfig, eigencomponent_decay, \
     estimate_rate, project_step, solve
 from .randsvd import ErrEstimate, LowRankFactorization, best_rank_error, err_km1, \
     err_monte_carlo, err_upper_bound, err_upper_bound_min_p, rand_svd, residual_error
-from .spectral import ProjectionEstimate, RateBoundSet, SurrogateSpec, decay_rate_bound, \
+from .spectral import ProjectionEstimate, RateBoundSet, decay_rate_bound, \
     expected_projection, gamma_implicit, gaussian_rate_bound, gaussian_rate_variant, \
-    rate_bound_set, surrogate_projection, surrogate_rate, surrogate_vs_empirical, worst_case_rate
+    rate_bound_set, surrogate_vs_empirical, worst_case_rate
 from .newton import ConvexObjective, NewtonTrace, full_newton, logistic_objective, \
     quadratic_objective, rho_certificate, rsn_solve, rsn_step
 
@@ -29,10 +29,9 @@ __all__ = [
     "estimate_rate", "project_step", "solve",
     "ErrEstimate", "LowRankFactorization", "best_rank_error", "err_km1", "err_monte_carlo",
     "err_upper_bound", "err_upper_bound_min_p", "rand_svd", "residual_error",
-    "ProjectionEstimate", "RateBoundSet", "SurrogateSpec", "decay_rate_bound",
+    "ProjectionEstimate", "RateBoundSet", "decay_rate_bound",
     "expected_projection", "gamma_implicit", "gaussian_rate_bound",
-    "gaussian_rate_variant", "rate_bound_set", "surrogate_projection", "surrogate_rate",
-    "surrogate_vs_empirical", "worst_case_rate",
+    "gaussian_rate_variant", "rate_bound_set", "surrogate_vs_empirical", "worst_case_rate",
     "ConvexObjective", "NewtonTrace", "full_newton", "logistic_objective",
     "quadratic_objective", "rho_certificate", "rsn_solve", "rsn_step",
 ]

@@ -141,6 +141,7 @@ class LinearSystem:
 
     @cached_property  # the solver's [A | b] and its factor, built on first use
     def _augmented(self) -> np.ndarray:
+        # make_system sets this to the one buffer that A and b are views of
         return np.column_stack([self.A, self.b])
 
     @cached_property
@@ -162,30 +163,46 @@ class LinearSystem:
         return float(np.sqrt(max(v @ (self.metric @ v), 0.0)))
 
 
-def _haar_columns(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    """Orthonormal (rows x cols) frame from a seeded Gaussian, Haar-distributed."""
-    G = rng.standard_normal((rows, cols))
+def _householder_frame(G: np.ndarray) -> np.ndarray:
+    """Q of the reduced Householder QR ``G = Q R``, its columns signed so that
+    diag R >= 0: a deterministic function of G, Haar-distributed for Gaussian G."""
     Q, R = np.linalg.qr(G)
-    # sign-fix so the frame is a deterministic function of G alone
     signs = np.sign(np.diag(R))
     signs[signs == 0] = 1.0
     return Q * signs
 
 
+def _cholesky_qr2_frame(G: np.ndarray) -> np.ndarray:
+    """:func:`_householder_frame` of a tall, well-conditioned G by CholeskyQR2
+    (two passes of ``Q <- Q chol(Q^T Q)^-T``): two Gram products and two small
+    triangular factors, never a Householder Q.  A Cholesky factor has a
+    positive diagonal, so this is the same Q.  A G whose Gram matrix Cholesky
+    cannot factor (rank-deficient) takes the Householder QR."""
+    Q = G
+    try:
+        for _ in range(2):
+            Q = Q @ np.linalg.inv(np.linalg.cholesky(Q.T @ Q)).T
+    except np.linalg.LinAlgError:
+        return _householder_frame(G)
+    return Q
+
+
 def gen_spectral_matrix(profile: SpectralProfile, m: int, seed: int) -> np.ndarray:
     """m x n matrix with singular values following ``profile`` (n = profile.count).
 
-    A = U diag(sigma) V^T with U, V orthonormal factors obtained from seeded
-    Gaussian matrices; the same seed reproduces the matrix bit-for-bit.
+    A = U diag(sigma) V^T with U (m x n, by CholeskyQR2) and V (n x n, by
+    Householder QR, since square Gaussians are ill-conditioned) the
+    orthonormal factors of seeded Gaussian matrices, drawn U first; the same
+    seed reproduces the matrix bit-for-bit.
     """
     sigma = profile.values()
     n = profile.count
     if m < n:
         raise ValueError(f"need m >= n, got m={m} n={n}")
     rng = stream(seed)
-    U = _haar_columns(rng, m, n)
-    V = _haar_columns(rng, n, n)
-    return (U * sigma) @ V.T
+    U = _cholesky_qr2_frame(rng.standard_normal((m, n)))
+    V = _householder_frame(rng.standard_normal((n, n)))
+    return U @ (sigma[:, None] * V.T)
 
 
 def gen_step_profile(break_r: int, head: SpectralProfile, tail: SpectralProfile) -> SpectralProfile:
@@ -272,13 +289,18 @@ def make_system(A: np.ndarray, seed: int, metric: np.ndarray | None = None) -> L
     the solution is ``x_seed`` itself; for rank-deficient A the retained
     solution is the least-norm least-squares solution of ``min ||Ax - b||``.
     A is factored here once, and the system keeps the factor and spectrum.
+    ``[A | b]`` is the system's one (m, n+1) array: A and b are its column
+    views, and the solver reads it whole.
     """
     A = np.asarray(A, dtype=float)
     if not np.all(np.isfinite(A)):
         raise ValueError("matrix has non-finite entries")
     m, n = A.shape
     x_seed = stream(seed).standard_normal(n)
-    b = A @ x_seed
+    Ab = np.empty((m, n + 1))
+    Ab[:, n] = A @ x_seed
+    Ab[:, :n] = A
+    A, b = Ab[:, :n], Ab[:, n]
     R = row_factor(A)
     sigma = np.linalg.svd(R, compute_uv=False)
     if numerical_rank(sigma, m, n) < n:
@@ -288,7 +310,9 @@ def make_system(A: np.ndarray, seed: int, metric: np.ndarray | None = None) -> L
     if metric is not None:
         check_spd(metric)
         metric = np.asarray(metric, dtype=float)
-    return LinearSystem(A=A, b=b, x_star=x_star, metric=metric, R=R, sigma=sigma)
+    system = LinearSystem(A=A, b=b, x_star=x_star, metric=metric, R=R, sigma=sigma)
+    system.__dict__["_augmented"] = Ab  # A and b are its column views
+    return system
 
 
 def save_matrix_csv(path, A: np.ndarray) -> None:

@@ -12,6 +12,7 @@ eigenvalue of E[H^{1/2} S^T (S H S^T)^+ S H^{1/2}].
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MethodType
 from typing import Callable
 
 import numpy as np
@@ -38,6 +39,21 @@ __all__ = [
 SUBGAUSSIAN_CONST = 1.0
 
 
+class _Oracle:
+    """The ``at`` field of :class:`ConvexObjective`: the oracle it was given, or
+    else the default oracle, bound to the objective when read, so an objective
+    holds no closure over itself (no reference cycle)."""
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return None  # the field's default
+        at = obj.__dict__["_at"]
+        return MethodType(_default_at, obj) if at is None else at
+
+    def __set__(self, obj, at):
+        obj.__dict__["_at"] = at
+
+
 @dataclass
 class ConvexObjective:
     """Callbacks for a smooth convex function: value, gradient, Hessian, and
@@ -55,11 +71,11 @@ class ConvexObjective:
     value: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
     hessian: Callable[[np.ndarray], np.ndarray]
-    at: Callable[[np.ndarray], tuple] | None = None
+    at: Callable[[np.ndarray], tuple] | None = _Oracle()
 
-    def __post_init__(self):
-        if self.at is None:
-            self.at = lambda x: _default_point(self, x, float(self.value(x)))
+
+def _default_at(obj: ConvexObjective, x: np.ndarray) -> tuple:
+    return _default_point(obj, x, float(obj.value(x)))
 
 
 def _default_point(obj: ConvexObjective, x: np.ndarray, f: float) -> tuple:

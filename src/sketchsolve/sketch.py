@@ -163,7 +163,7 @@ def leverage_scores(A: np.ndarray, R: np.ndarray | None = None) -> np.ndarray:
         raise ValueError("rank-deficient input: leverage scores undefined")
     if m < n:
         return np.ones(m)
-    return np.sum(np.linalg.solve(R.T, A.T) ** 2, axis=0)
+    return np.sum((A @ np.linalg.inv(R)) ** 2, axis=1)
 
 
 def build_less_distribution(A: np.ndarray, R: np.ndarray | None = None) -> LeverageDistribution:

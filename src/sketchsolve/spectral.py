@@ -2,9 +2,10 @@
 
 The worst-case convergence rate of a sketch-and-project solver equals the
 smallest eigenvalue of E[P], P = (SA)^+ SA.  This module estimates E[P] by
-Monte Carlo, evaluates the closed-form surrogate
-``gamma * Sigma (gamma * Sigma + I)^{-1}`` (Sigma = A^T A), and computes the
-family of closed-form lower bounds on the rate.
+Monte Carlo, evaluates the eigenvalues ``gamma s^2 / (gamma s^2 + 1)`` of the
+closed-form surrogate ``gamma * Sigma (gamma * Sigma + I)^{-1}`` (Sigma = A^T A,
+s its singular values), and computes the family of closed-form lower bounds
+on the rate.
 """
 
 from __future__ import annotations
@@ -15,13 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import orth_rowspace, symmetrize
-from .randsvd import ErrEstimate, err_km1
+from .randsvd import err_km1
 from .rng import child_seed
 from .sketch import SketchSpec, apply_sketch, row_factor, sketched_bases
 
 __all__ = [
     "ProjectionEstimate",
-    "SurrogateSpec",
     "GaussianRateBound",
     "RateBoundSet",
     "SurrogateComparison",
@@ -29,9 +29,7 @@ __all__ = [
     "rate_bound_set",
     "worst_case_rate",
     "gamma_implicit",
-    "surrogate_projection",
     "surrogate_eigenvalues",
-    "surrogate_rate",
     "gaussian_rate_bound",
     "gaussian_rate_variant",
     "decay_rate_bound",
@@ -47,15 +45,6 @@ class ProjectionEstimate:
     mean_P: np.ndarray
     trials: int
     eigenvalues: np.ndarray  # non-increasing, inside [-1e-8, 1 + 1e-8]
-
-
-@dataclass(frozen=True)
-class SurrogateSpec:
-    """Parameters of the surrogate for E[P]: eigenvalues g*s2/(g*s2 + 1)."""
-
-    gamma: float
-    sigma_sq: np.ndarray
-    mode: str  # "monte_carlo_gamma" | "implicit_gamma"
 
 
 @dataclass(frozen=True)
@@ -98,8 +87,14 @@ def rate_bound_set(sigma: np.ndarray, k: int, err_km1: float) -> RateBoundSet:
         k=k,
         simple=min(k * sig_min_sq / fro_sq, 1.0),
         gaussian=gaussian_rate_bound(sig_min_sq, err_km1, k, sigma.size),
-        surrogate=k * sig_min_sq / (k * sig_min_sq + err_km1),
+        surrogate=_surrogate_rate(sig_min_sq, k, err_km1),
     )
+
+
+def _surrogate_rate(sigma_min_sq: float, k: int, err_km1: float) -> float:
+    """The surrogate's smallest eigenvalue ``k s^2 / (k s^2 + Err(A, k-1))``,
+    s = sigma_min: ``g s^2 / (g s^2 + 1)`` at g = k / Err(A, k-1)."""
+    return k * sigma_min_sq / (k * sigma_min_sq + err_km1)
 
 
 @dataclass(frozen=True)
@@ -183,49 +178,6 @@ def gamma_implicit(sigma_sq: np.ndarray, k: int) -> float:
 def surrogate_eigenvalues(sigma_sq: np.ndarray, gamma: float) -> np.ndarray:
     x = gamma * np.asarray(sigma_sq, dtype=float)
     return x / (x + 1.0)
-
-
-def surrogate_projection(
-    A: np.ndarray,
-    k: int,
-    mode: str = "implicit_gamma",
-    err_km1: ErrEstimate | float | None = None,
-) -> tuple[SurrogateSpec, np.ndarray]:
-    """Surrogate matrix for E[P]: ``g A^T A (g A^T A + I)^{-1}``.
-
-    ``mode="monte_carlo_gamma"`` sets g = k / Err(A, k-1) from the supplied
-    estimate; ``mode="implicit_gamma"`` inverts the trace equation instead.
-    The returned matrix shares A's right-singular-vector eigenbasis.
-    """
-    A = np.asarray(A, dtype=float)
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    _, svals, Vt = np.linalg.svd(A, full_matrices=False)
-    sigma_sq = svals**2
-    if mode == "monte_carlo_gamma":
-        if err_km1 is None:
-            raise ValueError("monte_carlo_gamma mode needs an Err(A, k-1) estimate")
-        err_val = err_km1.mean if isinstance(err_km1, ErrEstimate) else float(err_km1)
-        if err_val <= 0.0:
-            raise ValueError("Err(A, k-1) must be positive")
-        gamma = k / err_val
-    elif mode == "implicit_gamma":
-        gamma = gamma_implicit(sigma_sq, k)
-    else:
-        raise ValueError(f"unknown gamma mode {mode!r}")
-    lam = surrogate_eigenvalues(sigma_sq, gamma)
-    P_bar = (Vt.T * lam) @ Vt
-    return SurrogateSpec(gamma=gamma, sigma_sq=sigma_sq, mode=mode), P_bar
-
-
-def surrogate_rate(sigma_min_sq: float, gamma: float, epsilon: float = 0.0) -> float:
-    """(1 - eps) * g * sigma_min^2 / (g * sigma_min^2 + 1)."""
-    if sigma_min_sq <= 0.0 or gamma <= 0.0:
-        raise ValueError("sigma_min_sq and gamma must be positive")
-    if not 0.0 <= epsilon < 1.0:
-        raise ValueError("epsilon must lie in [0, 1)")
-    x = gamma * sigma_min_sq
-    return (1.0 - epsilon) * x / (x + 1.0)
 
 
 def gaussian_rate_bound(sigma_min_sq: float, err_km1: float, k: int, n: int) -> GaussianRateBound:
@@ -337,7 +289,7 @@ def surrogate_vs_empirical(
     s_min = worst_case_rate(est)
     sigma_min_sq = float(np.linalg.svd(R, compute_uv=False)[-1] ** 2)
     err = err_km1(A, k, child_seed(spec.seed_stream, 1), err_trials, R)
-    surrogate = k * sigma_min_sq / (k * sigma_min_sq + err.mean)
+    surrogate = _surrogate_rate(sigma_min_sq, k, err.mean)
     rel_gap = abs(s_min - surrogate) / s_min if s_min > 0 else float("inf")
     return SurrogateComparison(
         s_min=s_min,

@@ -8,7 +8,8 @@ from sketchsolve.expcli.config import parse_config
 from sketchsolve.expcli.runner import run_experiment
 from sketchsolve.matgen import (LinearSystem, SpectralProfile, gen_gaussian_unit_rows,
                                 gen_spectral_matrix, make_system)
-from sketchsolve.sketch import leverage_scores, row_factor
+from sketchsolve.sketch import SketchSpec, leverage_scores, row_factor
+from sketchsolve.solver import SolverConfig, solve
 
 M, N = 60, 8
 
@@ -100,3 +101,27 @@ def test_leverage_scores_need_full_rank(case):
     for R in (make_system(A, seed=1).R, None):
         with pytest.raises(ValueError, match="rank-deficient"):
             leverage_scores(A, R)
+
+
+def test_leverage_scores_match_thin_svd_on_a_profile():
+    A = gen_spectral_matrix(SpectralProfile.polynomial(1.5, 50), 1000, seed=7)
+    U = np.linalg.svd(A, full_matrices=False)[0]
+    np.testing.assert_allclose(leverage_scores(A, make_system(A, seed=1).R),
+                               np.sum(U * U, axis=1), rtol=1e-12)
+
+
+@pytest.mark.parametrize("family", ["gaussian", "rademacher", "less_uniform", "row_sampling"])
+def test_solve_reads_the_shared_buffer_like_a_stacked_copy(family):
+    # make_system's [A | b] is one buffer with A and b as views; a hand-built
+    # system stacks copies of them: every step must be the same to the bit
+    system = make_system(gen_spectral_matrix(SpectralProfile.polynomial(1.5, 12), 90, seed=3),
+                         seed=4)
+    hand = LinearSystem(A=system.A.copy(), b=system.b.copy(), x_star=system.x_star)
+    config = SolverConfig(sketch=SketchSpec(family, k=4, s=5, seed_stream=6), max_iters=40,
+                          stop_tol=1e-300)
+    for trial in range(2):
+        x, log = solve(system, config, trial)
+        x_hand, log_hand = solve(hand, config, trial)
+        np.testing.assert_array_equal(x, x_hand)
+        for name in ("err", "dist", "rel_err", "fallback"):
+            np.testing.assert_array_equal(getattr(log, name), getattr(log_hand, name))

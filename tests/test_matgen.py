@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sketchsolve import matgen
 from sketchsolve.matgen import (
     LibsvmFormatError,
+    LinearSystem,
     SpectralProfile,
     gen_gaussian_unit_rows,
     gen_spectral_matrix,
@@ -13,7 +15,10 @@ from sketchsolve.matgen import (
     make_system,
     parse_libsvm,
     save_matrix_csv,
+    _cholesky_qr2_frame,
+    _householder_frame,
 )
+from sketchsolve.rng import stream
 
 
 class TestSpectralProfile:
@@ -114,6 +119,28 @@ class TestGenSpectralMatrix:
         prof = SpectralProfile.flat(10)
         with pytest.raises(ValueError):
             gen_spectral_matrix(prof, 5, seed=0)
+
+
+class TestHaarFrames:
+    """gen_spectral_matrix's m x n frame comes from CholeskyQR2, which must
+    give the signed Householder Q it replaces."""
+
+    @pytest.mark.parametrize("m,n", [(4096, 128), (1000, 50), (60, 15)])
+    def test_cholesky_qr2_is_the_signed_householder_q(self, m, n):
+        G = stream(m + n).standard_normal((m, n))
+        Q = _cholesky_qr2_frame(G)
+        assert np.abs(Q.T @ Q - np.eye(n)).max() <= n * np.finfo(float).eps
+        np.testing.assert_allclose(Q, _householder_frame(G), rtol=0.0, atol=1e-15)
+
+    def test_rank_deficient_input_takes_householder(self, monkeypatch):
+        G = stream(3).standard_normal((40, 6))
+        G[:, 2] = 0.0  # G^T G is singular: its Cholesky factorization fails
+        expected = _householder_frame(G)
+        calls = []
+        monkeypatch.setattr(matgen, "_householder_frame",
+                            lambda G: calls.append(1) or expected)
+        assert _cholesky_qr2_frame(G) is expected
+        assert calls == [1]
 
 
 class TestGaussianUnitRows:
@@ -229,6 +256,20 @@ class TestMakeSystem:
                 make_system(np.eye(3), seed=0, metric=metric)
         system = make_system(np.eye(3), seed=0, metric=np.diag([4.0, 1.0, 2.0]))
         assert system.metric_norm(np.array([1.0, 0.0, 0.0])) == pytest.approx(2.0)
+
+    def test_one_buffer_holds_a_and_b(self):
+        system = make_system(gen_gaussian_unit_rows(30, 5, seed=3), seed=4)
+        assert system._augmented.shape == (30, 6)
+        for view in (system.A, system.b):
+            assert np.shares_memory(view, system._augmented)
+        np.testing.assert_array_equal(system._augmented[:, :5], system.A)
+        np.testing.assert_array_equal(system._augmented[:, 5], system.b)
+
+    def test_hand_built_system_stacks_a_and_b(self):
+        A = gen_gaussian_unit_rows(30, 5, seed=3)
+        b = A @ np.ones(5)
+        system = LinearSystem(A=A, b=b, x_star=np.ones(5))
+        np.testing.assert_array_equal(system._augmented, np.column_stack([A, b]))
 
     def test_non_finite_rejected(self):
         A = np.eye(4)

@@ -369,6 +369,21 @@ class TestPointOracle:
         finally:
             gc.enable()
 
+    def test_default_oracle_is_no_reference_cycle(self):
+        # an objective without its own oracle must free its data (H, b) by
+        # reference counting alone, also after its default oracle has run
+        H = np.eye(300)
+        gc.disable()
+        try:
+            obj = quadratic_objective(H, np.ones(300))
+            rsn_solve(obj, np.zeros(300), SketchSpec("gaussian", k=4, seed_stream=53),
+                      max_iters=3, tol=0.0)
+            ref = weakref.ref(obj)
+            del obj
+            assert ref() is None
+        finally:
+            gc.enable()
+
     def test_rsn_solve_reads_only_the_logistic_oracle(self):
         X, y = _logistic_data(100, 12, seed=43)
         obj = logistic_objective(X, y, ridge=1e-2)

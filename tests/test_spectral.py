@@ -13,9 +13,8 @@ from sketchsolve.spectral import (
     gaussian_rate_bound,
     gaussian_rate_variant,
     projection_matrix,
+    rate_bound_set,
     surrogate_eigenvalues,
-    surrogate_projection,
-    surrogate_rate,
     surrogate_vs_empirical,
     worst_case_rate,
 )
@@ -91,60 +90,33 @@ class TestGammaImplicit:
         assert abs(g_bar - g_mc) / g_bar <= 0.1 + 3 * rel_stderr
 
 
-class TestSurrogateProjection:
-    def test_identity_monte_carlo_gamma(self):
-        # Err(I_n, k-1) = n - k + 1 exactly, so P_bar = (k / (n+1)) I
-        n, k = 40, 6
-        spec, P_bar = surrogate_projection(np.eye(n), k, "monte_carlo_gamma",
-                                           err_km1=float(n - k + 1))
-        np.testing.assert_allclose(P_bar, (k / (n + 1)) * np.eye(n), atol=1e-10)
-        assert spec.gamma == pytest.approx(k / (n - k + 1))
-
-    def test_eigenvalues_match_closed_form(self):
-        A = gen_spectral_matrix(SpectralProfile.polynomial(1.0, 15), 60, seed=13)
-        sigma_sq = np.linalg.svd(A, compute_uv=False) ** 2
-        spec, P_bar = surrogate_projection(A, 4, "implicit_gamma")
-        eigs = np.linalg.eigvalsh(P_bar)[::-1]
-        np.testing.assert_allclose(eigs, surrogate_eigenvalues(sigma_sq, spec.gamma),
-                                   atol=1e-10)
-
+class TestSurrogateEigenvalues:
     def test_gamma_limits(self):
         sigma_sq = np.array([2.0, 1.0, 0.5])
         assert np.all(surrogate_eigenvalues(sigma_sq, 1e12) > 1.0 - 1e-10)
         small = surrogate_eigenvalues(sigma_sq, 1e-9)
         np.testing.assert_allclose(small, 1e-9 * sigma_sq, rtol=1e-8)
 
-    def test_missing_err_estimate_rejected(self):
-        with pytest.raises(ValueError):
-            surrogate_projection(np.eye(5), 2, "monte_carlo_gamma")
-
 
 class TestSurrogateRate:
-    def test_half_at_unit_product(self):
-        assert surrogate_rate(1.0, 1.0, 0.0) == pytest.approx(0.5)
-
     def test_identity_implicit_gamma_gives_k_over_n(self):
-        # g = k/(n-k):  (k/(n-k)) / (k/(n-k) + 1) = k/n
+        # g = k/(n-k):  (k/(n-k)) / (k/(n-k) + 1) = k/n, with Err = k/g
         n, k = 50, 10
         g = gamma_implicit(np.ones(n), k)
-        assert surrogate_rate(1.0, g, 0.0) == pytest.approx(k / n, rel=1e-9)
+        assert rate_bound_set(np.ones(n), k, k / g).surrogate == pytest.approx(k / n, rel=1e-9)
 
     def test_dominates_flattened_form(self):
         # x/(x+1) >= (1 - k/n) x  whenever  Err >= (n-k) sigma_min^2,
         # which always holds;  checked with Monte-Carlo Err
         A = gen_gaussian_unit_rows(100, 20, seed=14)
-        sig_min_sq = float(np.linalg.svd(A, compute_uv=False)[-1] ** 2)
+        sigma = np.linalg.svd(A, compute_uv=False)
+        sig_min_sq = float(sigma[-1] ** 2)
         n = 20
         for k in (2, 5, 10):
             est = err_km1(A, k, 15, 30)
-            gamma = k / est.mean
-            lhs = surrogate_rate(sig_min_sq, gamma, 0.0)
+            lhs = rate_bound_set(sigma, k, est.mean).surrogate
             rhs = (1.0 - k / n) * k * sig_min_sq / est.mean
             assert lhs >= rhs - 1e-12
-
-    def test_epsilon_range(self):
-        with pytest.raises(ValueError):
-            surrogate_rate(1.0, 1.0, 1.0)
 
 
 class TestGaussianRateBound:
@@ -219,8 +191,6 @@ class TestDecayRateBound:
 
 class TestRateBoundSet:
     def test_ordering_and_contents(self):
-        from sketchsolve.spectral import rate_bound_set
-
         A = gen_gaussian_unit_rows(400, 20, seed=40)
         sigma = np.linalg.svd(A, compute_uv=False)
         est = err_km1(A, 5, 41, 30)
