@@ -183,7 +183,8 @@ def measure() -> dict:
     for m, n in SIZES:
         size = f"{m}x{n}"
         A = gen_spectral_matrix(SpectralProfile.polynomial(1.5, n), m, seed=1)
-        p = build_less_distribution(A).probabilities
+        d = build_less_distribution(A)
+        p = getattr(d, "probabilities", d)  # a parent tree returns a LeverageDistribution
         R = row_factor(A)
         case(f"row_factor/{size}", lambda _: row_factor(A))
 

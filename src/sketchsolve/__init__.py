@@ -7,7 +7,7 @@ __version__ = "0.3.0"
 
 from .matgen import LinearSystem, SpectralProfile, gen_gaussian_unit_rows, \
     gen_spectral_matrix, gen_step_profile, make_system, parse_libsvm
-from .sketch import LeverageDistribution, SketchSpec, SparseSketch, apply_sketch, \
+from .sketch import SketchSpec, SparseSketch, apply_sketch, \
     build_less_distribution, draw_sketch, leverage_scores
 from .solver import IterLog, RateReport, SolverConfig, eigencomponent_decay, \
     estimate_rate, project_step, solve
@@ -23,7 +23,7 @@ __all__ = [
     "__version__",
     "LinearSystem", "SpectralProfile", "gen_gaussian_unit_rows",
     "gen_spectral_matrix", "gen_step_profile", "make_system", "parse_libsvm",
-    "LeverageDistribution", "SketchSpec", "SparseSketch", "apply_sketch",
+    "SketchSpec", "SparseSketch", "apply_sketch",
     "build_less_distribution", "draw_sketch", "leverage_scores",
     "IterLog", "RateReport", "SolverConfig", "eigencomponent_decay",
     "estimate_rate", "project_step", "solve",

@@ -140,7 +140,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> ResultTable:
         _check_rows(cfg, system.m)  # a dataset's rows are known only now
         if "less" in cfg.families:
             try:
-                leverage_p = build_less_distribution(system.A, system.R).probabilities
+                leverage_p = build_less_distribution(system.A, system.R)
             except ValueError as exc:
                 raise ConfigError(f"sketch.families: less needs a full-column-rank A "
                                   f"({exc})") from exc
@@ -182,8 +182,8 @@ def _exp_rate_sweep(cfg, system):
         report = estimate_rate(system, solver_cfg, cfg.runs, cfg.tail)
         row = {
             "rate": report.empirical_rate,
-            "runs": report.runs,
-            "tail": report.tail_length,
+            "runs": cfg.runs,
+            "tail": cfg.tail,
             "samples": report.samples,
             "short_tail": report.short_tail,
         }
@@ -247,9 +247,9 @@ def _exp_surrogate_compare(cfg, system):
             "s_min": comp.s_min,
             "surrogate": comp.surrogate,
             "gap": comp.rel_gap,
-            "gamma_mode": comp.gamma_mode,
-            "trials": comp.trials,
-            "err_trials": comp.err_trials,
+            "gamma_mode": "monte_carlo_gamma",
+            "trials": cfg.trials,
+            "err_trials": cfg.err_trials,
         }]
 
     columns = ["s_min", "surrogate", "gap", "gamma_mode", "trials", "err_trials"]
@@ -355,7 +355,7 @@ def _exp_newton_demo(cfg, system):
             "refined_bound": cert.refined_bound,
             "crude_bound": cert.crude_bound,
             "epsilon": cert.epsilon,
-            "cert_trials": cert.trials,
+            "cert_trials": nw["cert_trials"],
         }]
 
     columns = ["iters", "f_star", "f_gap_final", "grad_norm_final", "monotone",

@@ -82,14 +82,16 @@ def symmetrize(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.T)
 
 
-def lambda_min_plus(M: np.ndarray) -> float:
-    """Smallest positive eigenvalue of a symmetric PSD matrix.
+def positive_mask(w: np.ndarray) -> np.ndarray:
+    """Which of the ascending eigenvalues ``w`` of a symmetric PSD matrix count
+    as positive: those above ``dim * eps * max(lambda_max, 0)``."""
+    return w > w.size * EPS * max(float(w[-1]), 0.0)
 
-    Eigenvalues below ``dim * eps * lambda_max`` count as zero.
-    """
-    w = np.linalg.eigvalsh(symmetrize(M))
-    cutoff = M.shape[0] * EPS * max(float(w[-1]), 0.0)
-    positive = w[w > cutoff]
+
+def lambda_min_plus(w: np.ndarray) -> float:
+    """Smallest positive eigenvalue (:func:`positive_mask`) of a symmetric PSD
+    matrix, given its eigenvalues ``w`` in ascending order."""
+    positive = w[positive_mask(w)]
     if positive.size == 0:
         raise ValueError("matrix has no positive eigenvalues above cutoff")
     return float(positive[0])

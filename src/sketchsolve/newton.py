@@ -12,12 +12,11 @@ eigenvalue of E[H^{1/2} S^T (S H S^T)^+ S H^{1/2}].
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from types import MethodType
 from typing import Callable
 
 import numpy as np
 
-from .linalg import lambda_min_plus, solve_psd, symmetrize
+from .linalg import lambda_min_plus, positive_mask, solve_psd, symmetrize
 from .randsvd import err_km1
 from .rng import KeyPath, as_key, child_seed, streams
 from .sketch import SketchSpec, apply_sketch, apply_sketch_t, densify, draw_sketch, row_factor
@@ -39,21 +38,6 @@ __all__ = [
 SUBGAUSSIAN_CONST = 1.0
 
 
-class _Oracle:
-    """The ``at`` field of :class:`ConvexObjective`: the oracle it was given, or
-    else the default oracle, bound to the objective when read, so an objective
-    holds no closure over itself (no reference cycle)."""
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return None  # the field's default
-        at = obj.__dict__["_at"]
-        return MethodType(_default_at, obj) if at is None else at
-
-    def __set__(self, obj, at):
-        obj.__dict__["_at"] = at
-
-
 @dataclass
 class ConvexObjective:
     """Callbacks for a smooth convex function: value, gradient, Hessian, and
@@ -63,19 +47,17 @@ class ConvexObjective:
     direction ``d = -S^T z``, returns ``along``; ``along(eta)`` returns
     ``(f(x + eta d), move)``, with ``move()`` the point at ``x + eta d``.  So f
     at an accepted point comes from the line search, not a fresh evaluation.
-    By default the oracle is built from the other callbacks, with
-    ``hessian(x)`` sketched from both sides, so an objective can instead
+    The default ``at`` builds the oracle from the other callbacks, with
+    ``hessian(x)`` sketched from both sides; a subclass overrides it to
     share work between them at x."""
 
     dim: int
     value: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
     hessian: Callable[[np.ndarray], np.ndarray]
-    at: Callable[[np.ndarray], tuple] | None = _Oracle()
 
-
-def _default_at(obj: ConvexObjective, x: np.ndarray) -> tuple:
-    return _default_point(obj, x, float(obj.value(x)))
+    def at(self, x: np.ndarray) -> tuple:
+        return _default_point(self, x, float(self.value(x)))
 
 
 def _default_point(obj: ConvexObjective, x: np.ndarray, f: float) -> tuple:
@@ -112,7 +94,6 @@ class RhoCertificate:
     refined_bound: float
     crude_bound: float
     epsilon: float
-    trials: int
 
 
 def _sandwich(S, H: np.ndarray) -> np.ndarray:
@@ -231,15 +212,14 @@ def rho_certificate(H: np.ndarray, spec: SketchSpec, trials: int) -> RhoCertific
     m = H.shape[0]
     spec.validate(m)
     eigs, V = np.linalg.eigh(H)
-    cutoff = m * np.finfo(float).eps * max(float(eigs[-1]), 0.0)
-    keep = eigs > cutoff
+    keep = positive_mask(eigs)
     positive = eigs[keep]
     n_rank = int(positive.size)
     if spec.k > n_rank:
         raise ValueError(f"sketch size k={spec.k} exceeds rank(H)={n_rank}")
     F = V[:, keep] * np.sqrt(positive)
     R = row_factor(F)
-    rho_hat = lambda_min_plus(expected_projection(F, spec, trials, R).mean_P)
+    rho_hat = lambda_min_plus(expected_projection(F, spec, trials, R).eigenvalues[::-1])
     lam_min_plus = float(positive[0])
     trace_h = float(np.sum(positive))
 
@@ -256,7 +236,6 @@ def rho_certificate(H: np.ndarray, spec: SketchSpec, trials: int) -> RhoCertific
         refined_bound=refined,
         crude_bound=crude,
         epsilon=eps,
-        trials=trials,
     )
 
 
@@ -277,18 +256,17 @@ def logistic_objective(X: np.ndarray, y: np.ndarray, ridge: float) -> ConvexObje
         raise ValueError("ridge must be positive (strong convexity)")
     if set(np.unique(y)) - {-1.0, 1.0}:
         raise ValueError("labels must be +/-1")
-    logistic = _Logistic(X, y, ridge)
-    return ConvexObjective(dim=X.shape[1], value=logistic.value, gradient=logistic.gradient,
-                           hessian=logistic.hessian, at=logistic.at)
+    return _Logistic(X, y, ridge)
 
 
-class _Logistic:
-    """The callbacks of :func:`logistic_objective`.  A module-level class, so
-    that the oracle's points hold X without a reference cycle (a closure that
+class _Logistic(ConvexObjective):
+    """The objective of :func:`logistic_objective`: its callbacks are methods,
+    and ``at`` shares the margins between them.  A module-level class, so that
+    the oracle's points hold X without a reference cycle (a closure that
     builds the next point from itself keeps X alive until a full GC)."""
 
     def __init__(self, X: np.ndarray, y: np.ndarray, ridge: float):
-        self.X, self.y, self.ridge = X, y, ridge
+        self.dim, self.X, self.y, self.ridge = X.shape[1], X, y, ridge
 
     def margins(self, w):
         return self.y * (self.X @ w)

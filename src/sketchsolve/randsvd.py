@@ -48,7 +48,7 @@ class ErrEstimate:
 
     mean: float
     stderr: float
-    trials: int
+    trials: int  # 0 for err_km1 at k = 1, which is exact and draws nothing
 
 
 def rand_svd(A: np.ndarray, spec: SketchSpec, trial: KeyPath = 0) -> LowRankFactorization:

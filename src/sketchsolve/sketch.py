@@ -26,7 +26,6 @@ from .rng import KeyPath, stream, streams
 __all__ = [
     "SketchSpec",
     "SparseSketch",
-    "LeverageDistribution",
     "FAMILIES",
     "leverage_scores",
     "build_less_distribution",
@@ -66,6 +65,11 @@ class SketchSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown sketch family {self.family!r}")
+        for name in ("k", "s"):
+            value = getattr(self, name)
+            if value is not None and (isinstance(value, bool)
+                                      or not isinstance(value, (int, np.integer))):
+                raise ValueError(f"sketch {name} must be an integer, got {value!r}")
         if self.k < 1:
             raise ValueError("sketch size k must be >= 1")
         if self.sampling is not None:
@@ -120,6 +124,7 @@ class SparseSketch:
     def k(self) -> int:
         return self.indices.shape[0]
 
+    # s_drawn and nnz are read by perfbench's tracer
     @property
     def s_drawn(self) -> int:
         return self.indices.shape[1]
@@ -137,14 +142,6 @@ class SparseSketch:
         S = np.zeros((self.k, self.m))
         np.add.at(S, (np.arange(self.k)[:, None], self.indices), self.values)
         return S
-
-
-@dataclass(frozen=True)
-class LeverageDistribution:
-    """Row leverage scores and the sampling probabilities derived from them."""
-
-    scores: np.ndarray
-    probabilities: np.ndarray
 
 
 def leverage_scores(A: np.ndarray, R: np.ndarray | None = None) -> np.ndarray:
@@ -166,12 +163,11 @@ def leverage_scores(A: np.ndarray, R: np.ndarray | None = None) -> np.ndarray:
     return np.sum((A @ np.linalg.inv(R)) ** 2, axis=1)
 
 
-def build_less_distribution(A: np.ndarray, R: np.ndarray | None = None) -> LeverageDistribution:
-    """Exact leverage-score sampling distribution p_i = l_i / n (``R`` as in
-    :func:`leverage_scores`)."""
+def build_less_distribution(A: np.ndarray, R: np.ndarray | None = None) -> np.ndarray:
+    """Exact leverage-score sampling distribution p_i = l_i / n, the
+    probability vector over the rows of A (``R`` as in :func:`leverage_scores`)."""
     scores = leverage_scores(A, R)
-    p = scores / scores.sum()
-    return LeverageDistribution(scores=scores, probabilities=p)
+    return scores / scores.sum()
 
 
 def _draw_sparse(spec: SketchSpec, m: int, rng: np.random.Generator) -> SparseSketch:

@@ -78,8 +78,6 @@ class RateReport:
     """Pooled empirical contraction rate over the tail of several runs."""
 
     empirical_rate: float
-    tail_length: int
-    runs: int
     samples: int
     short_tail: bool
 
@@ -200,8 +198,6 @@ def estimate_rate(
     rate = float(np.mean(samples))
     return RateReport(
         empirical_rate=float(np.clip(rate, 0.0, 1.0)),
-        tail_length=tail,
-        runs=runs,
         samples=len(samples),
         short_tail=short,
     )

@@ -43,7 +43,7 @@ class ProjectionEstimate:
     """Symmetrized Monte-Carlo mean of sampled projections and its spectrum."""
 
     mean_P: np.ndarray
-    trials: int
+    trials: int  # read by perfbench's tracer (spectral.trials)
     eigenvalues: np.ndarray  # non-increasing, inside [-1e-8, 1 + 1e-8]
 
 
@@ -72,7 +72,6 @@ class RateBoundSet:
     k sigma_min^2 / (k sigma_min^2 + Err(A, k-1)).
     """
 
-    k: int
     simple: float
     gaussian: GaussianRateBound
     surrogate: float
@@ -84,7 +83,6 @@ def rate_bound_set(sigma: np.ndarray, k: int, err_km1: float) -> RateBoundSet:
     sig_min_sq = float(sigma[-1] ** 2)
     fro_sq = float(np.sum(sigma**2))
     return RateBoundSet(
-        k=k,
         simple=min(k * sig_min_sq / fro_sq, 1.0),
         gaussian=gaussian_rate_bound(sig_min_sq, err_km1, k, sigma.size),
         surrogate=_surrogate_rate(sig_min_sq, k, err_km1),
@@ -104,9 +102,6 @@ class SurrogateComparison:
     s_min: float
     surrogate: float
     rel_gap: float
-    gamma_mode: str
-    trials: int
-    err_trials: int
 
 
 def projection_matrix(S, A: np.ndarray) -> np.ndarray:
@@ -222,7 +217,6 @@ def decay_rate_bound(
     beta: float | None = None,
     alpha: float | None = None,
     r: int | None = None,
-    c: float | None = None,
     C1: float = 1.0,
 ) -> float:
     """Closed-form k-scaling rate bounds, with the absolute constant exposed.
@@ -257,8 +251,6 @@ def decay_rate_bound(
     elif kind == "flat_tail":
         if r is None or not 1 <= r <= n:
             raise ValueError("flat_tail kind needs a tail index r in [1, n]")
-        if c is not None and c < 1.0:
-            raise ValueError("flat-tail constant c must be >= 1")
         if k < max(2 * r, C1):
             raise ValueError(f"k={k} below validity range max(2r, C1)")
         val = k / (C_user * n)
@@ -295,7 +287,4 @@ def surrogate_vs_empirical(
         s_min=s_min,
         surrogate=surrogate,
         rel_gap=rel_gap,
-        gamma_mode="monte_carlo_gamma",
-        trials=trials,
-        err_trials=err_trials,
     )

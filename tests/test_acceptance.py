@@ -185,7 +185,7 @@ def test_criterion_06_randsvd_error_bound():
 def test_criterion_07_monotonicity_bulk():
     m, n = 60, 12
     A = gen_gaussian_unit_rows(m, n, seed=child_seed(SEED, 21))
-    p = build_less_distribution(A).probabilities
+    p = build_less_distribution(A)
     B = np.diag(np.linspace(0.5, 4.0, n))
     system_i = make_system(A, seed=child_seed(SEED, 22))
     system_b = make_system(A, seed=child_seed(SEED, 22), metric=B)
@@ -247,8 +247,8 @@ def test_criterion_09_less_sandwich(flat_matrix):
     svals = np.linalg.svd(A, compute_uv=False)
     kappa = svals[0] / svals[-1]
     s = math.ceil(n * math.log(kappa * n))
-    dist = build_less_distribution(A)
-    eps_hat, results = _sandwich(A, "less", (5, 10), s, dist.probabilities, 30)
+    p = build_less_distribution(A)
+    eps_hat, results = _sandwich(A, "less", (5, 10), s, p, 30)
     _report(9, f"LESS (exact leverage scores, s={s}) passes the same sandwich "
                f"as criterion 4; ratio ranges {results}")
 

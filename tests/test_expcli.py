@@ -1,3 +1,4 @@
+import csv
 import os
 import re
 import subprocess
@@ -368,6 +369,37 @@ class TestSchemas:
         assert sorted(p.name for p in tmp_path.iterdir()) == [f"{experiment}.csv"]
         header = (tmp_path / f"{experiment}.csv").read_text().splitlines()[1]
         assert header == _readme_schemas()[case]
+
+
+#: (experiment, its run or newton section, the columns that repeat the config)
+COUNT_CASES = [
+    ("rate_sweep", {"runs": 3, "tail": 4, "max_iters": 6}, {"runs": "3", "tail": "4"}),
+    ("surrogate_compare", {"trials": 6, "err_trials": 3},
+     {"trials": "6", "err_trials": "3", "gamma_mode": "monte_carlo_gamma"}),
+    ("randsvd_err", {"err_trials": 3}, {"trials": "3"}),
+    ("newton_demo", {"n_samples": 20, "n_features": 4, "max_iters": 3, "cert_trials": 5},
+     {"cert_trials": "5"}),
+]
+
+
+@pytest.mark.parametrize("experiment, section, expected", COUNT_CASES,
+                         ids=[case[0] for case in COUNT_CASES])
+def test_count_columns_equal_config(tmp_path, experiment, section, expected):
+    raw = _base_config(
+        experiment=experiment,
+        matrix={"kind": "profile", "model": "poly1.5", "m": 30, "n": 6},
+        sketch={"families": ["gaussian", "less_uniform"], "k": [2, 3], "s": [2]},
+        run=section,
+    )
+    if experiment == "newton_demo":
+        del raw["matrix"], raw["run"]
+        raw["newton"] = section
+    run_experiment(parse_config(raw), tmp_path)
+    lines = (tmp_path / f"{experiment}.csv").read_text().splitlines()[1:]
+    rows = list(csv.DictReader(lines))
+    assert len(rows) == 4
+    for row in rows:
+        assert {col: row[col] for col in expected} == expected
 
 
 class TestPlotData:

@@ -50,7 +50,7 @@ def _matrix(m=60, n=6, seed=3):
 
 def _specs(A):
     m = A.shape[0]
-    p = build_less_distribution(A).probabilities
+    p = build_less_distribution(A)
     dup_heavy = np.full(m, 0.01 / (m - 2))
     dup_heavy[:2] = [0.6, 0.39]
     dup_heavy /= dup_heavy.sum()

@@ -247,8 +247,9 @@ def _recording(obj, steps):
 
         return f, g, spy_sketched
 
-    return ConvexObjective(obj.dim, obj.value, obj.gradient, obj.hessian,
-                           at=lambda w: spy(obj.at(w)))
+    recorded = ConvexObjective(obj.dim, obj.value, obj.gradient, obj.hessian)
+    recorded.at = lambda w: spy(obj.at(w))
+    return recorded
 
 
 def _iterates(x0, steps, f):
@@ -284,7 +285,8 @@ class TestPointOracle:
                 return obj.at(w)[2](S)[0], line
             return obj.value(w), obj.gradient(w), sketched
 
-        generic = ConvexObjective(8, obj.value, obj.gradient, obj.hessian, at=fresh)
+        generic = ConvexObjective(8, obj.value, obj.gradient, obj.hessian)
+        generic.at = fresh
         x0 = 5.0 * np.random.default_rng(41).standard_normal(8)
         spec = SketchSpec(family, k=3, s=3, seed_stream=42)
         steps, steps_ref = [], []
@@ -471,7 +473,7 @@ class TestRhoCertificate:
             Winv = np.linalg.pinv(W, rcond=m * np.finfo(float).eps, hermitian=True)
             SHh = apply_sketch(S, H_half)
             acc += SHh.T @ Winv @ SHh
-        oracle = lambda_min_plus(acc / trials)
+        oracle = lambda_min_plus(np.linalg.eigvalsh(symmetrize(acc / trials)))
         cert = rho_certificate(H, spec, trials)
         assert cert.rho_hat == pytest.approx(oracle, rel=1e-10)
 

@@ -51,7 +51,7 @@ def _matrix(m=60, n=6, seed=3):
 
 
 def _other_specs(A):
-    p = build_less_distribution(A).probabilities
+    p = build_less_distribution(A)
     return [
         SketchSpec("rademacher", k=4, seed_stream=11),
         SketchSpec("less", k=4, s=5, sampling=p, seed_stream=12),

@@ -145,7 +145,7 @@ def _per_key(monkeypatch, module, name, key_of):
 
 
 def _family_specs(A, seed):
-    p = sketch.build_less_distribution(A).probabilities
+    p = sketch.build_less_distribution(A)
     return [
         SketchSpec("gaussian", k=4, seed_stream=seed),
         SketchSpec("rademacher", k=4, seed_stream=seed),

@@ -49,17 +49,17 @@ class TestLeverageScores:
 class TestLessDistribution:
     def test_hand_computed_probabilities(self):
         A = np.array([[2.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
-        dist = build_less_distribution(A)
-        np.testing.assert_allclose(dist.probabilities, [0.5, 0.25, 0.25], atol=1e-12)
+        p = build_less_distribution(A)
+        np.testing.assert_allclose(p, [0.5, 0.25, 0.25], atol=1e-12)
 
     def test_orthogonal_uniform(self):
         Q, _ = np.linalg.qr(np.random.default_rng(1).standard_normal((6, 6)))
-        dist = build_less_distribution(Q)
-        np.testing.assert_allclose(dist.probabilities, np.full(6, 1 / 6), atol=1e-12)
+        p = build_less_distribution(Q)
+        np.testing.assert_allclose(p, np.full(6, 1 / 6), atol=1e-12)
 
     def test_normalization(self):
         A = gen_gaussian_unit_rows(50, 5, seed=3)
-        assert build_less_distribution(A).probabilities.sum() == pytest.approx(1.0, abs=1e-12)
+        assert build_less_distribution(A).sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestDrawSketch:
@@ -104,7 +104,7 @@ class TestDrawSketch:
 
     def test_less_cdf_built_once_per_spec(self, monkeypatch):
         A = gen_gaussian_unit_rows(60, 8, seed=4)
-        spec = SketchSpec("less", k=5, s=7, sampling=build_less_distribution(A).probabilities,
+        spec = SketchSpec("less", k=5, s=7, sampling=build_less_distribution(A),
                           seed_stream=9)
         calls, cumsum = [], np.cumsum
         monkeypatch.setattr(np, "cumsum", lambda *a, **kw: calls.append(a) or cumsum(*a, **kw))
@@ -114,7 +114,7 @@ class TestDrawSketch:
 
     def test_sparse_row_support(self):
         A = gen_gaussian_unit_rows(60, 8, seed=4)
-        p = build_less_distribution(A).probabilities
+        p = build_less_distribution(A)
         spec = SketchSpec("less", k=5, s=7, sampling=p, seed_stream=9)
         S = draw_sketch(spec, 60, trial=1)
         assert S.s_drawn == 7
@@ -273,3 +273,23 @@ class TestSpecValidation:
         spec = SketchSpec("row_sampling", k=2, sampling=np.array([0.5, 0.6]))
         with pytest.raises(ValueError, match="sum to 1"):
             spec.validate(2)
+
+    @pytest.mark.parametrize("field, value", [
+        ("s", 2.5),  # int(2.5) drew 2 terms per row
+        ("s", True),  # drew 1
+        ("s", np.float64(3.0)),
+        ("k", 2.5),
+        ("k", np.float64(3.0)),
+        ("k", False),
+    ])
+    def test_non_integer_k_or_s_rejected(self, field, value):
+        sizes = {"k": 3, "s": 2, field: value}
+        with pytest.raises(ValueError, match=f"sketch {field} must be an integer"):
+            SketchSpec("less_uniform", **sizes)
+
+    def test_numpy_integer_sizes_accepted(self):
+        spec = SketchSpec("less_uniform", k=np.int64(3), s=np.int32(2), seed_stream=1)
+        S = draw_sketch(spec, 10)
+        assert S.indices.shape == (3, 2)
+        np.testing.assert_array_equal(
+            S.values, draw_sketch(SketchSpec("less_uniform", k=3, s=2, seed_stream=1), 10).values)

@@ -31,7 +31,7 @@ def _random_system(m=40, n=8, seed=0, metric=None):
 
 
 def _all_family_sketches(system, k, seed):
-    p = build_less_distribution(system.A).probabilities
+    p = build_less_distribution(system.A)
     specs = [
         SketchSpec("gaussian", k=k, seed_stream=seed),
         SketchSpec("rademacher", k=k, seed_stream=seed + 1),
@@ -273,7 +273,7 @@ def _kernel_case(family, metric, A=None, k=3):
         G = rng.standard_normal((n, n))
         B = G @ G.T + 0.5 * n * np.eye(n)
     system = make_system(A, seed=62, metric=B)
-    p = build_less_distribution(A).probabilities if family == "less" else None
+    p = build_less_distribution(A) if family == "less" else None
     spec = SketchSpec(family, k=k, s=4 if family in ("less", "less_uniform") else None,
                       sampling=p, seed_stream=63)
     return system, spec
@@ -449,7 +449,7 @@ def _invariant_case(seed, m, n, k, family, metric):
         L = rng.standard_normal((n, n))
         B = L @ L.T + 0.5 * n * np.eye(n)
     system = _random_system(m=m, n=n, seed=seed, metric=B)
-    p = build_less_distribution(system.A).probabilities
+    p = build_less_distribution(system.A)
     spec = SketchSpec(family, k=min(k, m), s=3 if family in ("less", "less_uniform") else None,
                       sampling=p if family == "less" else None, seed_stream=seed + 1)
     return system, spec, rng
