@@ -18,7 +18,7 @@ spectra (1000 x 50 and 4096 x 128) and k in {5, 10, 20, 40}:
 - ``stream/per_key/k=<k>``: ``rng.stream`` for one ``(run, t)`` key plus a
   k x 51 Gaussian draw from it (one solver step's draw on an n = 50 system);
 - ``stream/batched/k=<k>``: the same draws from ``rng.streams``, per key over
-  128 keys; skipped for a tree without ``rng.streams``;
+  128 keys;
 - ``apply_sketch/<size>/<family>/k=<k>``: ``apply_sketch(S, A)`` for a freshly
   drawn sketch (the draw is outside the timed region; ``less`` and
   ``less_uniform`` use s = 32);
@@ -26,8 +26,7 @@ spectra (1000 x 50 and 4096 x 128) and k in {5, 10, 20, 40}:
   tree does while building a sketch is counted too;
 - ``expected_projection/...`` and ``err_monte_carlo/...``: one call with 16
   trials (one trial block), which includes factoring A where the call needs
-  its factor; ``.../given_R`` passes a precomputed factor where the tree's
-  signature takes one;
+  its factor; ``.../given_R`` passes a precomputed factor;
 - ``sketched_bases/...``: one block of 16 trials from the trial kernel alone,
   with the factor given (Gaussian sketches draw through it);
 - ``solve/1000x50/<family>/k=<k>``: one ``solve`` run of 64 steps (stop
@@ -37,8 +36,7 @@ spectra (1000 x 50 and 4096 x 128) and k in {5, 10, 20, 40}:
 - ``gen_matrix/<size>``: ``gen_spectral_matrix`` alone (the Gaussian draws,
   both orthonormal frames and the product U diag(sigma) V^T);
 - ``set_up/<size>``: ``make_system`` plus ``build_less_distribution`` given the
-  system's factor (A alone where the tree's signature takes no ``R``), the
-  set-up of a CLI run with a ``less`` family;
+  system's factor, the set-up of a CLI run with a ``less`` family;
 - ``rsn_step/<family>/k=<k>``: one ``rsn_step`` on a ridge-logistic objective
   with N = 2000 samples and d = 100 features, for ``gaussian`` and
   ``less_uniform`` (s = 8) sketches with k in {5, 10, 20}, drawn outside the
@@ -62,7 +60,6 @@ from __future__ import annotations
 
 import argparse
 import importlib.metadata
-import inspect
 import json
 import os
 import platform
@@ -161,10 +158,6 @@ def measure() -> dict:
     from sketchsolve.solver import SolverConfig, solve
     from sketchsolve.spectral import expected_projection
 
-    takes_r = {f: "R" in inspect.signature(f).parameters
-               for f in (expected_projection, err_monte_carlo, build_less_distribution)}
-    # a parent tree's err_monte_carlo may take k before spec
-    err_takes_k = "k" in inspect.signature(err_monte_carlo).parameters
     out = {"raw": {}, "calibration_s": {}}
 
     def case(name, run, prepare=None, keys=1):
@@ -174,24 +167,21 @@ def measure() -> dict:
     for k in KS:
         case(f"stream/per_key/k={k}",
              lambda t: rng_module.stream(7, (3, t)).standard_normal((k, 51)), range)
-        if hasattr(rng_module, "streams"):
-            case(f"stream/batched/k={k}",
-                 lambda _: [g.standard_normal((k, 51)) for g in
-                            rng_module.streams(7, ((3, t) for t in range(STREAM_KEYS)))],
-                 keys=STREAM_KEYS)
+        case(f"stream/batched/k={k}",
+             lambda _: [g.standard_normal((k, 51)) for g in
+                        rng_module.streams(7, ((3, t) for t in range(STREAM_KEYS)))],
+             keys=STREAM_KEYS)
 
     for m, n in SIZES:
         size = f"{m}x{n}"
         A = gen_spectral_matrix(SpectralProfile.polynomial(1.5, n), m, seed=1)
-        d = build_less_distribution(A)
-        p = getattr(d, "probabilities", d)  # a parent tree returns a LeverageDistribution
+        p = build_less_distribution(A)
         R = row_factor(A)
         case(f"row_factor/{size}", lambda _: row_factor(A))
 
         def set_up(_):
             system = make_system(A, seed=2)
-            given_r = {"R": system.R} if takes_r[build_less_distribution] else {}
-            build_less_distribution(system.A, **given_r)
+            build_less_distribution(system.A, system.R)
 
         case(f"gen_matrix/{size}",
              lambda _: gen_spectral_matrix(SpectralProfile.polynomial(1.5, n), m, seed=1))
@@ -207,11 +197,9 @@ def measure() -> dict:
                 case(f"draw_apply/{cell}", lambda t: apply_sketch(draw_sketch(spec, m, t), A),
                      range)
                 for fn in (expected_projection, err_monte_carlo):
-                    args = (k, spec, BLOCK_TRIALS) if fn is err_monte_carlo and err_takes_k \
-                        else (spec, BLOCK_TRIALS)
-                    case(f"{fn.__name__}/{cell}", lambda _: fn(A, *args))
-                    if takes_r[fn]:
-                        case(f"{fn.__name__}/{cell}/given_R", lambda _: fn(A, *args, R=R))
+                    case(f"{fn.__name__}/{cell}", lambda _: fn(A, spec, BLOCK_TRIALS))
+                    case(f"{fn.__name__}/{cell}/given_R",
+                         lambda _: fn(A, spec, BLOCK_TRIALS, R=R))
                 case(f"sketched_bases/{cell}",
                      lambda _: list(sketched_bases(spec, A, BLOCK_TRIALS, R)))
                 if system is not None:

@@ -61,9 +61,6 @@ _MATRIX_KEYS = {
 }
 _PROFILE_KEYS = ("kind", "sigma_max", "values", "break_r", "head", "tail", "param")
 _SKETCH_KEYS = ("families", "k", "s")
-_RUN_KEYS = ("runs", "tail", "max_iters", "stop_tol", "trials", "err_trials", "iters",
-             "with_bounds")
-_NEWTON_KEYS = ("n_samples", "n_features", "ridge", "max_iters", "tol", "cert_trials")
 
 
 def _section(value, path: str, allowed) -> dict:
@@ -101,6 +98,39 @@ def _as_float(value, path: str, positive: bool = False) -> float:
     if positive and not number > 0:
         raise ConfigError(f"{path}: must be positive, got {value}")
     return number
+
+
+def _as_bool(value, path: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{path}: expected true or false, got {value!r}")
+    return value
+
+
+#: the keys the ``run`` and ``newton`` sections accept: key -> (parser, default, bound...)
+_RUN = {
+    "runs": (_as_int, 100, 1),
+    "tail": (_as_int, 50, 1),
+    "max_iters": (_as_int, 1000, 1),
+    "stop_tol": (_as_float, 1e-5, True),
+    "trials": (_as_int, 1600, 2),
+    "err_trials": (_as_int, 50, 2),
+    "iters": (_as_int, 30, 1),
+    "with_bounds": (_as_bool, False),
+}
+_NEWTON = {
+    "n_samples": (_as_int, 500, 1),
+    "n_features": (_as_int, 50, 1),
+    "ridge": (_as_float, 1e-2, True),
+    "max_iters": (_as_int, 500, 1),
+    "tol": (_as_float, 1e-8, True),
+    "cert_trials": (_as_int, 400, 2),
+}
+
+
+def _read(section: dict, path: str, table: dict) -> dict:
+    """Every key of ``table`` parsed from ``section``, or its default."""
+    return {key: parse(section.get(key, default), f"{path}.{key}", *bound)
+            for key, (parse, default, *bound) in table.items()}
 
 
 def _as_int_list(value, path: str, minimum: int = 1) -> list[int]:
@@ -227,23 +257,22 @@ def _parse_matrix(section: dict) -> MatrixSource:
         else:
             raise ConfigError("matrix: profile source needs 'model' or 'profile'")
         return MatrixSource(kind=kind, label=label, m=m, n=n, profile=profile)
-    if kind == "dataset":
-        path = str(_require(section, "path", "matrix"))
-        return MatrixSource(
-            kind=kind,
-            label=Path(path).stem,
-            path=path,
-            n_features=_optional_int(section, "n_features"),
-            rows=_optional_int(section, "rows"),
-            cols=_optional_int(section, "cols"),
-        )
+    path = str(_require(section, "path", "matrix"))  # kind == "dataset"
+    return MatrixSource(
+        kind=kind,
+        label=Path(path).stem,
+        path=path,
+        n_features=_optional_int(section, "n_features"),
+        rows=_optional_int(section, "rows"),
+        cols=_optional_int(section, "cols"),
+    )
 
 
 @dataclass
 class ExperimentConfig:
     experiment: str
     master_seed: int
-    matrix: MatrixSource
+    matrix: MatrixSource | None  # None for newton_demo, which reads no matrix
     families: list[str]
     k_list: list[int]
     s_list: list[int]
@@ -300,9 +329,8 @@ def parse_config(raw: dict, experiment: str | None = None) -> ExperimentConfig:
             f"experiment: config says {exp!r} but command line asked for {experiment!r}")
 
     master_seed = _as_int(raw.get("master_seed", 0), "master_seed", 0)
-    if exp == "newton_demo" and "matrix" not in raw:
-        matrix = MatrixSource(kind="identity", label="unused", m=1, n=1)
-    else:
+    matrix = None  # newton_demo draws its own data; a matrix given is still checked
+    if exp != "newton_demo" or "matrix" in raw:
         matrix = _parse_matrix(_require(raw, "matrix", "config"))
 
     sk = _section(_require(raw, "sketch", "config"), "sketch", _SKETCH_KEYS)
@@ -319,45 +347,23 @@ def parse_config(raw: dict, experiment: str | None = None) -> ExperimentConfig:
     _check_unique(k_list, "sketch.k")
     s_list = _as_int_list(sk["s"], "sketch.s", 0) if "s" in sk else []
 
-    run = _section(raw.get("run", {}), "run", _RUN_KEYS)
-    newton = _section(raw.get("newton", {}), "newton", _NEWTON_KEYS)
-    cfg = ExperimentConfig(
-        experiment=exp,
-        master_seed=master_seed,
-        matrix=matrix,
-        families=families,
-        k_list=k_list,
-        s_list=s_list,
-        runs=_as_int(run.get("runs", 100), "run.runs", 1),
-        tail=_as_int(run.get("tail", 50), "run.tail", 1),
-        max_iters=_as_int(run.get("max_iters", 1000), "run.max_iters", 1),
-        stop_tol=_as_float(run.get("stop_tol", 1e-5), "run.stop_tol", positive=True),
-        trials=_as_int(run.get("trials", 1600), "run.trials", 2),
-        err_trials=_as_int(run.get("err_trials", 50), "run.err_trials", 2),
-        iters=_as_int(run.get("iters", 30), "run.iters", 1),
-        with_bounds=bool(run.get("with_bounds", False)),
-        newton=newton,
-        config_hash=_hash_config(raw),
-    )
+    run = _section(raw.get("run", {}), "run", _RUN)
+    newton = _section(raw.get("newton", {}), "newton", _NEWTON)
+    run = _read(run, "run", _RUN)
     if exp == "newton_demo":
         if "less" in families:
             raise ConfigError(
                 "sketch.families: 'less' is not supported by newton_demo "
                 "(leverage scores of a full-rank square Hessian root are uniform; "
                 "use 'less_uniform')")
-        nw = cfg.newton
-        cfg.newton = {
-            "n_samples": _as_int(nw.get("n_samples", 500), "newton.n_samples", 1),
-            "n_features": _as_int(nw.get("n_features", 50), "newton.n_features", 1),
-            "ridge": _as_float(nw.get("ridge", 1e-2), "newton.ridge", positive=True),
-            "max_iters": _as_int(nw.get("max_iters", 500), "newton.max_iters", 1),
-            "tol": _as_float(nw.get("tol", 1e-8), "newton.tol", positive=True),
-            "cert_trials": _as_int(nw.get("cert_trials", 400), "newton.cert_trials", 2),
-        }
-        rows = cfg.newton["n_features"]  # the sketch acts on the Hessian
+        newton = _read(newton, "newton", _NEWTON)
+        rows = newton["n_features"]  # the sketch acts on the Hessian
     else:
         # a dataset's row count is only known once the file is read
         rows = None if matrix.kind == "dataset" else matrix.m
+    cfg = ExperimentConfig(experiment=exp, master_seed=master_seed, matrix=matrix,
+                           families=families, k_list=k_list, s_list=s_list, **run,
+                           newton=newton, config_hash=_hash_config(raw))
     if rows is not None:
         _check_rows(cfg, rows)
     return cfg

@@ -30,15 +30,17 @@ def _series_name(row: dict, parts: list[str]) -> str:
 
 
 _LAYOUTS = {
-    # experiment: (series key parts, x column, y column, ylo, yhi)
-    "rate_sweep": (["matrix", "family", "s"], "k", "rate", None, None),
-    "convergence_curves": (["matrix", "family", "k", "s"], "t", "rel_err_mean",
+    # experiment: (series key parts, x column, y columns, ylo, yhi); with more
+    # than one y column, each is its own series, named <parts>/<column>
+    "rate_sweep": (["matrix", "family", "s"], "k", ["rate"], None, None),
+    "convergence_curves": (["matrix", "family", "k", "s"], "t", ["rel_err_mean"],
                            "rel_err_min", "rel_err_max"),
-    "sparsity_sweep": (["matrix", "family", "k"], "s", "rel_err_mean",
+    "surrogate_compare": (["matrix", "family"], "k", ["s_min", "surrogate"], None, None),
+    "sparsity_sweep": (["matrix", "family", "k"], "s", ["rel_err_mean"],
                        "rel_err_min", "rel_err_max"),
-    "randsvd_err": (["matrix", "family", "s"], "k", "err_normalized", None, None),
-    "eigendecay": (["matrix", "family", "k", "s"], "l", "contraction", None, None),
-    "newton_demo": (["matrix", "family", "s"], "k", "rho_hat", None, None),
+    "randsvd_err": (["matrix", "family", "s"], "k", ["err_normalized"], None, None),
+    "eigendecay": (["matrix", "family", "k", "s"], "l", ["contraction"], None, None),
+    "newton_demo": (["matrix", "family", "s"], "k", ["rho_hat"], None, None),
 }
 
 
@@ -50,22 +52,20 @@ def emit_plot_data(table: ResultTable, out_dir, svg: bool = False) -> Path:
     written in either case.
     """
     experiment = table.name
-    if experiment == "surrogate_compare":
-        rows = _surrogate_rows(table)
-    else:
-        if experiment not in _LAYOUTS:
-            raise ValueError(f"unknown experiment {experiment!r}")
-        parts, x_col, y_col, lo_col, hi_col = _LAYOUTS[experiment]
-        rows = [
-            {
-                "series": _series_name(row, parts),
-                "x": row[x_col],
-                "y": row[y_col],
-                "ylo": row.get(lo_col) if lo_col else None,
-                "yhi": row.get(hi_col) if hi_col else None,
-            }
-            for row in table.rows
-        ]
+    if experiment not in _LAYOUTS:
+        raise ValueError(f"unknown experiment {experiment!r}")
+    parts, x_col, y_cols, lo_col, hi_col = _LAYOUTS[experiment]
+    rows = [
+        {
+            "series": _series_name(row, parts) + (f"/{y_col}" if len(y_cols) > 1 else ""),
+            "x": row[x_col],
+            "y": row[y_col],
+            "ylo": row.get(lo_col) if lo_col else None,
+            "yhi": row.get(hi_col) if hi_col else None,
+        }
+        for y_col in y_cols
+        for row in table.rows
+    ]
     if not rows:
         raise ValueError(f"no rows to plot for {experiment!r}")
     out = Path(out_dir)
@@ -80,20 +80,6 @@ def emit_plot_data(table: ResultTable, out_dir, svg: bool = False) -> Path:
     if svg:
         render_svg(rows, out / f"{experiment}.svg", title=experiment)
     return path
-
-
-def _surrogate_rows(table: ResultTable) -> list[dict]:
-    rows = []
-    for metric in ("s_min", "surrogate"):
-        for row in table.rows:
-            rows.append({
-                "series": f"{row['matrix']}/{row['family']}/{metric}",
-                "x": row["k"],
-                "y": row[metric],
-                "ylo": None,
-                "yhi": None,
-            })
-    return rows
 
 
 def render_svg(rows: list[dict], path, title: str = "") -> None:

@@ -4,8 +4,8 @@
    checks that the sketch fits its rows and takes the ``less`` leverage
    scores; the experiment's own set-up reads the system's factor or draws
    its data, runs its own input checks and returns its empty
-   :class:`ResultTable` (its schema), the matrix label, the (m, n) its grid
-   is built on and ``rows(cell, spec)``.
+   :class:`ResultTable`, the matrix label, the (m, n) its grid is built on
+   and ``rows(cell, spec)``, whose dicts' keys are the table's value columns.
 2. Output directory: made only after the set-up succeeded, so a
    configuration error writes nothing; A is not written (``build_system`` rebuilds it).
 3. Per-cell rows: for each (family, k, s) grid cell in order, the value
@@ -46,42 +46,48 @@ __all__ = ["ResultTable", "run_experiment"]
 
 @dataclass
 class ResultTable:
-    """Ordered rows with a fixed column schema and unique grid keys."""
+    """Ordered rows with unique grid keys; the header is the first row's keys."""
 
     name: str
-    columns: list[str]
     key_fields: list[str]
     rows: list[dict] = field(default_factory=list)
     meta_note: str = ""
 
-    def validate(self) -> None:
+    def validate(self) -> list[str]:
+        """The header; RuntimeError if there are no rows, a row's columns differ
+        from the header, a grid key repeats or a float is not finite."""
+        if not self.rows:
+            raise RuntimeError(f"{self.name}: no rows")
+        columns = list(self.rows[0])
         seen = set()
         for row in self.rows:
             key = tuple(row.get(k) for k in self.key_fields)
+            if list(row) != columns:
+                raise RuntimeError(f"{self.name}: row {key} has columns {list(row)}, "
+                                   f"not the header {columns}")
             if key in seen:
                 raise RuntimeError(f"{self.name}: duplicate key {key}")
             seen.add(key)
             for col, val in row.items():
                 if isinstance(val, float) and not math.isfinite(val):
                     raise RuntimeError(f"{self.name}: non-finite value in {col!r}: {key}")
+        return columns
 
     def write_csv(self, path, meta: str) -> None:
-        self.validate()
+        columns = self.validate()
         if self.meta_note:
             meta = f"{meta} {self.meta_note}"
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(f"# {meta}\n")
-            fh.write(",".join(self.columns) + "\n")
+            fh.write(",".join(columns) + "\n")
             for row in self.rows:
-                fh.write(",".join(_fmt(row.get(c)) for c in self.columns) + "\n")
+                fh.write(",".join(_fmt(v) for v in row.values()) + "\n")
 
 
 def _fmt(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, (int, np.integer)):  # a bool is an int: 0 or 1
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
@@ -167,11 +173,7 @@ def _singular_values(cfg, system: LinearSystem) -> np.ndarray:
 
 
 def _exp_rate_sweep(cfg, system):
-    columns = ["rate", "runs", "tail", "samples", "short_tail"]
     if cfg.with_bounds:
-        columns += ["bound_simple", "bound_gaussian", "gaussian_epsilon",
-                    "gaussian_epsilon_log10", "gaussian_vacuous",
-                    "bound_surrogate", "err_mean"]
         sigma = _singular_values(cfg, system)
         if max(cfg.k_list) - 1 >= system.rank:  # Err(A, k-1) is then roundoff
             raise ConfigError(f"sketch.k: the bounds need k - 1 < rank(A) = {system.rank}, "
@@ -202,8 +204,7 @@ def _exp_rate_sweep(cfg, system):
             )
         return [row]
 
-    table = ResultTable("rate_sweep", _KEY + columns, _KEY,
-                        meta_note="rate_pooling=tail-steps-equal-weight")
+    table = ResultTable("rate_sweep", _KEY, meta_note="rate_pooling=tail-steps-equal-weight")
     return table, cfg.matrix.label, (system.m, system.n), rows
 
 
@@ -231,8 +232,7 @@ def _exp_convergence_curves(cfg, system):
         return [{"t": t, "runs": cfg.runs, **_spread(errs[:, t])}
                 for t in range(cfg.max_iters + 1)]
 
-    columns = ["t", "runs", "rel_err_mean", "rel_err_min", "rel_err_max"]
-    table = ResultTable("convergence_curves", _KEY + columns, _KEY + ["t"])
+    table = ResultTable("convergence_curves", _KEY + ["t"])
     return table, cfg.matrix.label, (system.m, system.n), rows
 
 
@@ -252,9 +252,7 @@ def _exp_surrogate_compare(cfg, system):
             "err_trials": cfg.err_trials,
         }]
 
-    columns = ["s_min", "surrogate", "gap", "gamma_mode", "trials", "err_trials"]
-    table = ResultTable("surrogate_compare", _KEY + columns, _KEY)
-    return table, cfg.matrix.label, (system.m, system.n), rows
+    return ResultTable("surrogate_compare", _KEY), cfg.matrix.label, (system.m, system.n), rows
 
 
 def _exp_sparsity_sweep(cfg, system):
@@ -263,9 +261,7 @@ def _exp_sparsity_sweep(cfg, system):
         errs = _rel_errs(system, spec, cfg.runs, cfg.iters, stop_tol=1e-300)
         return [{"iters": cfg.iters, "runs": cfg.runs, **_spread(errs[:, -1])}]
 
-    columns = ["iters", "runs", "rel_err_mean", "rel_err_min", "rel_err_max"]
-    table = ResultTable("sparsity_sweep", _KEY + columns, _KEY)
-    return table, cfg.matrix.label, (system.m, system.n), rows
+    return ResultTable("sparsity_sweep", _KEY), cfg.matrix.label, (system.m, system.n), rows
 
 
 def _exp_randsvd_err(cfg, system):
@@ -285,10 +281,7 @@ def _exp_randsvd_err(cfg, system):
             "rf_bound_p": p,
         }]
 
-    columns = ["trials", "err_mean", "err_stderr", "err_normalized", "best_rank_floor",
-               "rf_bound", "rf_bound_p"]
-    table = ResultTable("randsvd_err", _KEY + columns, _KEY)
-    return table, cfg.matrix.label, (system.m, system.n), rows
+    return ResultTable("randsvd_err", _KEY), cfg.matrix.label, (system.m, system.n), rows
 
 
 def _exp_eigendecay(cfg, system):
@@ -320,9 +313,7 @@ def _exp_eigendecay(cfg, system):
             for l in range(svals.size)
         ]
 
-    columns = ["l", "sigma_l", "contraction", "lambda_mc", "lambda_surrogate"]
-    table = ResultTable("eigendecay", _KEY + columns, _KEY + ["l"])
-    return table, cfg.matrix.label, (system.m, system.n), rows
+    return ResultTable("eigendecay", _KEY + ["l"]), cfg.matrix.label, (system.m, system.n), rows
 
 
 def _exp_newton_demo(cfg, system):
@@ -358,12 +349,8 @@ def _exp_newton_demo(cfg, system):
             "cert_trials": nw["cert_trials"],
         }]
 
-    columns = ["iters", "f_star", "f_gap_final", "grad_norm_final", "monotone",
-               "line_search_failures", "rho_hat", "refined_bound", "crude_bound", "epsilon",
-               "cert_trials"]
-    table = ResultTable("newton_demo", _KEY + columns, _KEY)
     label = f"logistic{nw['n_samples']}x{nw['n_features']}"
-    return table, label, (obj.dim, obj.dim), rows
+    return ResultTable("newton_demo", _KEY), label, (obj.dim, obj.dim), rows
 
 
 _EXPERIMENTS = {

@@ -62,6 +62,28 @@ def _s_too_large(case, tmp_path):
                         sketch=sketch)
 
 
+#: (section, key, bad value, the whole ConfigError message)
+BAD_SECTION_VALUES = [
+    ("run", "runs", 0, "run.runs: must be >= 1, got 0"),
+    ("run", "tail", "x", "run.tail: expected integer, got 'x'"),
+    ("run", "max_iters", 1.5, "run.max_iters: expected integer, got 1.5"),
+    ("run", "stop_tol", 0, "run.stop_tol: must be positive, got 0"),
+    ("run", "trials", 1, "run.trials: must be >= 2, got 1"),
+    ("run", "err_trials", True, "run.err_trials: expected integer, got True"),
+    ("run", "iters", -3, "run.iters: must be >= 1, got -3"),
+    ("run", "with_bounds", "false", "run.with_bounds: expected true or false, got 'false'"),
+    ("run", "with_bounds", "off", "run.with_bounds: expected true or false, got 'off'"),
+    ("run", "with_bounds", 0, "run.with_bounds: expected true or false, got 0"),
+    ("run", "with_bounds", None, "run.with_bounds: expected true or false, got None"),
+    ("newton", "n_samples", 0, "newton.n_samples: must be >= 1, got 0"),
+    ("newton", "n_features", 2.5, "newton.n_features: expected integer, got 2.5"),
+    ("newton", "ridge", -1.0, "newton.ridge: must be positive, got -1.0"),
+    ("newton", "max_iters", "5", "newton.max_iters: expected integer, got '5'"),
+    ("newton", "tol", "1e-8", "newton.tol: expected number, got '1e-8'"),
+    ("newton", "cert_trials", 1, "newton.cert_trials: must be >= 2, got 1"),
+]
+
+
 def _with_unknown_key(section, key):
     cfg = _base_config()
     (cfg if section is None else cfg[section])[key] = 3
@@ -182,6 +204,40 @@ class TestConfigValidation:
         block = re.search(r"```yaml\n(.*?)```", readme, re.S).group(1)
         cfg = parse_config(yaml.safe_load(block))
         assert cfg.experiment == "rate_sweep" and cfg.runs == 100
+
+    def test_run_and_newton_defaults(self):
+        cfg = parse_config({"experiment": "rate_sweep", "matrix": {"kind": "identity", "n": 4},
+                            "sketch": {"k": [2]}})
+        assert (cfg.runs, cfg.tail, cfg.max_iters, cfg.stop_tol, cfg.trials, cfg.err_trials,
+                cfg.iters, cfg.with_bounds) == (100, 50, 1000, 1e-5, 1600, 50, 30, False)
+        cfg = parse_config({"experiment": "newton_demo", "sketch": {"k": [2]}})
+        assert cfg.newton == {"n_samples": 500, "n_features": 50, "ridge": 1e-2,
+                              "max_iters": 500, "tol": 1e-8, "cert_trials": 400}
+
+    @pytest.mark.parametrize("section,key,value,message", BAD_SECTION_VALUES,
+                             ids=[f"{c[0]}.{c[1]}={c[2]!r}" for c in BAD_SECTION_VALUES])
+    def test_bad_section_value_message(self, section, key, value, message):
+        cfg = {"experiment": "newton_demo", "sketch": {"k": [2]}, section: {key: value}}
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config(cfg)
+
+    @pytest.mark.parametrize("text,expected", [("false", False), ("no", False),
+                                               ("true", True), ("on", True)])
+    def test_with_bounds_yaml_boolean(self, text, expected):
+        raw = _base_config()
+        raw["run"]["with_bounds"] = yaml.safe_load(text)
+        assert parse_config(raw).with_bounds is expected
+
+    def test_newton_demo_without_matrix_has_none(self):
+        cfg = parse_config({"experiment": "newton_demo", "sketch": {"k": [2]}})
+        assert cfg.matrix is None and cfg.build_system() is None
+
+    def test_newton_demo_matrix_still_checked(self):
+        raw = {"experiment": "newton_demo", "sketch": {"k": [2]}, "matrix": {"kind": "nope"}}
+        with pytest.raises(ConfigError, match="^matrix.kind: unknown kind"):
+            parse_config(raw)
+        raw["matrix"] = {"kind": "identity", "n": 3}
+        assert parse_config(raw).matrix.label == "identity3"
 
     def test_seed_override(self, tmp_path):
         path = _write(tmp_path, _base_config())
@@ -371,6 +427,29 @@ class TestSchemas:
         assert header == _readme_schemas()[case]
 
 
+class TestResultTable:
+    @pytest.mark.parametrize("second", [{"matrix": "b"}, {"matrix": "b", "x": 2, "y": 3},
+                                        {"x": 2, "matrix": "b"}],
+                             ids=["missing_column", "extra_column", "reordered"])
+    def test_row_unlike_header_rejected_without_file(self, tmp_path, second):
+        table = ResultTable("t", ["matrix"], rows=[{"matrix": "a", "x": 1}, second])
+        with pytest.raises(RuntimeError, match="columns"):
+            table.write_csv(tmp_path / "t.csv", "meta")
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_no_rows_rejected_without_file(self, tmp_path):
+        with pytest.raises(RuntimeError, match="no rows"):
+            ResultTable("t", ["matrix"]).write_csv(tmp_path / "t.csv", "meta")
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_header_is_first_row_keys(self, tmp_path):
+        table = ResultTable("t", ["matrix"], rows=[{"matrix": "a", "x": 1, "flag": True},
+                                                   {"matrix": "b", "x": None, "flag": False}],
+                            meta_note="note")
+        table.write_csv(tmp_path / "t.csv", "meta")
+        assert (tmp_path / "t.csv").read_text() == "# meta note\nmatrix,x,flag\na,1,1\nb,,0\n"
+
+
 #: (experiment, its run or newton section, the columns that repeat the config)
 COUNT_CASES = [
     ("rate_sweep", {"runs": 3, "tail": 4, "max_iters": 6}, {"runs": "3", "tail": "4"}),
@@ -424,14 +503,28 @@ class TestPlotData:
         assert all(len(line.split(",")) == 5 for line in lines)
         assert all(line.split(",")[3] != "" for line in lines)  # ylo populated
 
+    def test_surrogate_compare_plot_rows(self, tmp_path):
+        raw = _base_config(
+            experiment="surrogate_compare",
+            matrix={"kind": "profile", "model": "poly1.5", "m": 30, "n": 6},
+            sketch={"families": ["gaussian", "less_uniform"], "k": [2, 3], "s": [2]},
+            run={"trials": 4, "err_trials": 2},
+        )
+        table = run_experiment(parse_config(raw), tmp_path)
+        lines = emit_plot_data(table, tmp_path).read_text().splitlines()
+        expected = [f"poly1.5/{row['family']}/{metric},{row['k']},{row[metric]!r},,"
+                    for metric in ("s_min", "surrogate") for row in table.rows]
+        assert len(expected) == 8
+        assert lines == ["series,x,y,ylo,yhi"] + expected
+
     def test_empty_table_rejected_without_file(self, tmp_path):
-        table = ResultTable("rate_sweep", ["matrix"], ["matrix"])
+        table = ResultTable("rate_sweep", ["matrix"])
         with pytest.raises(ValueError):
             emit_plot_data(table, tmp_path)
         assert not (tmp_path / "rate_sweep_plot.csv").exists()
 
     def test_unknown_experiment_rejected(self, tmp_path):
-        table = ResultTable("mystery", ["matrix"], ["matrix"], rows=[{"matrix": "a"}])
+        table = ResultTable("mystery", ["matrix"], rows=[{"matrix": "a"}])
         with pytest.raises(ValueError, match="unknown experiment"):
             emit_plot_data(table, tmp_path)
 
@@ -694,6 +787,14 @@ class TestCli:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True)
         assert out.stdout.strip() == "[]"
+
+    def test_with_bounds_string_exit_code(self, tmp_path, capsys):
+        cfg = _base_config()
+        cfg["run"]["with_bounds"] = "false"
+        path = _write(tmp_path, cfg)
+        assert main(["rate-sweep", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert "config error: run.with_bounds: " in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_missing_config_file(self, tmp_path):
         assert main(["rate-sweep", "--config", str(tmp_path / "nope.yaml")]) == 1
