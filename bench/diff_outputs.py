@@ -1,6 +1,6 @@
 """Check that two source trees write the same output files, byte for byte.
 
-    python3 bench/diff_outputs.py PARENT_SRC [CHANGE_SRC] [--keep DIR]
+    python3 bench/diff_outputs.py PARENT_SRC [CHANGE_SRC]
 
 ``PARENT_SRC`` and ``CHANGE_SRC`` are ``src`` directories (for example of a
 ``git archive`` copy of the parent commit); ``CHANGE_SRC`` defaults to this
@@ -25,7 +25,6 @@ otherwise.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import subprocess
@@ -52,7 +51,7 @@ NEWTON = {
 }
 
 sys.path.insert(0, str(ROOT / "perfbench"))
-from workloads import WORKLOADS  # noqa: E402
+from workloads import WORKLOADS, read_table  # noqa: E402
 
 
 def jobs(config_dir: Path) -> list[tuple[str, list[str]]]:
@@ -87,11 +86,6 @@ def child(src: Path, job_file: Path, out_dir: Path) -> None:
                                              encoding="utf-8")
 
 
-def _table(path: Path) -> list[list[str]]:
-    with open(path, encoding="utf-8", newline="") as fh:
-        return [row for row in csv.reader(fh) if row and not row[0].startswith("#")]
-
-
 def _rel_diff(a: str, b: str) -> float | None:
     """|a - b| / max(|a|, |b|) for two numbers (0 when equal); None otherwise."""
     try:
@@ -105,12 +99,12 @@ def _rel_diff(a: str, b: str) -> float | None:
 
 def describe_csv(parent: Path, change: Path) -> list[str]:
     """One line per column whose cells differ between two CSVs."""
-    old, new = _table(parent), _table(change)
-    if not old or not new or old[0] != new[0] or len(old) != len(new):
-        return [f"header or row count differs: {len(old)} vs {len(new)} lines"]
+    old, new = read_table(parent), read_table(change)
+    if not old or not new or list(old[0]) != list(new[0]) or len(old) != len(new):
+        return [f"header or row count differs: {len(old)} vs {len(new)} rows"]
     lines = []
-    for j, column in enumerate(old[0]):
-        pairs = [(a[j], b[j]) for a, b in zip(old[1:], new[1:]) if a[j] != b[j]]
+    for column in old[0]:
+        pairs = [(a[column], b[column]) for a, b in zip(old, new) if a[column] != b[column]]
         if not pairs:
             continue
         diffs = [_rel_diff(a, b) for a, b in pairs]
@@ -147,7 +141,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent_src", type=Path, nargs="?")
     parser.add_argument("change_src", type=Path, nargs="?", default=ROOT / "src")
-    parser.add_argument("--keep", type=Path, help="write the outputs here, not to a temp dir")
     parser.add_argument("--child", nargs=3, type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
@@ -156,13 +149,13 @@ def main(argv=None) -> int:
     if args.parent_src is None:
         parser.error("PARENT_SRC is required")
     with tempfile.TemporaryDirectory() as tmp:
-        work = (args.keep or Path(tmp)).resolve()
-        (work / "configs").mkdir(parents=True, exist_ok=True)
+        work = Path(tmp).resolve()
+        (work / "configs").mkdir()
         job_file = work / "jobs.json"
         job_file.write_text(json.dumps(jobs(work / "configs")), encoding="utf-8")
         env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
         for name, src in (("parent", args.parent_src), ("change", args.change_src)):
-            (work / name).mkdir(exist_ok=True)
+            (work / name).mkdir()
             subprocess.run([sys.executable, __file__, "--child", str(src.resolve()),
                             str(job_file), str(work / name)], env=env, check=True, cwd=work)
         return 1 if compare(work / "parent", work / "change") else 0
