@@ -12,6 +12,10 @@ and runs the same invocations at seeds 1 and 4242, each with ``--svg``:
   families, k in {2, 4}, s = 3 and ``with_bounds: true`` (``newton_demo``,
   which rejects ``less``, with the other four families on a 60 x 10 logistic
   problem);
+- one small ``rate_sweep`` per matrix source: ``identity``,
+  ``gaussian_unit``, a LIBSVM file that the script writes beside its
+  configs (read with ``rows`` and ``cols``), the ``flat``, ``exp1.2`` and
+  ``step3`` shorthands, and a ``profile`` section of each kind;
 - the three ``perfbench`` workload configs, read from
   ``perfbench/workloads.WORKLOADS``.
 
@@ -32,6 +36,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -49,21 +54,58 @@ NEWTON = {
     "sketch": {"families": [f for f in FAMILIES if f != "less"], "k": [2, 4], "s": [3]},
     "newton": {"n_samples": 60, "n_features": 10, "max_iters": 20, "cert_trials": 8},
 }
+SOURCE_GRID = {
+    "experiment": "rate_sweep",
+    "sketch": {"families": ["gaussian", "less_uniform"], "k": [2, 4], "s": [3]},
+    "run": {"runs": 3, "tail": 5, "max_iters": 40},
+}
+PROFILES = [
+    {"kind": "flat", "sigma_max": 2.0},
+    {"kind": "linear", "param": 0.5, "sigma_max": 6.8},
+    {"kind": "polynomial", "param": 1.5},
+    {"kind": "exponential", "param": 1.2},
+    {"kind": "explicit", "values": [10, 9, 8, 7, 6, 5, 4, 3, 2, 1]},
+    {"kind": "step", "break_r": 4, "head": {"kind": "linear", "param": 0.01},
+     "tail": {"kind": "polynomial", "param": 2}},
+]
+#: the ``matrix`` section of each source's rate_sweep; ``dataset`` gets its path in ``jobs``
+SOURCES = {
+    "identity": {"kind": "identity", "n": 10},
+    "gaussian_unit": {"kind": "gaussian_unit", "m": 60, "n": 10},
+    "dataset": {"kind": "dataset", "rows": 50, "cols": 8},
+    **{f"model-{name}": {"kind": "profile", "m": 60, "n": 10, "model": name}
+       for name in ("flat", "exp1.2", "step3")},
+    **{f"profile-{profile['kind']}": {"kind": "profile", "m": 60, "n": 10, "profile": profile}
+       for profile in PROFILES},
+}
 
 sys.path.insert(0, str(ROOT / "perfbench"))
 from workloads import WORKLOADS, read_table  # noqa: E402
 
 
+def write_dataset(path: Path) -> None:
+    """A 60 x 10 LIBSVM file with full column rank, from a fixed stream."""
+    rows = np.random.default_rng(0).standard_normal((60, 10))
+    path.write_text("".join(f"{i % 2} " + " ".join(f"{j + 1}:{v!r}" for j, v in enumerate(row))
+                            + "\n" for i, row in enumerate(rows.tolist())), encoding="utf-8")
+
+
 def jobs(config_dir: Path) -> list[tuple[str, list[str]]]:
     """``(output subdirectory, CLI argv without --out)`` for every invocation."""
+    data = config_dir / "data.libsvm"
+    write_dataset(data)
+    sources = {**SOURCES, "dataset": {**SOURCES["dataset"], "path": str(data)}}
+    configs = {experiment: {**(NEWTON if experiment == "newton_demo" else GRID),
+                            "experiment": experiment} for experiment in EXPERIMENTS}
+    configs.update({f"source-{name}": {**SOURCE_GRID, "matrix": matrix}
+                    for name, matrix in sources.items()})
     out = []
     for seed in SEEDS:
-        for experiment in EXPERIMENTS:
-            raw = {**(NEWTON if experiment == "newton_demo" else GRID), "experiment": experiment}
-            path = config_dir / f"{experiment}.yaml"
+        for name, raw in configs.items():
+            path = config_dir / f"{name}.yaml"
             path.write_text(yaml.safe_dump(raw, sort_keys=True), encoding="utf-8")
-            out.append((f"{experiment}-{seed}", [experiment.replace("_", "-"), "--config",
-                                                 str(path), "--seed", str(seed), "--svg"]))
+            out.append((f"{name}-{seed}", [raw["experiment"].replace("_", "-"), "--config",
+                                           str(path), "--seed", str(seed), "--svg"]))
         for name, workload in WORKLOADS.items():
             path = workload.write_config(config_dir / f"{name}-{seed}.yaml", seed)
             argv = workload.argv(path, Path(), seed)

@@ -1,8 +1,9 @@
 """Experiment configuration: a YAML file of nested key/value sections.
 
 Top-level keys: ``experiment``, ``master_seed``, and the ``matrix``,
-``sketch``, ``run`` and (for the Newton demo) ``newton`` sections.  See the
-repository README for the full schema and defaults.
+``sketch``, ``run`` and ``newton`` sections (the last read by the Newton
+demo, checked for every experiment).  See the repository README for the
+full schema and defaults.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 import yaml
@@ -26,6 +28,7 @@ from ..matgen import (
     parse_libsvm,
 )
 from ..rng import child_seed
+from ..sketch import FAMILIES
 
 EXPERIMENTS = (
     "rate_sweep",
@@ -37,7 +40,9 @@ EXPERIMENTS = (
     "newton_demo",
 )
 
-_MODEL_RE = re.compile(r"^(lin|poly|exp)(\d*\.?\d+)$")
+#: model shorthands: a curve name and its parameter, step<break_r>, or flat
+_MODEL_RE = re.compile(r"(lin|poly|exp)(\d*\.?\d+)|step(\d+)|flat")
+_CURVES = {"lin": "linear", "poly": "polynomial", "exp": "exponential"}
 
 
 class ConfigError(ValueError):
@@ -50,16 +55,23 @@ def _require(section: dict, key: str, path: str):
     return section[key]
 
 
-#: keys each section accepts; anything else is a ConfigError, so a typo
-#: cannot silently run a different experiment
+#: keys each section (or each kind of it, besides ``kind``) accepts; anything
+#: else is a ConfigError, so a typo cannot silently run a different experiment
 _TOP_KEYS = ("experiment", "master_seed", "matrix", "sketch", "run", "newton")
 _MATRIX_KEYS = {
-    "identity": ("kind", "n"),
-    "gaussian_unit": ("kind", "m", "n"),
-    "profile": ("kind", "m", "n", "model", "sigma_max", "profile"),
-    "dataset": ("kind", "path", "n_features", "rows", "cols"),
+    "identity": ("n",),
+    "gaussian_unit": ("m", "n"),
+    "profile": ("m", "n", "model", "sigma_max", "profile"),
+    "dataset": ("path", "n_features", "rows", "cols"),
 }
-_PROFILE_KEYS = ("kind", "sigma_max", "values", "break_r", "head", "tail", "param")
+_PROFILE_KEYS = {
+    "flat": ("sigma_max",),
+    "linear": ("param", "sigma_max"),
+    "polynomial": ("param", "sigma_max"),
+    "exponential": ("param", "sigma_max"),
+    "explicit": ("values",),
+    "step": ("break_r", "head", "tail"),
+}
 _SKETCH_KEYS = ("families", "k", "s")
 
 
@@ -73,17 +85,24 @@ def _section(value, path: str, allowed) -> dict:
     return value
 
 
+def _kind(value, path: str, keys: dict) -> str:
+    """The ``kind`` of the mapping ``value``, once its other keys are all
+    among those ``keys`` lists for that kind."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path}: expected a mapping")
+    kind = _require(value, "kind", path)
+    if not isinstance(kind, str) or kind not in keys:
+        raise ConfigError(f"{path}.kind: unknown kind {kind!r}")
+    _section(value, path, ("kind", *keys[kind]))
+    return kind
+
+
 def _as_int(value, path: str, minimum: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{path}: expected integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{path}: must be >= {minimum}, got {value}")
     return value
-
-
-def _optional_int(section: dict, key: str) -> int | None:
-    value = section.get(key)
-    return None if value is None else _as_int(value, f"matrix.{key}", 1)
 
 
 def _as_float(value, path: str, positive: bool = False) -> float:
@@ -149,123 +168,99 @@ def _check_unique(values: list, path: str) -> None:
 def parse_model_name(name: str, n: int, sigma_max: float = 6.8) -> SpectralProfile:
     """Spectral-model shorthand: flat, lin.01, poly1.5, exp1.2, step20, ...
 
-    ``step<r>`` splices a lin.01 head with a poly1 tail at index r.
+    Each names a ``profile`` section and is parsed as one; ``step<r>``
+    splices a lin.01 head with a poly1 tail at index r.
     """
-    if name == "flat":
-        return SpectralProfile.flat(n, sigma_max)
-    if name.startswith("step"):
-        break_r = int(name[4:])
-        head = SpectralProfile.linear(0.01, n, sigma_max)
-        tail = SpectralProfile.polynomial(1.0, n, sigma_max)
-        return SpectralProfile.step(break_r, head, tail)
-    match = _MODEL_RE.match(name)
-    if not match:
+    match = _MODEL_RE.fullmatch(name)
+    if match is None:
         raise ConfigError(f"matrix.model: unknown model name {name!r}")
-    kind, param = match.group(1), float(match.group(2))
-    if kind == "lin":
-        return SpectralProfile.linear(param, n, sigma_max)
-    if kind == "poly":
-        return SpectralProfile.polynomial(param, n, sigma_max)
-    return SpectralProfile.exponential(param, n, sigma_max)
+    curve, param, break_r = match.groups()
+    if curve:
+        section = {"kind": _CURVES[curve], "param": float(param), "sigma_max": sigma_max}
+    elif break_r:
+        section = {"kind": "step", "break_r": int(break_r),
+                   "head": {"kind": "linear", "param": 0.01, "sigma_max": sigma_max},
+                   "tail": {"kind": "polynomial", "param": 1.0, "sigma_max": sigma_max}}
+    else:
+        section = {"kind": "flat", "sigma_max": sigma_max}
+    return _parse_profile_section(section, n, "matrix.model")
 
 
-@dataclass(frozen=True)
-class MatrixSource:
-    """Where A comes from: a spectral profile, gaussian rows, identity, or a file."""
-
-    kind: str  # profile | gaussian_unit | identity | dataset
-    label: str
-    m: int = 0
-    n: int = 0
-    profile: SpectralProfile | None = None
-    path: str | None = None
-    n_features: int | None = None
-    rows: int | None = None
-    cols: int | None = None
-
-    def build(self, seed: int) -> np.ndarray:
-        if self.kind == "identity":
-            return np.eye(self.n)
-        if self.kind == "gaussian_unit":
-            return gen_gaussian_unit_rows(self.m, self.n, seed)
-        if self.kind == "profile":
-            return gen_spectral_matrix(self.profile, self.m, seed)
-        if not Path(self.path).exists():
-            raise FileNotFoundError(f"dataset not found: {self.path}")
-        A, _labels = parse_libsvm(self.path, self.n_features)
-        if self.rows is not None:
-            A = A[: self.rows]
-        if self.cols is not None:
-            A = A[:, : self.cols]
-        return A
-
-
-def _parse_profile_section(section: dict, n: int, path: str) -> SpectralProfile:
-    section = _section(section, path, _PROFILE_KEYS)
-    kind = _require(section, "kind", path)
-    sigma_max = _as_float(section.get("sigma_max", 6.8), f"{path}.sigma_max", positive=True)
+def _parse_profile_section(section, n: int, path: str) -> SpectralProfile:
+    """The n-value profile that a ``profile`` section (or a shorthand) names."""
+    kind = _kind(section, path, _PROFILE_KEYS)
     try:
-        if kind == "flat":
-            return SpectralProfile.flat(n, sigma_max)
         if kind == "explicit":
             values = _require(section, "values", path)
-            return SpectralProfile.explicit(values)
+            if not isinstance(values, list) or len(values) != n:
+                raise ConfigError(f"{path}.values: expected a list of matrix.n = {n} "
+                                  f"numbers, got {values!r}")
+            return SpectralProfile.explicit(
+                [_as_float(v, f"{path}.values[{i}]") for i, v in enumerate(values)])
         if kind == "step":
-            break_r = _as_int(_require(section, "break_r", path), f"{path}.break_r", 1)
+            break_r = _as_int(_require(section, "break_r", path), f"{path}.break_r")
             head = _parse_profile_section(_require(section, "head", path), n, f"{path}.head")
             tail = _parse_profile_section(_require(section, "tail", path), n, f"{path}.tail")
             return SpectralProfile.step(break_r, head, tail)
-        if kind in ("linear", "polynomial", "exponential"):
-            param = _as_float(_require(section, "param", path), f"{path}.param")
-            return SpectralProfile(kind, n, sigma_max, param=param)
+        sigma_max = _as_float(section.get("sigma_max", 6.8), f"{path}.sigma_max", positive=True)
+        if kind == "flat":
+            return SpectralProfile.flat(n, sigma_max)
+        param = _as_float(_require(section, "param", path), f"{path}.param")
+        return SpectralProfile(kind, n, sigma_max, param=param)
     except ConfigError:
         raise
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    raise ConfigError(f"{path}.kind: unknown profile kind {kind!r}")
 
 
-def _parse_matrix(section: dict) -> MatrixSource:
-    if not isinstance(section, dict):
-        raise ConfigError("matrix: expected a mapping")
-    kind = _require(section, "kind", "matrix")
-    if not isinstance(kind, str) or kind not in _MATRIX_KEYS:
-        raise ConfigError(f"matrix.kind: unknown kind {kind!r}")
-    _section(section, "matrix", _MATRIX_KEYS[kind])
+@dataclass(frozen=True)
+class MatrixSource:
+    """Where A comes from: its label, the rows known before A is built (None
+    for a dataset, whose rows are known once the file is read), and
+    ``build(seed)``, which builds A."""
+
+    label: str
+    rows: int | None
+    build: Callable[[int], np.ndarray]
+
+
+def _parse_matrix(section) -> MatrixSource:
+    kind = _kind(section, "matrix", _MATRIX_KEYS)
+    if kind == "dataset":
+        path = str(_require(section, "path", "matrix"))
+        n_features, rows, cols = [
+            None if section.get(key) is None else _as_int(section[key], f"matrix.{key}", 1)
+            for key in ("n_features", "rows", "cols")]
+
+        def load(_seed: int) -> np.ndarray:  # the first rows x cols block of the file
+            if not Path(path).exists():
+                raise FileNotFoundError(f"dataset not found: {path}")
+            return parse_libsvm(path, n_features)[0][:rows, :cols]
+
+        return MatrixSource(Path(path).stem, None, load)
+    n = _as_int(_require(section, "n", "matrix"), "matrix.n", 1)
     if kind == "identity":
-        n = _as_int(_require(section, "n", "matrix"), "matrix.n", 1)
-        return MatrixSource(kind=kind, label=f"identity{n}", m=n, n=n)
+        return MatrixSource(f"identity{n}", n, lambda _seed: np.eye(n))
+    m = _as_int(_require(section, "m", "matrix"), "matrix.m", 1)
     if kind == "gaussian_unit":
-        m = _as_int(_require(section, "m", "matrix"), "matrix.m", 1)
-        n = _as_int(_require(section, "n", "matrix"), "matrix.n", 1)
-        return MatrixSource(kind=kind, label="gaus", m=m, n=n)
-    if kind == "profile":
-        m = _as_int(_require(section, "m", "matrix"), "matrix.m", 1)
-        n = _as_int(_require(section, "n", "matrix"), "matrix.n", 1)
-        if m < n:
-            raise ConfigError(f"matrix.m: must be >= matrix.n ({m} < {n})")
-        if "model" in section:
-            label = str(section["model"])
-            sigma_max = _as_float(section.get("sigma_max", 6.8), "matrix.sigma_max", True)
-            try:
-                profile = parse_model_name(label, n, sigma_max)
-            except ValueError as exc:
-                raise ConfigError(f"matrix.model: {exc}") from exc
-        elif "profile" in section:
-            profile = _parse_profile_section(section["profile"], n, "matrix.profile")
-            label = profile.kind
-        else:
-            raise ConfigError("matrix: profile source needs 'model' or 'profile'")
-        return MatrixSource(kind=kind, label=label, m=m, n=n, profile=profile)
-    path = str(_require(section, "path", "matrix"))  # kind == "dataset"
-    return MatrixSource(
-        kind=kind,
-        label=Path(path).stem,
-        path=path,
-        n_features=_optional_int(section, "n_features"),
-        rows=_optional_int(section, "rows"),
-        cols=_optional_int(section, "cols"),
-    )
+        return MatrixSource("gaus", m, lambda seed: gen_gaussian_unit_rows(m, n, seed))
+    if m < n:
+        raise ConfigError(f"matrix.m: must be >= matrix.n ({m} < {n})")
+    if "model" in section:
+        if "profile" in section:
+            raise ConfigError("matrix: give 'model' or 'profile', not both")
+        label = str(section["model"])
+        sigma_max = _as_float(section.get("sigma_max", 6.8), "matrix.sigma_max", True)
+        profile = parse_model_name(label, n, sigma_max)
+    elif "profile" in section:
+        if "sigma_max" in section:
+            raise ConfigError("matrix.sigma_max: read beside 'model' only; "
+                              "set matrix.profile.sigma_max")
+        profile = _parse_profile_section(section["profile"], n, "matrix.profile")
+        label = profile.kind
+    else:
+        raise ConfigError("matrix: profile source needs 'model' or 'profile'")
+    return MatrixSource(label, m, lambda seed: gen_spectral_matrix(profile, m, seed))
 
 
 @dataclass
@@ -337,8 +332,6 @@ def parse_config(raw: dict, experiment: str | None = None) -> ExperimentConfig:
     families = sk.get("families", ["gaussian"])
     if not isinstance(families, list) or not families:
         raise ConfigError("sketch.families: expected a non-empty list")
-    from ..sketch import FAMILIES
-
     for fam in families:
         if fam not in FAMILIES:
             raise ConfigError(f"sketch.families: unknown family {fam!r}")
@@ -347,20 +340,21 @@ def parse_config(raw: dict, experiment: str | None = None) -> ExperimentConfig:
     _check_unique(k_list, "sketch.k")
     s_list = _as_int_list(sk["s"], "sketch.s", 0) if "s" in sk else []
 
+    # newton_demo reads the newton section; every experiment checks it
     run = _section(raw.get("run", {}), "run", _RUN)
     newton = _section(raw.get("newton", {}), "newton", _NEWTON)
-    run = _read(run, "run", _RUN)
+    run, newton = _read(run, "run", _RUN), _read(newton, "newton", _NEWTON)
+    if not run["stop_tol"] < 1:  # a run starts at x0 = 0, at relative error 1
+        raise ConfigError(f"run.stop_tol: must be < 1, got {run['stop_tol']}")
     if exp == "newton_demo":
         if "less" in families:
             raise ConfigError(
                 "sketch.families: 'less' is not supported by newton_demo "
                 "(leverage scores of a full-rank square Hessian root are uniform; "
                 "use 'less_uniform')")
-        newton = _read(newton, "newton", _NEWTON)
         rows = newton["n_features"]  # the sketch acts on the Hessian
     else:
-        # a dataset's row count is only known once the file is read
-        rows = None if matrix.kind == "dataset" else matrix.m
+        rows = matrix.rows
     cfg = ExperimentConfig(experiment=exp, master_seed=master_seed, matrix=matrix,
                            families=families, k_list=k_list, s_list=s_list, **run,
                            newton=newton, config_hash=_hash_config(raw))
@@ -378,9 +372,6 @@ def load_config(path, experiment: str | None = None,
         raise ConfigError(f"config: file not found: {path}") from None
     except yaml.YAMLError as exc:
         raise ConfigError(f"config: YAML parse error: {exc}") from exc
-    if seed_override is not None:
-        if not isinstance(raw, dict):
-            raise ConfigError("config: expected a mapping at top level")
-        raw = dict(raw)
-        raw["master_seed"] = seed_override
+    if seed_override is not None and isinstance(raw, dict):
+        raw = {**raw, "master_seed": seed_override}
     return parse_config(raw, experiment)

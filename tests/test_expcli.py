@@ -68,6 +68,7 @@ BAD_SECTION_VALUES = [
     ("run", "tail", "x", "run.tail: expected integer, got 'x'"),
     ("run", "max_iters", 1.5, "run.max_iters: expected integer, got 1.5"),
     ("run", "stop_tol", 0, "run.stop_tol: must be positive, got 0"),
+    ("run", "stop_tol", 2.5, "run.stop_tol: must be < 1, got 2.5"),
     ("run", "trials", 1, "run.trials: must be >= 2, got 1"),
     ("run", "err_trials", True, "run.err_trials: expected integer, got True"),
     ("run", "iters", -3, "run.iters: must be >= 1, got -3"),
@@ -82,6 +83,53 @@ BAD_SECTION_VALUES = [
     ("newton", "tol", "1e-8", "newton.tol: expected number, got '1e-8'"),
     ("newton", "cert_trials", 1, "newton.cert_trials: must be >= 2, got 1"),
 ]
+
+
+def _profile_source(m=20, n=6, **keys):
+    """Config overrides for an m x n profile source with ``keys``."""
+    return {"matrix": {"kind": "profile", "m": m, "n": n, **keys}}
+
+
+#: (id, config overrides, the whole ConfigError message): inputs that once
+#: parsed and were then ignored, or failed only once A was built
+IGNORED_INPUTS = [
+    ("explicit_fewer_than_n", _profile_source(profile={"kind": "explicit", "values": [3, 2, 1]}),
+     "matrix.profile.values: expected a list of matrix.n = 6 numbers, got [3, 2, 1]"),
+    ("explicit_more_than_m",
+     _profile_source(m=8, profile={"kind": "explicit", "values": [9, 8, 7, 6, 5, 4, 3, 2, 1]}),
+     "matrix.profile.values: expected a list of matrix.n = 6 numbers, "
+     "got [9, 8, 7, 6, 5, 4, 3, 2, 1]"),
+    ("model_and_profile", _profile_source(model="flat", profile={"kind": "flat"}),
+     "matrix: give 'model' or 'profile', not both"),
+    ("sigma_max_beside_profile", _profile_source(sigma_max=2.0, profile={"kind": "flat"}),
+     "matrix.sigma_max: read beside 'model' only; set matrix.profile.sigma_max"),
+    ("flat_param", _profile_source(profile={"kind": "flat", "param": 1.0}),
+     "matrix.profile.param: unknown field"),
+    ("explicit_sigma_max",
+     _profile_source(profile={"kind": "explicit", "values": [6, 5, 4, 3, 2, 1], "sigma_max": 3}),
+     "matrix.profile.sigma_max: unknown field"),
+    ("step_sigma_max", _profile_source(profile={"kind": "step", "break_r": 2, "sigma_max": 3,
+                                                "head": {"kind": "flat"},
+                                                "tail": {"kind": "flat"}}),
+     "matrix.profile.sigma_max: unknown field"),
+    ("unknown_model", _profile_source(model="fancy2"), "matrix.model: unknown model name 'fancy2'"),
+    ("step_model_not_integer", _profile_source(model="stepx"),
+     "matrix.model: unknown model name 'stepx'"),
+    ("newton_in_rate_sweep", {"newton": {"ridge": "abc", "tol": -1}},
+     "newton.ridge: expected number, got 'abc'"),
+    ("stop_tol_one", {"run": {"runs": 2, "stop_tol": 1.0}}, "run.stop_tol: must be < 1, got 1.0"),
+]
+
+
+def _readme_config_block():
+    """The YAML example of the README's "Config file" section, as text."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return re.search(r"### Config file\n\n```yaml\n(.*?)```", readme, re.S).group(1)
+
+
+#: kind -> each commented ``profile:`` alternative in the README's config example
+README_PROFILES = {kind: line for line, kind in
+                   re.findall(r"# (profile: \{kind: (\w+).*)", _readme_config_block())}
 
 
 def _with_unknown_key(section, key):
@@ -200,10 +248,47 @@ class TestConfigValidation:
         assert cfg.s_list == [4, 4]
 
     def test_readme_config_parses(self):
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        block = re.search(r"```yaml\n(.*?)```", readme, re.S).group(1)
-        cfg = parse_config(yaml.safe_load(block))
+        cfg = parse_config(yaml.safe_load(_readme_config_block()))
         assert cfg.experiment == "rate_sweep" and cfg.runs == 100
+
+    @pytest.mark.parametrize("line", README_PROFILES.values(), ids=README_PROFILES.keys())
+    def test_readme_profile_alternatives_parse(self, line):
+        # each commented alternative replaces model and sigma_max, never joins them
+        raw = yaml.safe_load(_readme_config_block())
+        raw["matrix"].update(yaml.safe_load(line))
+        with pytest.raises(ConfigError, match="^matrix: give 'model' or 'profile', not both$"):
+            parse_config(raw)
+        del raw["matrix"]["model"], raw["matrix"]["sigma_max"]
+        assert parse_config(raw).matrix.rows == 1000
+
+    def test_readme_profile_keys(self):
+        # the README's table of profile kinds lists exactly the keys each reads
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = re.findall(r"^\| (`\w+`(?:, `\w+`)*) \| (.*) \|$",
+                           readme.split("keys besides `kind`", 1)[1].split("\n\n")[0], re.M)
+        sample = {"sigma_max": 6.8, "param": 1.5, "values": [4.0, 3.0, 2.0, 1.0], "break_r": 2,
+                  "head": {"kind": "flat"}, "tail": {"kind": "flat", "sigma_max": 1.0}}
+        listed = set()
+        for kinds, keys in table:
+            keys = re.findall(r"`(\w+)`", keys)
+            for kind in re.findall(r"`(\w+)`", kinds):
+                listed.add(kind)
+                profile = {"kind": kind, **{key: sample[key] for key in keys}}
+                parse_config(_base_config(**_profile_source(m=10, n=4, profile=profile)))
+                for other in sorted(set(sample) - set(keys)):
+                    bad = _base_config(**_profile_source(
+                        m=10, n=4, profile={**profile, other: sample[other]}))
+                    with pytest.raises(ConfigError,
+                                       match=f"^matrix.profile.{other}: unknown field$"):
+                        parse_config(bad)
+        assert listed == {"flat", "linear", "polynomial", "exponential", "explicit", "step"}
+
+    @pytest.mark.parametrize("key,value,message",
+                             [c[1:] for c in BAD_SECTION_VALUES if c[0] == "newton"],
+                             ids=[c[1] for c in BAD_SECTION_VALUES if c[0] == "newton"])
+    def test_newton_checked_for_rate_sweep(self, key, value, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config(_base_config(newton={key: value}))
 
     def test_run_and_newton_defaults(self):
         cfg = parse_config({"experiment": "rate_sweep", "matrix": {"kind": "identity", "n": 4},
@@ -794,6 +879,14 @@ class TestCli:
         path = _write(tmp_path, cfg)
         assert main(["rate-sweep", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
         assert "config error: run.with_bounds: " in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("overrides,message", [c[1:] for c in IGNORED_INPUTS],
+                             ids=[c[0] for c in IGNORED_INPUTS])
+    def test_ignored_input_exit_code(self, tmp_path, capsys, overrides, message):
+        path = _write(tmp_path, _base_config(**overrides))
+        assert main(["rate-sweep", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
         assert not (tmp_path / "o").exists()
 
     def test_missing_config_file(self, tmp_path):
