@@ -32,6 +32,8 @@ spectra (1000 x 50 and 4096 x 128) and k in {5, 10, 20, 40}:
 - ``solve/1000x50/<family>/k=<k>``: one ``solve`` run of 64 steps (stop
   tolerance 1e-300) on a system built once, after one untimed run, so a
   tree that keeps the ``[A | b]`` factor with the system has it warm;
+- ``solve_psd/k=<k>``: one ``solve_psd`` on the certified k x k system
+  ``W z = r`` of one Gaussian solver step on that 1000 x 50 system;
 - ``row_factor/<size>``: the factorization alone;
 - ``gen_matrix/<size>``: ``gen_spectral_matrix`` alone (the Gaussian draws,
   both orthonormal frames and the product U diag(sigma) V^T);
@@ -150,11 +152,12 @@ def measure() -> dict:
     import numpy as np
 
     from sketchsolve import rng as rng_module
+    from sketchsolve.linalg import solve_psd
     from sketchsolve.matgen import SpectralProfile, gen_spectral_matrix, make_system
     from sketchsolve.newton import logistic_objective, rho_certificate, rsn_solve, rsn_step
     from sketchsolve.randsvd import err_monte_carlo
     from sketchsolve.sketch import (SketchSpec, apply_sketch, build_less_distribution,
-                                    draw_sketch, row_factor, sketched_bases)
+                                    draw_sketch, row_factor, sketch_times, sketched_bases)
     from sketchsolve.solver import SolverConfig, solve
     from sketchsolve.spectral import expected_projection
 
@@ -205,6 +208,15 @@ def measure() -> dict:
                 if system is not None:
                     solver_cfg = SolverConfig(sketch=spec, max_iters=SOLVE_STEPS, stop_tol=1e-300)
                     case(f"solve/{cell}", lambda _: solve(system, solver_cfg, 0))
+        if system is not None:
+            Ab = np.column_stack([system.A, system.b])
+            R_ab = row_factor(Ab)
+            for k in KS:
+                spec = SketchSpec("gaussian", k=k, seed_stream=7)
+                SAb = sketch_times(spec, Ab, (0, 0), R_ab)
+                M, r = SAb[:, :n], -SAb[:, n]  # the step's r = M x - S b at x = 0
+                W = M @ M.T
+                case(f"solve_psd/k={k}", lambda _: solve_psd(W, r, n_ambient=n))
 
     rng = np.random.default_rng(1)
     N, d = RSN_SHAPE

@@ -235,7 +235,12 @@ def _parse_matrix(section) -> MatrixSource:
         def load(_seed: int) -> np.ndarray:  # the first rows x cols block of the file
             if not Path(path).exists():
                 raise FileNotFoundError(f"dataset not found: {path}")
-            return parse_libsvm(path, n_features)[0][:rows, :cols]
+            X = parse_libsvm(path, n_features)[0]
+            for key, want, have in (("rows", rows, X.shape[0]), ("cols", cols, X.shape[1])):
+                if want is not None and want > have:
+                    raise ConfigError(f"matrix.{key}: {want} exceeds the {X.shape[0]} x "
+                                      f"{X.shape[1]} matrix in {path}")
+            return X[:rows, :cols]
 
         return MatrixSource(Path(path).stem, None, load)
     n = _as_int(_require(section, "n", "matrix"), "matrix.n", 1)

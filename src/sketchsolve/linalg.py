@@ -8,10 +8,15 @@ All routines operate on float64 numpy arrays and are deterministic.
 from __future__ import annotations
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 EPS = np.finfo(np.float64).eps
 #: singular values below ``max(m, n) * sigma_max * RANK_RTOL`` count as zero
 RANK_RTOL = 1e-12
+#: ``np.linalg.solve``'s LAPACK gesv gufunc for a (k, k) W and a (k,) vector,
+#: without the wrapper: only for a W that :func:`_certified` accepts, which is
+#: not singular, so the wrapper's ``LinAlgError`` translation has nothing to do.
+_lu_solve = _umath_linalg.solve1
 
 
 def rank_cutoff(singular_values: np.ndarray, rows: int, cols: int):
@@ -47,7 +52,8 @@ def orth_rowspace(M: np.ndarray) -> np.ndarray:
 
 
 def solve_psd(W: np.ndarray, rhs: np.ndarray, n_ambient: int):
-    """Solve ``W z = rhs`` for symmetric PSD ``W`` with a guarded Cholesky.
+    """Solve ``W z = rhs`` for symmetric PSD ``W`` (k x k) and ``rhs`` (k,)
+    with a guarded Cholesky; a certified W is solved by :data:`_lu_solve`.
 
     Falls back to an SVD pseudoinverse when the smallest Cholesky pivot drops
     below ``k * eps * ||W||_F`` or the factorization fails outright.  The
@@ -62,7 +68,7 @@ def solve_psd(W: np.ndarray, rhs: np.ndarray, n_ambient: int):
     if k == 0:
         return np.zeros_like(rhs), False
     if _certified(W):
-        return np.linalg.solve(W, rhs), False
+        return _lu_solve(W, rhs), False
     z = np.linalg.pinv(W, rcond=max(k, n_ambient) * EPS, hermitian=True) @ rhs
     return z, True
 

@@ -7,6 +7,7 @@ orthonormal factors, so the same seed always yields the same matrix.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -158,8 +159,8 @@ class LinearSystem:
 
     def metric_norm(self, v: np.ndarray) -> float:
         """||v||_B, the Euclidean norm when no metric is set."""
-        if self.metric is None:
-            return float(np.linalg.norm(v))
+        if self.metric is None:  # np.linalg.norm's dot product, without its dispatch
+            return math.sqrt(v @ v)
         return float(np.sqrt(max(v @ (self.metric @ v), 0.0)))
 
 

@@ -27,7 +27,7 @@ _seat_matches: bool | None = None
 def as_key(trial: KeyPath) -> tuple[int, ...]:
     if isinstance(trial, (int, np.integer)):
         return (int(trial),)
-    return tuple(int(t) for t in trial)
+    return tuple(map(int, trial))
 
 
 def stream(master_seed: int, trial: KeyPath = ()) -> np.random.Generator:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _certified, solve_psd
+from .linalg import _certified, _lu_solve, solve_psd
 from .matgen import LinearSystem
 from .rng import KeyPath, as_key, streams
 from .sketch import SketchSpec, _fill_times, apply_sketch, draw_sketch  # noqa: F401 (perfbench)
@@ -111,7 +111,8 @@ def solve(system: LinearSystem, config: SolverConfig, trial: KeyPath = 0):
     for any b and metric), and then projects as :func:`_project` does: steps
     are drawn :data:`_STEP_BLOCK` at a time, one stacked Cholesky applies
     :func:`solve_psd`'s guard to the block, and a certified step takes its
-    LU solve directly, any other step :func:`solve_psd` on the same W_t.
+    LU solve directly (:data:`linalg._lu_solve`, the one :func:`solve_psd`
+    calls on a certified W), any other step :func:`solve_psd` on the same W_t.
     Returns the final iterate and the full :class:`IterLog`.
     """
     spec = config.sketch
@@ -149,7 +150,7 @@ def solve(system: LinearSystem, config: SolverConfig, trial: KeyPath = 0):
         for i in range(len(SAb)):
             r = M[i] @ x - c[i]
             if ok[i]:  # solve_psd's certified branch, without certifying again
-                z, fb = np.linalg.solve(W[i], r), False
+                z, fb = _lu_solve(W[i], r), False
             else:
                 z, fb = solve_psd(W[i], r, n_ambient=n)
             x = x - Mt[i] @ z

@@ -893,7 +893,8 @@ class TestCli:
         assert main(["rate-sweep", "--config", str(tmp_path / "nope.yaml")]) == 1
 
     @pytest.mark.parametrize("field,value", [("rows", -1), ("rows", "abc"),
-                                             ("cols", 0), ("n_features", 2.5)])
+                                             ("cols", 0), ("n_features", 2.5),
+                                             ("rows", 7), ("cols", 3)])
     def test_bad_dataset_field_exit_code(self, tmp_path, capsys, field, value):
         data = tmp_path / "tiny.libsvm"
         data.write_text("".join(f"1 1:{i + 1}.0 2:{i % 3}.0\n" for i in range(6)))

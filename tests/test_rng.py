@@ -92,6 +92,17 @@ def test_int_keys_are_one_word_keys():
         [stream(3, t).random() for t in range(70)]
 
 
+@pytest.mark.parametrize("trial,key", [
+    (np.int64(3), (3,)),
+    ([np.int32(1), np.uint64(2**63)], (1, 2**63)),
+    ((np.int64(4), 5), (4, 5)),
+    (np.arange(3), (0, 1, 2)),
+])
+def test_as_key_returns_python_ints(trial, key):
+    got = rng.as_key(trial)
+    assert got == key and type(got) is tuple and all(type(w) is int for w in got)
+
+
 @pytest.mark.parametrize("seed,keys", [
     (5, [(2**32,), (7,)]),  # a key word of two or more uint32 words
     (5, [(1, 2**40), (2, 3)]),

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sketchsolve import matgen, solver
+from sketchsolve import linalg, matgen, solver
 from sketchsolve.linalg import row_factor, symmetrize
 from sketchsolve.matgen import LinearSystem, gen_gaussian_unit_rows, make_system
 from sketchsolve.rng import as_key, stream
@@ -346,6 +346,34 @@ class TestBlockKernel:
         assert "raised" in blocks and any(guard_failed)
         assert len(blocks) == -(-cfg.max_iters // solver._STEP_BLOCK)
         _assert_matches_per_step(system, cfg, 2)
+
+
+class TestNumpyPins:
+    """The step's direct numpy entry points give numpy's public results, bit
+    for bit.  ``solve`` and ``_project`` both solve through ``linalg._lu_solve``,
+    so :class:`TestBlockKernel` alone does not tie them to ``np.linalg.solve``."""
+
+    @pytest.mark.parametrize("k", [1, 5, 20, 40])
+    def test_lu_solve_is_numpy_solve(self, k):
+        system = _random_system(m=100, n=50, seed=k)
+        spec = SketchSpec("gaussian", k=k, seed_stream=7)
+        Ab = np.column_stack([system.A, system.b])
+        SAb = sketch_times(spec, Ab, stream(spec.seed_stream, (0, 0)), row_factor(Ab))
+        M, c = SAb[:, :50], SAb[:, 50]
+        W, r = M @ M.T, M @ np.ones(50) - c
+        assert linalg._certified(W)
+        assert np.array_equal(linalg._lu_solve(W, r), np.linalg.solve(W, r))
+        assert np.array_equal(linalg.solve_psd(W, r, n_ambient=50)[0], np.linalg.solve(W, r))
+
+    @pytest.mark.parametrize("v", [np.zeros(0), np.array([-3.5]),
+                                   np.random.default_rng(8).standard_normal(50),
+                                   1e200 * np.random.default_rng(9).standard_normal(50)],
+                             ids=["empty", "one", "random", "overflow"])
+    def test_euclidean_metric_norm_is_numpy_norm(self, v):
+        system = _random_system()
+        with np.errstate(over="ignore"):  # the overflow case is inf both ways
+            got, want = system.metric_norm(v), float(np.linalg.norm(v))
+        assert type(got) is float and got == want
 
 
 class TestEstimateRate:
