@@ -20,10 +20,13 @@ and runs the same invocations at seeds 1 and 4242, each with ``--svg``:
   ``perfbench/workloads.WORKLOADS``.
 
 Every exit code is recorded in ``exit_codes.json`` beside the outputs and
-compared too.  The script prints each file that differs or exists in one tree
-only and, for a differing CSV, each column that moved with its largest
-relative difference.  It exits 0 when every file is byte-identical and 1
-otherwise.
+compared too.  Output bytes may depend on the BLAS thread count, so both
+trees run everything twice: with ``OPENBLAS_NUM_THREADS=1``, and with the
+setting this script inherits, which may be unset.  For each setting the script
+prints each file that differs or exists in one tree only, for a differing
+CSV each column that moved with its largest relative difference, and a
+verdict line.  It exits 0 when every file is byte-identical at both settings
+and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -158,8 +161,9 @@ def describe_csv(parent: Path, change: Path) -> list[str]:
     return lines or ["only the comment line differs"]
 
 
-def compare(parent: Path, change: Path) -> int:
-    """Print every differing file; return how many differ."""
+def compare(parent: Path, change: Path, setting: str) -> int:
+    """Print every differing file and a verdict for this thread setting;
+    return how many differ."""
     names = sorted({p.relative_to(root).as_posix() for root in (parent, change)
                     for p in root.rglob("*") if p.is_file()})
     differ = 0
@@ -175,7 +179,7 @@ def compare(parent: Path, change: Path) -> int:
         else:
             continue
         differ += 1
-    print(f"{len(names) - differ} of {len(names)} files byte-identical")
+    print(f"{setting}: {len(names) - differ} of {len(names)} files byte-identical")
     return differ
 
 
@@ -190,17 +194,25 @@ def main(argv=None) -> int:
         return 0
     if args.parent_src is None:
         parser.error("PARENT_SRC is required")
+    inherited = os.environ.get("OPENBLAS_NUM_THREADS")
+    differ = 0
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp).resolve()
         (work / "configs").mkdir()
         job_file = work / "jobs.json"
         job_file.write_text(json.dumps(jobs(work / "configs")), encoding="utf-8")
-        env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
-        for name, src in (("parent", args.parent_src), ("change", args.change_src)):
-            (work / name).mkdir()
-            subprocess.run([sys.executable, __file__, "--child", str(src.resolve()),
-                            str(job_file), str(work / name)], env=env, check=True, cwd=work)
-        return 1 if compare(work / "parent", work / "change") else 0
+        for i, threads in enumerate(("1", inherited)):
+            env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+            if threads is not None:  # None: unset here, so unset in the children
+                env["OPENBLAS_NUM_THREADS"] = threads
+            run = work / f"setting-{i}"  # inherited may be "1" too
+            for name, src in (("parent", args.parent_src), ("change", args.change_src)):
+                (run / name).mkdir(parents=True)
+                subprocess.run([sys.executable, __file__, "--child", str(src.resolve()),
+                                str(job_file), str(run / name)], env=env, check=True, cwd=work)
+            differ += compare(run / "parent", run / "change",
+                              f"OPENBLAS_NUM_THREADS={'(unset)' if threads is None else threads}")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

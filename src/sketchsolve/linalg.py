@@ -74,12 +74,12 @@ def solve_psd(W: np.ndarray, rhs: np.ndarray, n_ambient: int):
 
 
 def _certified(W: np.ndarray):
-    """:func:`solve_psd`'s guard, for one k x k W or each of a stack (all False
-    when the Cholesky factorization of one W fails)."""
-    try:
-        pivot = np.diagonal(np.linalg.cholesky(W), axis1=-2, axis2=-1).min(axis=-1)
-    except np.linalg.LinAlgError:
-        return np.zeros(W.shape[:-2], dtype=bool)
+    """:func:`solve_psd`'s guard, for one k x k W or each of a stack.  The
+    Cholesky gufunc of ``np.linalg.cholesky``, called directly, gives a W that
+    is not positive definite a NaN factor, whose pivot fails for that W alone."""
+    with np.errstate(all="ignore"):  # np.linalg.cholesky's, but invalid does not raise
+        L = _umath_linalg.cholesky_lo(W, signature="d->d")
+    pivot = np.diagonal(L, axis1=-2, axis2=-1).min(axis=-1)
     Wf = W.reshape(W.shape[:-2] + (1, -1))  # ||W||_F from one dot product
     return pivot**2 >= W.shape[-1] * EPS * np.sqrt(Wf @ np.swapaxes(Wf, -1, -2))[..., 0, 0]
 

@@ -311,6 +311,8 @@ def make_system(A: np.ndarray, seed: int, metric: np.ndarray | None = None) -> L
     if metric is not None:
         check_spd(metric)
         metric = np.asarray(metric, dtype=float)
+        if metric.shape != (n, n):
+            raise ValueError(f"metric must have shape ({n}, {n}), got {metric.shape}")
     system = LinearSystem(A=A, b=b, x_star=x_star, metric=metric, R=R, sigma=sigma)
     system.__dict__["_augmented"] = Ab  # A and b are its column views
     return system

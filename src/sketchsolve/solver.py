@@ -110,9 +110,9 @@ def solve(system: LinearSystem, config: SolverConfig, trial: KeyPath = 0):
     (Gaussian steps through the system's factor of ``[A | b]``, exact in law
     for any b and metric), and then projects as :func:`_project` does: steps
     are drawn :data:`_STEP_BLOCK` at a time, one stacked Cholesky applies
-    :func:`solve_psd`'s guard to the block, and a certified step takes its
-    LU solve directly (:data:`linalg._lu_solve`, the one :func:`solve_psd`
-    calls on a certified W), any other step :func:`solve_psd` on the same W_t.
+    :func:`solve_psd`'s guard to each W_t, a certified step takes its LU
+    solve directly (:data:`linalg._lu_solve`, as :func:`solve_psd` does), and
+    any other step calls :func:`solve_psd`, which takes the pseudoinverse.
     Returns the final iterate and the full :class:`IterLog`.
     """
     spec = config.sketch
@@ -146,7 +146,7 @@ def solve(system: LinearSystem, config: SolverConfig, trial: KeyPath = 0):
         M, c = SAb[:, :, :n], SAb[:, :, n]
         Mt = M.transpose(0, 2, 1) if Binv is None else Binv @ M.transpose(0, 2, 1)
         W = M @ Mt
-        ok = _certified(W).tolist()  # all False if one W_t is not positive definite
+        ok = _certified(W).tolist()  # each W_t's own verdict, as solve_psd reads it
         for i in range(len(SAb)):
             r = M[i] @ x - c[i]
             if ok[i]:  # solve_psd's certified branch, without certifying again
@@ -219,6 +219,8 @@ def eigencomponent_decay(
     ``c_{t+1} / c_t`` targets the same quantity but has unbounded variance
     whenever a component crosses zero, so it never stabilizes.)
     """
+    if runs < 1:
+        raise ValueError("runs must be >= 1")
     V = np.asarray(V, dtype=float)
     n = system.n
     if V.shape[0] != n:

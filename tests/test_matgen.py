@@ -251,7 +251,9 @@ class TestMakeSystem:
         non_symmetric[0, 2] = 0.5
         for metric, message in [(np.diag([1.0, -1.0, 1.0]), "not positive definite"),
                                 (np.diag([1.0, 0.0, 1.0]), "not positive definite"),
-                                (non_symmetric, "must be symmetric")]:
+                                (non_symmetric, "must be symmetric"),
+                                (np.eye(2), r"must have shape \(3, 3\), got \(2, 2\)"),
+                                (np.eye(4), r"must have shape \(3, 3\), got \(4, 4\)")]:
             with pytest.raises(ValueError, match=message):
                 make_system(np.eye(3), seed=0, metric=metric)
         system = make_system(np.eye(3), seed=0, metric=np.diag([4.0, 1.0, 2.0]))

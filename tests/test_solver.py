@@ -318,34 +318,35 @@ class TestBlockKernel:
 
     @pytest.mark.parametrize("metric", ["euclidean", "spd"])
     def test_row_sampling_with_repeated_rows(self, metric, monkeypatch):
-        # repeated rows make some W_t singular: the stacked Cholesky of a block
-        # raises, or a W_t factors but fails solve_psd's guard
+        # repeated rows make some W_t singular: a block holds a W_t that is not
+        # positive definite, and a W_t that factors but fails solve_psd's guard
         A = np.repeat(gen_gaussian_unit_rows(10, 6, seed=64), 4, axis=0)
         system, spec = _kernel_case("row_sampling", metric, A=A, k=4)
         cfg = SolverConfig(sketch=spec, max_iters=120, stop_tol=1e-300)
-        blocks, guard_failed = [], []
-        cholesky, solve_psd = np.linalg.cholesky, solver.solve_psd
+        blocks, certified = [], linalg._certified
 
-        def stacked_cholesky(W):
+        def recorded_certified(W):
+            verdict = certified(W)
             if W.ndim == 3:
-                blocks.append("raised")
-                L = cholesky(W)
-                blocks[-1] = "factored"
-                return L
-            return cholesky(W)
+                blocks.append((W, verdict))
+            return verdict
 
-        def counted_solve_psd(*args, **kwargs):
-            out = solve_psd(*args, **kwargs)
-            guard_failed.append(out[1] and blocks[-1] == "factored")
-            return out
-
-        monkeypatch.setattr(np.linalg, "cholesky", stacked_cholesky)
-        monkeypatch.setattr(solver, "solve_psd", counted_solve_psd)
+        monkeypatch.setattr(solver, "_certified", recorded_certified)
         solve(system, cfg, 2)
         monkeypatch.undo()
-        assert "raised" in blocks and any(guard_failed)
         assert len(blocks) == -(-cfg.max_iters // solver._STEP_BLOCK)
-        _assert_matches_per_step(system, cfg, 2)
+        not_pd = guard_failed = 0
+        for W, verdict in blocks:
+            assert np.array_equal(verdict, [certified(Wt) for Wt in W])
+            for Wt in W[~verdict]:
+                try:
+                    np.linalg.cholesky(Wt)
+                    guard_failed += 1
+                except np.linalg.LinAlgError:
+                    not_pd += 1
+        assert not_pd and guard_failed
+        log = _assert_matches_per_step(system, cfg, 2)
+        assert log.fallback.sum() == sum(int((~verdict).sum()) for _, verdict in blocks)
 
 
 class TestNumpyPins:
@@ -364,6 +365,32 @@ class TestNumpyPins:
         assert linalg._certified(W)
         assert np.array_equal(linalg._lu_solve(W, r), np.linalg.solve(W, r))
         assert np.array_equal(linalg.solve_psd(W, r, n_ambient=50)[0], np.linalg.solve(W, r))
+
+    @pytest.mark.parametrize("metric", ["euclidean", "spd"])
+    def test_cholesky_lo_is_numpy_cholesky(self, metric):
+        # row_sampling W_t of repeated rows: some are not positive definite
+        A = np.repeat(gen_gaussian_unit_rows(10, 6, seed=64), 4, axis=0)
+        system, spec = _kernel_case("row_sampling", metric, A=A, k=4)
+        M = np.stack([sketch_times(spec, system.A, stream(spec.seed_stream, (2, t)))
+                      for t in range(16)])
+        Binv = np.eye(6) if system.metric is None else np.linalg.inv(system.metric)
+        W = M @ Binv @ M.transpose(0, 2, 1)
+        cholesky_lo = np.linalg._umath_linalg.cholesky_lo
+        with np.errstate(all="ignore"):  # as linalg._certified calls it
+            L = cholesky_lo(W, signature="d->d")
+        failed = np.zeros(len(W), dtype=bool)
+        for t, Wt in enumerate(W):
+            try:
+                assert np.array_equal(L[t], np.linalg.cholesky(Wt))
+            except np.linalg.LinAlgError:
+                failed[t] = True
+                assert np.isnan(L[t]).all()
+        assert failed.any() and not failed.all()
+        # the stacked call on positive definite W sets no flag, and no warning
+        # escapes the suite's filterwarnings = error from the guard itself
+        assert np.array_equal(cholesky_lo(W[~failed], signature="d->d"),
+                              np.linalg.cholesky(W[~failed]))
+        assert not linalg._certified(W)[failed].any()
 
     @pytest.mark.parametrize("v", [np.zeros(0), np.array([-3.5]),
                                    np.random.default_rng(8).standard_normal(50),
@@ -461,6 +488,13 @@ class TestEigencomponentDecay:
             energy = energy + np.sum(prev * prev * valid, axis=0)
         contraction = eigencomponent_decay(system, cfg, V, runs)
         np.testing.assert_allclose(contraction, cross / energy, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("runs", [0, -1])
+    def test_runs_must_be_positive(self, runs):
+        system = _random_system(seed=37)
+        cfg = SolverConfig(sketch=SketchSpec("gaussian", k=2, seed_stream=38))
+        with pytest.raises(ValueError, match="runs must be >= 1"):
+            eigencomponent_decay(system, cfg, np.eye(8), runs=runs)
 
     def test_non_orthonormal_basis_rejected(self):
         system = _random_system(seed=37)
