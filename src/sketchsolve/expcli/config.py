@@ -20,6 +20,7 @@ import numpy as np
 import yaml
 
 from ..matgen import (
+    SIGMA_MAX,
     LinearSystem,
     SpectralProfile,
     gen_gaussian_unit_rows,
@@ -165,7 +166,7 @@ def _check_unique(values: list, path: str) -> None:
             raise ConfigError(f"{path}[{i}]: names the same cell as {path}[{values.index(v)}]")
 
 
-def parse_model_name(name: str, n: int, sigma_max: float = 6.8) -> SpectralProfile:
+def parse_model_name(name: str, n: int, sigma_max: float = SIGMA_MAX) -> SpectralProfile:
     """Spectral-model shorthand: flat, lin.01, poly1.5, exp1.2, step20, ...
 
     Each names a ``profile`` section and is parsed as one; ``step<r>``
@@ -202,7 +203,7 @@ def _parse_profile_section(section, n: int, path: str) -> SpectralProfile:
             head = _parse_profile_section(_require(section, "head", path), n, f"{path}.head")
             tail = _parse_profile_section(_require(section, "tail", path), n, f"{path}.tail")
             return SpectralProfile.step(break_r, head, tail)
-        sigma_max = _as_float(section.get("sigma_max", 6.8), f"{path}.sigma_max", positive=True)
+        sigma_max = _as_float(section.get("sigma_max", SIGMA_MAX), f"{path}.sigma_max", positive=True)
         if kind == "flat":
             return SpectralProfile.flat(n, sigma_max)
         param = _as_float(_require(section, "param", path), f"{path}.param")
@@ -255,7 +256,7 @@ def _parse_matrix(section) -> MatrixSource:
         if "profile" in section:
             raise ConfigError("matrix: give 'model' or 'profile', not both")
         label = str(section["model"])
-        sigma_max = _as_float(section.get("sigma_max", 6.8), "matrix.sigma_max", True)
+        sigma_max = _as_float(section.get("sigma_max", SIGMA_MAX), "matrix.sigma_max", True)
         profile = parse_model_name(label, n, sigma_max)
     elif "profile" in section:
         if "sigma_max" in section:

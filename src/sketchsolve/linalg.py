@@ -55,22 +55,26 @@ def solve_psd(W: np.ndarray, rhs: np.ndarray, n_ambient: int):
     """Solve ``W z = rhs`` for symmetric PSD ``W`` (k x k) and ``rhs`` (k,)
     with a guarded Cholesky; a certified W is solved by :data:`_lu_solve`.
 
-    Falls back to an SVD pseudoinverse when the smallest Cholesky pivot drops
-    below ``k * eps * ||W||_F`` or the factorization fails outright.  The
-    pseudoinverse cutoff is ``max(k, n_ambient) * eps`` relative to the
-    largest singular value.
+    Falls back to an SVD pseudoinverse (:func:`_pinv_solve`) when the smallest
+    Cholesky pivot drops below ``k * eps * ||W||_F`` or the factorization
+    fails outright.  The pseudoinverse cutoff is ``max(k, n_ambient) * eps``
+    relative to the largest singular value.
 
     Returns ``(z, fallback)`` where ``fallback`` is True when the
     pseudoinverse path was taken.
     """
     W = np.asarray(W, dtype=float)
-    k = W.shape[0]
-    if k == 0:
+    if W.shape[0] == 0:
         return np.zeros_like(rhs), False
     if _certified(W):
         return _lu_solve(W, rhs), False
-    z = np.linalg.pinv(W, rcond=max(k, n_ambient) * EPS, hermitian=True) @ rhs
-    return z, True
+    return _pinv_solve(W, rhs, n_ambient), True
+
+
+def _pinv_solve(W: np.ndarray, rhs: np.ndarray, n_ambient: int) -> np.ndarray:
+    """:func:`solve_psd`'s fallback for a k x k W that :func:`_certified`
+    rejects: the pseudoinverse with cutoff ``max(k, n_ambient) * eps``."""
+    return np.linalg.pinv(W, rcond=max(W.shape[0], n_ambient) * EPS, hermitian=True) @ rhs
 
 
 def _certified(W: np.ndarray):
@@ -103,14 +107,15 @@ def lambda_min_plus(w: np.ndarray) -> float:
     return float(positive[0])
 
 
-def check_spd(B: np.ndarray, name: str = "metric") -> None:
-    """Validate symmetry and positive definiteness (all Cholesky pivots > 0)."""
+def check_spd(B: np.ndarray) -> None:
+    """Validate a metric's symmetry and positive definiteness (all Cholesky
+    pivots > 0)."""
     B = np.asarray(B, dtype=float)
     if B.ndim != 2 or B.shape[0] != B.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {B.shape}")
+        raise ValueError(f"metric must be square, got shape {B.shape}")
     if not np.allclose(B, B.T, rtol=0.0, atol=1e-10 * max(1.0, float(np.abs(B).max()))):
-        raise ValueError(f"{name} must be symmetric")
+        raise ValueError("metric must be symmetric")
     try:
         np.linalg.cholesky(B)
     except np.linalg.LinAlgError as exc:
-        raise ValueError(f"{name} is not positive definite") from exc
+        raise ValueError("metric is not positive definite") from exc

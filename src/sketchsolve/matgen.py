@@ -31,6 +31,8 @@ __all__ = [
 ]
 
 _PROFILE_KINDS = ("linear", "polynomial", "exponential", "explicit")
+#: sigma_1 of a profile that does not give one
+SIGMA_MAX = 6.8
 
 
 class LibsvmFormatError(ValueError):
@@ -58,7 +60,7 @@ class SpectralProfile:
 
     kind: str
     count: int
-    sigma_max: float = 6.8
+    sigma_max: float = SIGMA_MAX
     param: float | None = None
     explicit_values: tuple[float, ...] | None = None
     resorted: bool = False
@@ -71,19 +73,19 @@ class SpectralProfile:
         self.values()  # validates positivity/monotonicity eagerly
 
     @classmethod
-    def linear(cls, slope: float, count: int, sigma_max: float = 6.8) -> "SpectralProfile":
+    def linear(cls, slope: float, count: int, sigma_max: float = SIGMA_MAX) -> "SpectralProfile":
         return cls("linear", count, sigma_max, param=slope)
 
     @classmethod
-    def polynomial(cls, exponent: float, count: int, sigma_max: float = 6.8) -> "SpectralProfile":
+    def polynomial(cls, exponent: float, count: int, sigma_max: float = SIGMA_MAX) -> "SpectralProfile":
         return cls("polynomial", count, sigma_max, param=exponent)
 
     @classmethod
-    def exponential(cls, base: float, count: int, sigma_max: float = 6.8) -> "SpectralProfile":
+    def exponential(cls, base: float, count: int, sigma_max: float = SIGMA_MAX) -> "SpectralProfile":
         return cls("exponential", count, sigma_max, param=base)
 
     @classmethod
-    def flat(cls, count: int, sigma_max: float = 6.8) -> "SpectralProfile":
+    def flat(cls, count: int, sigma_max: float = SIGMA_MAX) -> "SpectralProfile":
         return cls.explicit([sigma_max] * count)
 
     @classmethod
@@ -132,6 +134,13 @@ class LinearSystem:
     metric: np.ndarray | None = None
     R: np.ndarray | None = None
     sigma: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.metric is not None:  # the one check of a metric, however built
+            check_spd(self.metric)
+            if np.shape(self.metric) != (self.n, self.n):
+                raise ValueError(f"metric must have shape ({self.n}, {self.n}), "
+                                 f"got {np.shape(self.metric)}")
 
     @property
     def rank(self) -> int:
@@ -308,11 +317,6 @@ def make_system(A: np.ndarray, seed: int, metric: np.ndarray | None = None) -> L
         x_star, *_ = np.linalg.lstsq(A, b, rcond=RANK_RTOL * max(m, n))
     else:
         x_star = x_seed
-    if metric is not None:
-        check_spd(metric)
-        metric = np.asarray(metric, dtype=float)
-        if metric.shape != (n, n):
-            raise ValueError(f"metric must have shape ({n}, {n}), got {metric.shape}")
     system = LinearSystem(A=A, b=b, x_star=x_star, metric=metric, R=R, sigma=sigma)
     system.__dict__["_augmented"] = Ab  # A and b are its column views
     return system

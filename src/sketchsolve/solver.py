@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _certified, _lu_solve, solve_psd
+from .linalg import _certified, _lu_solve, _pinv_solve, solve_psd
 from .matgen import LinearSystem
 from .rng import KeyPath, as_key, streams
 from .sketch import SketchSpec, _fill_times, apply_sketch, draw_sketch  # noqa: F401 (perfbench)
@@ -45,7 +45,6 @@ class SolverConfig:
     sketch: SketchSpec
     max_iters: int = 1000
     stop_tol: float = 1e-5
-    x0: np.ndarray | None = None
 
     def __post_init__(self):
         if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, (int, np.integer)) \
@@ -57,7 +56,7 @@ class SolverConfig:
 
 @dataclass
 class IterLog:
-    """Per-iteration errors for one run (index 0 is the starting point).
+    """Per-iteration errors for one run (index 0 is the start, x_0 = 0).
 
     ``err`` is the ``(T+1, n)`` path of errors ``x_t - x*``, and ``dist[t]``
     is ``system.metric_norm(err[t])``.
@@ -65,12 +64,17 @@ class IterLog:
 
     err: np.ndarray
     dist: np.ndarray
-    rel_err: np.ndarray
     fallback: np.ndarray
 
     @property
     def iterations(self) -> int:
         return int(self.dist.size - 1)
+
+    @property
+    def rel_err(self) -> np.ndarray:
+        """``dist[t] / dist[0]``, the error relative to the start ``||x*||_B``
+        (all zeros when x* = 0)."""
+        return self.dist / self.dist[0] if self.dist[0] > 0.0 else np.zeros_like(self.dist)
 
 
 @dataclass
@@ -101,7 +105,7 @@ def _project(x: np.ndarray, M: np.ndarray, Sb: np.ndarray, Binv: np.ndarray | No
 
 
 def solve(system: LinearSystem, config: SolverConfig, trial: KeyPath = 0):
-    """Run the iteration from x0 (default all zeros) with a fresh sketch per step.
+    """Run the iteration from x_0 = 0 with a fresh sketch per step.
 
     A pure function of (system, config, trial): iteration t draws its sketch
     from the stream keyed by ``(*trial, t)``, seated in batches
@@ -111,35 +115,26 @@ def solve(system: LinearSystem, config: SolverConfig, trial: KeyPath = 0):
     for any b and metric), and then projects as :func:`_project` does: steps
     are drawn :data:`_STEP_BLOCK` at a time, one stacked Cholesky applies
     :func:`solve_psd`'s guard to each W_t, a certified step takes its LU
-    solve directly (:data:`linalg._lu_solve`, as :func:`solve_psd` does), and
-    any other step calls :func:`solve_psd`, which takes the pseudoinverse.
+    solve directly (:data:`linalg._lu_solve`), and any other step takes
+    :func:`solve_psd`'s pseudoinverse (:func:`linalg._pinv_solve`).
     Returns the final iterate and the full :class:`IterLog`.
     """
     spec = config.sketch
     spec.validate(system.m)
     key = as_key(trial)
     n = system.n
-    x = np.zeros(n) if config.x0 is None else np.asarray(config.x0, dtype=float).copy()
-    if x.shape != (n,):
-        raise ValueError(f"x0 has shape {x.shape}, expected ({n},)")
+    x = np.zeros(n)
     Ab = system._augmented
     R = system._augmented_R if spec.family == "gaussian" else None
     x_star = system.x_star
-    denom = system.metric_norm(x_star)
     Binv = None if system.metric is None else np.linalg.inv(system.metric)
-
-    def rel(d: float) -> float:
-        if denom > 0.0:
-            return d / denom
-        return 0.0 if d == 0.0 else float("inf")
-
     err = [x - x_star]
     dist = [system.metric_norm(err[0])]
-    rel_err = [rel(dist[0])]
+    denom = dist[0]  # ||x*||_B, since x_0 = 0; with x* = 0 no step runs
     fall = [False]
     rngs = streams(spec.seed_stream, (key + (t,) for t in range(config.max_iters)))
-    for lo in range(0, config.max_iters, _STEP_BLOCK):
-        if not rel_err[-1] > config.stop_tol:
+    for lo in range(0, config.max_iters if denom > 0.0 else 0, _STEP_BLOCK):
+        if not dist[-1] / denom > config.stop_tol:
             break
         SAb = np.empty((min(_STEP_BLOCK, config.max_iters - lo), spec.k, n + 1))
         _fill_times(spec, Ab, rngs, R, SAb)
@@ -149,22 +144,15 @@ def solve(system: LinearSystem, config: SolverConfig, trial: KeyPath = 0):
         ok = _certified(W).tolist()  # each W_t's own verdict, as solve_psd reads it
         for i in range(len(SAb)):
             r = M[i] @ x - c[i]
-            if ok[i]:  # solve_psd's certified branch, without certifying again
-                z, fb = _lu_solve(W[i], r), False
-            else:
-                z, fb = solve_psd(W[i], r, n_ambient=n)
-            x = x - Mt[i] @ z
+            x = x - Mt[i] @ (_lu_solve(W[i], r) if ok[i] else _pinv_solve(W[i], r, n))
             err.append(x - x_star)
-            d = system.metric_norm(err[-1])
-            dist.append(d)
-            rel_err.append(rel(d))
-            fall.append(fb)
-            if not rel_err[-1] > config.stop_tol:
+            dist.append(system.metric_norm(err[-1]))
+            fall.append(not ok[i])
+            if not dist[-1] / denom > config.stop_tol:
                 break
     log = IterLog(
         err=np.asarray(err),
         dist=np.asarray(dist),
-        rel_err=np.asarray(rel_err),
         fallback=np.asarray(fall, dtype=bool),
     )
     return x, log
@@ -194,7 +182,7 @@ def estimate_rate(
         steps = d.size - 1
         use = min(tail, steps)
         short = short or use < tail
-        # every step ran while rel_err > stop_tol > 0, so no prev is 0
+        # every step ran while dist / ||x*||_B > stop_tol > 0, so no prev is 0
         samples.extend(1.0 - (d[-use:] / d[-use - 1 : -1]) ** 2)
     rate = float(np.mean(samples))
     return RateReport(

@@ -212,48 +212,46 @@ def decay_rate_bound(
     kind: str,
     k: int,
     sigma: np.ndarray,
-    C_user: float = 1.0,
     *,
     beta: float | None = None,
     alpha: float | None = None,
     r: int | None = None,
-    C1: float = 1.0,
 ) -> float:
-    """Closed-form k-scaling rate bounds, with the absolute constant exposed.
+    """Closed-form k-scaling rate bounds, in their C = 1 form.
 
-    kind="general":     k   * sigma_min^2 / (C ||A||_F^2)
-    kind="polynomial":  k^beta  * sigma_min^2 / (C ||A||_F^2)   (k <= n/2)
-    kind="exponential": alpha^k * sigma_min^2 / (C ||A||_F^2)   (k <= n/2)
-    kind="flat_tail":   k / (C n)       (k >= max(2r, C1); tail index r)
+    kind="general":     k   * sigma_min^2 / ||A||_F^2
+    kind="polynomial":  k^beta  * sigma_min^2 / ||A||_F^2   (k <= n/2)
+    kind="exponential": alpha^k * sigma_min^2 / ||A||_F^2   (k <= n/2)
+    kind="flat_tail":   k / n       (k >= 2r; tail index r)
 
-    Values are clamped to [0, 1]; the unspecified constants live in C_user.
+    Values are clamped to [0, 1].
     """
     sigma = np.asarray(sigma, dtype=float)
     n = sigma.size
-    if C_user <= 0.0 or k < 1:
-        raise ValueError("need C_user > 0 and k >= 1")
+    if k < 1:
+        raise ValueError("need k >= 1")
     sig_min_sq = float(sigma[-1] ** 2)
     fro_sq = float(np.sum(sigma**2))
     if kind == "general":
-        val = k * sig_min_sq / (C_user * fro_sq)
+        val = k * sig_min_sq / fro_sq
     elif kind == "polynomial":
         if beta is None or beta <= 1.0:
             raise ValueError("polynomial kind needs beta > 1")
         if k > n // 2:
             raise ValueError(f"k={k} outside validity range k <= n/2")
-        val = k**beta * sig_min_sq / (C_user * fro_sq)
+        val = k**beta * sig_min_sq / fro_sq
     elif kind == "exponential":
         if alpha is None or alpha <= 1.0:
             raise ValueError("exponential kind needs alpha > 1")
         if k > n // 2:
             raise ValueError(f"k={k} outside validity range k <= n/2")
-        val = alpha**k * sig_min_sq / (C_user * fro_sq)
+        val = alpha**k * sig_min_sq / fro_sq
     elif kind == "flat_tail":
         if r is None or not 1 <= r <= n:
             raise ValueError("flat_tail kind needs a tail index r in [1, n]")
-        if k < max(2 * r, C1):
-            raise ValueError(f"k={k} below validity range max(2r, C1)")
-        val = k / (C_user * n)
+        if k < 2 * r:
+            raise ValueError(f"k={k} below validity range 2r")
+        val = k / n
     else:
         raise ValueError(f"unknown decay kind {kind!r}")
     return float(np.clip(val, 0.0, 1.0))

@@ -351,6 +351,12 @@ class TestRateSweep:
         assert first.startswith("# config_hash=")
         assert "master_seed=99" in first and "version=" in first
 
+    def test_package_version_is_pyproject_version(self):
+        # the meta line's version= comes from the package; the two must not drift
+        text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        version = re.search(r'^version = "([^"]+)"$', text, re.M).group(1)
+        assert version == sketchsolve.__version__
+
 
 class TestReproducibility:
     def test_byte_identical_reruns(self, tmp_path):

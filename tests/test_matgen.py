@@ -259,6 +259,15 @@ class TestMakeSystem:
         system = make_system(np.eye(3), seed=0, metric=np.diag([4.0, 1.0, 2.0]))
         assert system.metric_norm(np.array([1.0, 0.0, 0.0])) == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("metric,message", [
+        (-np.eye(5), "not positive definite"),
+        (np.eye(6), r"must have shape \(5, 5\), got \(6, 6\)")], ids=["negative", "wrong_size"])
+    def test_hand_built_system_checks_metric(self, metric, message):
+        A = gen_gaussian_unit_rows(30, 5, seed=3)
+        x = np.ones(5)
+        with pytest.raises(ValueError, match=message):
+            LinearSystem(A, A @ x, x, metric=metric)
+
     def test_one_buffer_holds_a_and_b(self):
         system = make_system(gen_gaussian_unit_rows(30, 5, seed=3), seed=4)
         assert system._augmented.shape == (30, 6)

@@ -139,7 +139,7 @@ class TestProjectStep:
 
 def _err_path_case(metric, family):
     """A 40 x 8 system, Euclidean or in a random SPD metric, and a solver
-    config that starts from a random x0 and runs 25 steps."""
+    config that runs 25 steps."""
     rng = np.random.default_rng(41)
     B = None
     if metric == "spd":
@@ -147,8 +147,7 @@ def _err_path_case(metric, family):
         B = G @ G.T + 8.0 * np.eye(8)
     system = _random_system(seed=39, metric=B)
     spec = SketchSpec(family, k=3, s=4 if family == "less_uniform" else None, seed_stream=40)
-    cfg = SolverConfig(sketch=spec, max_iters=25, stop_tol=1e-12,
-                       x0=rng.standard_normal(8))
+    cfg = SolverConfig(sketch=spec, max_iters=25, stop_tol=1e-12)
     return system, cfg
 
 
@@ -163,10 +162,11 @@ class TestSolve:
         system, cfg = _err_path_case(metric, family)
         x, log = solve(system, cfg, trial=2)
         assert log.err.shape == (log.iterations + 1, system.n)
-        assert np.array_equal(log.err[0], cfg.x0 - system.x_star)
+        assert np.array_equal(log.err[0], -system.x_star)  # x_0 = 0
         assert np.array_equal(log.err[-1], x - system.x_star)
         dist = np.array([system.metric_norm(e) for e in log.err])
         assert np.array_equal(dist, log.dist)  # bitwise: the stop rule reads dist
+        assert np.array_equal(log.rel_err, log.dist / system.metric_norm(system.x_star))
 
     def test_zero_solution_converges_immediately(self):
         A = gen_gaussian_unit_rows(20, 4, seed=15)
@@ -174,6 +174,7 @@ class TestSolve:
         cfg = SolverConfig(sketch=SketchSpec("gaussian", k=2, seed_stream=16))
         x, log = solve(system, cfg)
         assert log.dist.size == 1
+        assert np.array_equal(log.rel_err, [0.0])
         np.testing.assert_allclose(x, 0.0)
 
     def test_full_sketch_converges_in_one_iteration(self):
@@ -199,13 +200,6 @@ class TestSolve:
         _, log = solve(system, cfg)
         assert np.all(np.diff(log.dist) <= 1e-10 * log.dist[:-1] + 1e-300)
 
-    def test_x0_override(self):
-        system = _random_system(seed=23)
-        cfg = SolverConfig(sketch=SketchSpec("gaussian", k=2, seed_stream=24),
-                           max_iters=5, x0=system.x_star)
-        _, log = solve(system, cfg)
-        assert log.dist.size == 1  # starts converged
-
     def test_augmented_factor_once_per_system(self, monkeypatch):
         def case():
             return _random_system(m=50, n=6, seed=50)
@@ -228,13 +222,6 @@ class TestSolve:
             fresh = solve(case(), cfg, trial=r)[1]
             for field in ("err", "dist", "rel_err", "fallback"):
                 assert np.array_equal(getattr(log, field), getattr(fresh, field)), field
-
-    @pytest.mark.parametrize("x0", [0.5, np.zeros(1), np.zeros(9)], ids=["scalar", "len1", "len9"])
-    def test_x0_shape_checked(self, x0):
-        system = _random_system(m=30, n=8, seed=52)
-        cfg = SolverConfig(sketch=SketchSpec("gaussian", k=2, seed_stream=53), x0=x0)
-        with pytest.raises(ValueError, match=r"x0 has shape .*, expected \(8,\)"):
-            solve(system, cfg)
 
     @pytest.mark.parametrize("max_iters", [2.5, 0, True, "3"])
     def test_max_iters_must_be_a_positive_integer(self, max_iters):
@@ -434,19 +421,14 @@ class TestEstimateRate:
         assert report.short_tail
         assert report.samples <= 6
 
-    @pytest.mark.parametrize("case", ["euclidean", "metric", "zero_solution"])
+    @pytest.mark.parametrize("case", ["euclidean", "metric"])
     def test_every_tail_step_is_a_sample(self, case):
         # solve steps only while rel_err > stop_tol > 0, so no tail step
         # starts from distance 0 and each one is a sample
-        if case == "zero_solution":
-            A = gen_gaussian_unit_rows(30, 5, seed=33)
-            system = LinearSystem(A=A, b=np.zeros(30), x_star=np.zeros(5))
-            x0 = np.ones(5)
-        else:
-            metric = np.diag(np.linspace(1.0, 3.0, 5)) if case == "metric" else None
-            system, x0 = _random_system(m=30, n=5, seed=33, metric=metric), None
+        metric = np.diag(np.linspace(1.0, 3.0, 5)) if case == "metric" else None
+        system = _random_system(m=30, n=5, seed=33, metric=metric)
         cfg = SolverConfig(sketch=SketchSpec("gaussian", k=3, seed_stream=34), max_iters=40,
-                           stop_tol=1e-6, x0=x0)
+                           stop_tol=1e-6)
         runs, tail = 4, 25
         steps = [solve(system, cfg, trial=r)[1].iterations for r in range(runs)]
         report = estimate_rate(system, cfg, runs, tail)

@@ -175,6 +175,19 @@ class TestDecayRateBound:
         b2 = decay_rate_bound("polynomial", 10, sigma, beta=2.0)
         assert b2 / b1 == pytest.approx(10.0, rel=1e-9)
 
+    @pytest.mark.parametrize("alpha,k", [(1.5, 4), (4.0, 10)], ids=["value", "clamped"])
+    def test_exponential_value(self, alpha, k):
+        sigma = np.linspace(3.0, 0.5, 20)
+        expected = min(alpha**k * sigma[-1] ** 2 / np.sum(sigma**2), 1.0)
+        assert decay_rate_bound("exponential", k, sigma, alpha=alpha) == pytest.approx(expected)
+
+    @pytest.mark.parametrize("alpha,k,message", [
+        (1.0, 4, "alpha > 1"), (0.5, 4, "alpha > 1"), (None, 4, "alpha > 1"),
+        (1.5, 11, "k <= n/2")], ids=["alpha_one", "alpha_below_one", "alpha_missing", "k_above_half"])
+    def test_exponential_range_checks(self, alpha, k, message):
+        with pytest.raises(ValueError, match=message):
+            decay_rate_bound("exponential", k, np.linspace(3.0, 0.5, 20), alpha=alpha)
+
     def test_flat_tail_clamp(self):
         sigma = np.ones(20)
         assert decay_rate_bound("flat_tail", 20, sigma, r=10) == pytest.approx(1.0)
