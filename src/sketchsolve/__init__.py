@@ -6,7 +6,7 @@ connecting the two, plus a reproducible benchmark CLI.
 __version__ = "0.3.0"
 
 from .matgen import LinearSystem, SpectralProfile, gen_gaussian_unit_rows, \
-    gen_spectral_matrix, gen_step_profile, make_system, parse_libsvm
+    gen_spectral_matrix, make_system, parse_libsvm
 from .sketch import SketchSpec, SparseSketch, apply_sketch, \
     build_less_distribution, draw_sketch, leverage_scores
 from .solver import IterLog, RateReport, SolverConfig, eigencomponent_decay, \
@@ -22,7 +22,7 @@ from .newton import ConvexObjective, NewtonTrace, full_newton, logistic_objectiv
 __all__ = [
     "__version__",
     "LinearSystem", "SpectralProfile", "gen_gaussian_unit_rows",
-    "gen_spectral_matrix", "gen_step_profile", "make_system", "parse_libsvm",
+    "gen_spectral_matrix", "make_system", "parse_libsvm",
     "SketchSpec", "SparseSketch", "apply_sketch",
     "build_less_distribution", "draw_sketch", "leverage_scores",
     "IterLog", "RateReport", "SolverConfig", "eigencomponent_decay",

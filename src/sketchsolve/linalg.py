@@ -19,6 +19,12 @@ RANK_RTOL = 1e-12
 _lu_solve = _umath_linalg.solve1
 
 
+def check_count(value, name: str, minimum: int) -> None:
+    """Raise ``ValueError`` unless ``value`` is an integer (not a bool) >= ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
 def rank_cutoff(singular_values: np.ndarray, rows: int, cols: int):
     """Absolute threshold below which singular values are treated as zero
     (one per spectrum, shaped to broadcast, for a stack of spectra)."""
@@ -44,8 +50,6 @@ def orth_rowspace(M: np.ndarray) -> np.ndarray:
     Returns an (n, r) array with orthonormal columns, r = numerical rank of M.
     """
     M = np.asarray(M, dtype=float)
-    if M.size == 0 or not np.any(M):
-        return np.zeros((M.shape[1], 0))
     _, s, Vt = np.linalg.svd(M, full_matrices=False)
     r = int(np.sum(s > rank_cutoff(s, *M.shape)))
     return Vt[:r].T

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -22,12 +22,10 @@ __all__ = [
     "LinearSystem",
     "LibsvmFormatError",
     "gen_spectral_matrix",
-    "gen_step_profile",
     "gen_gaussian_unit_rows",
     "parse_libsvm",
     "make_system",
     "save_matrix_csv",
-    "load_matrix_csv",
 ]
 
 _PROFILE_KINDS = ("linear", "polynomial", "exponential", "explicit")
@@ -55,7 +53,7 @@ class SpectralProfile:
       explicit     sigma_i given verbatim
 
     ``step`` profiles (head profile up to a breakpoint, tail profile after)
-    are built with :func:`gen_step_profile` and materialize as ``explicit``.
+    are built with :meth:`step` and materialize as ``explicit``.
     """
 
     kind: str
@@ -63,7 +61,6 @@ class SpectralProfile:
     sigma_max: float = SIGMA_MAX
     param: float | None = None
     explicit_values: tuple[float, ...] | None = None
-    resorted: bool = False
 
     def __post_init__(self):
         if self.kind not in _PROFILE_KINDS:
@@ -96,7 +93,19 @@ class SpectralProfile:
 
     @classmethod
     def step(cls, break_r: int, head: "SpectralProfile", tail: "SpectralProfile") -> "SpectralProfile":
-        return gen_step_profile(break_r, head, tail)
+        """Splice ``head`` (i <= break_r) with ``tail`` (i > break_r) into an
+        explicit profile; a splice that is not non-increasing is re-sorted,
+        with a warning."""
+        n = head.count
+        if tail.count != n:
+            raise ValueError("head and tail profiles must have equal count")
+        if not 1 <= break_r <= n:
+            raise ValueError(f"break_r must be in [1, {n}], got {break_r}")
+        spliced = np.concatenate([head.values()[:break_r], tail.values()[break_r:]])
+        if np.any(np.diff(spliced) > 0.0):
+            warnings.warn("step profile splice was non-monotone; re-sorted", stacklevel=2)
+            spliced = np.sort(spliced)[::-1]
+        return cls.explicit(spliced)
 
     def values(self) -> np.ndarray:
         i = np.arange(1, self.count + 1, dtype=float)
@@ -215,28 +224,6 @@ def gen_spectral_matrix(profile: SpectralProfile, m: int, seed: int) -> np.ndarr
     return U @ (sigma[:, None] * V.T)
 
 
-def gen_step_profile(break_r: int, head: SpectralProfile, tail: SpectralProfile) -> SpectralProfile:
-    """Splice ``head`` (i <= break_r) with ``tail`` (i > break_r).
-
-    The result is an explicit profile; if the splice is not non-increasing it
-    is re-sorted and flagged via ``resorted`` (a warning is emitted).
-    """
-    n = head.count
-    if tail.count != n:
-        raise ValueError("head and tail profiles must have equal count")
-    if not 1 <= break_r <= n:
-        raise ValueError(f"break_r must be in [1, {n}], got {break_r}")
-    head_vals = head.values()
-    tail_vals = tail.values()
-    spliced = np.concatenate([head_vals[:break_r], tail_vals[break_r:]])
-    resorted = bool(np.any(np.diff(spliced) > 0.0))
-    if resorted:
-        warnings.warn("step profile splice was non-monotone; re-sorted", stacklevel=2)
-        spliced = np.sort(spliced)[::-1]
-    prof = SpectralProfile.explicit(spliced)
-    return replace(prof, resorted=resorted)
-
-
 def gen_gaussian_unit_rows(m: int, n: int, seed: int) -> np.ndarray:
     """m x n matrix of i.i.d. standard normals with every row scaled to unit norm."""
     if m < 1 or n < 1:
@@ -329,17 +316,3 @@ def save_matrix_csv(path, A: np.ndarray) -> None:
         fh.write(f"{A.shape[0]},{A.shape[1]}\n")
         for row in A:
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
-
-
-def load_matrix_csv(path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        try:
-            rows_s, cols_s = header.split(",")
-            rows, cols = int(rows_s), int(cols_s)
-        except ValueError:
-            raise ValueError(f"bad matrix CSV header {header!r}") from None
-        A = np.loadtxt(fh, delimiter=",", ndmin=2)
-    if A.shape != (rows, cols):
-        raise ValueError(f"matrix CSV body {A.shape} does not match header ({rows},{cols})")
-    return A

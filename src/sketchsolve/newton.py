@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import lambda_min_plus, positive_mask, solve_psd, symmetrize
+from .linalg import check_count, lambda_min_plus, positive_mask, solve_psd, symmetrize
 from .randsvd import err_km1
 from .rng import KeyPath, as_key, child_seed, streams
 from .sketch import SketchSpec, apply_sketch, apply_sketch_t, densify, draw_sketch, row_factor
@@ -33,10 +33,6 @@ __all__ = [
     "logistic_objective",
     "quadratic_objective",
 ]
-
-#: absolute constant of the sub-Gaussian epsilon in :func:`rho_certificate`
-SUBGAUSSIAN_CONST = 1.0
-
 
 @dataclass
 class ConvexObjective:
@@ -108,12 +104,12 @@ def _newton_direction(W: np.ndarray, g: np.ndarray, S, dim: int):
     return -apply_sketch_t(S, z), z
 
 
-def rsn_step(obj: ConvexObjective, x: np.ndarray, S, eta: float = 1.0) -> np.ndarray:
-    """One sketched Newton step ``x - eta * S^T (S H S^T)^+ S g``, with g and
+def rsn_step(obj: ConvexObjective, x: np.ndarray, S) -> np.ndarray:
+    """One full sketched Newton step ``x - S^T (S H S^T)^+ S g``, with g and
     ``S H S^T`` from ``obj.at(x)``."""
     _, g, sketched = obj.at(x)
     d, _ = _newton_direction(sketched(S)[0], g, S, obj.dim)
-    return x + eta * d
+    return x + d
 
 
 def rsn_solve(
@@ -140,9 +136,7 @@ def rsn_solve(
     x = np.asarray(x0, dtype=float).copy()
     if x.shape != (obj.dim,):
         raise ValueError(f"x0 has shape {x.shape}, expected ({obj.dim},)")
-    if isinstance(max_iters, bool) or not isinstance(max_iters, (int, np.integer)) \
-            or max_iters < 1:
-        raise ValueError(f"max_iters must be an integer >= 1, got {max_iters!r}")
+    check_count(max_iters, "max_iters", 1)
     key = as_key(trial)
     trace = NewtonTrace()
     f_x, g, sketched = obj.at(x)
@@ -203,9 +197,9 @@ def rho_certificate(H: np.ndarray, spec: SketchSpec, trials: int) -> RhoCertific
     All work stays in the range of H, so roundoff has no null space to land
     in.  The refined bound is ``(1 - eps) k lambda_min^+(H) / Err(H^{1/2}, k-1)``
     and the crude bound ``k lambda_min^+(H) / tr(H)``.  For Gaussian sketches eps is the explicit
-    expression from :func:`gaussian_rate_bound`; other families use
-    ``SUBGAUSSIAN_CONST * (1/sqrt(r) + k/n)`` with r the stable rank of
-    H^{1/2}.  Raises ``ValueError`` when k exceeds rank(H): Err(H^{1/2}, k-1)
+    expression from :func:`gaussian_rate_bound`; other families use the
+    sub-Gaussian ``1/sqrt(r) + k/n`` (absolute constant 1) with r the stable
+    rank of H^{1/2}.  Raises ``ValueError`` when k exceeds rank(H): Err(H^{1/2}, k-1)
     is then roundoff and both bounds are meaningless.
     """
     H = symmetrize(np.asarray(H, dtype=float))
@@ -228,7 +222,7 @@ def rho_certificate(H: np.ndarray, spec: SketchSpec, trials: int) -> RhoCertific
         eps = gaussian_rate_bound(lam_min_plus, err.mean, spec.k, n_rank).epsilon
     else:
         r_stable = trace_h / float(eigs[-1])
-        eps = SUBGAUSSIAN_CONST * (1.0 / np.sqrt(r_stable) + spec.k / n_rank)
+        eps = 1.0 / np.sqrt(r_stable) + spec.k / n_rank
     refined = (1.0 - eps) * spec.k * lam_min_plus / err.mean
     crude = spec.k * lam_min_plus / trace_h
     return RhoCertificate(

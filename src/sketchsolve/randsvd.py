@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import orth_rowspace
+from .linalg import check_count, orth_rowspace
 from .rng import KeyPath
 from .sketch import SketchSpec, apply_sketch, draw_sketch, row_factor, sketched_bases
 
@@ -86,9 +86,8 @@ def err_monte_carlo(A: np.ndarray, spec: SketchSpec, trials: int,
     ``||A X||_F = ||R X||_F``), exact for every family; Gaussian trials also
     draw their sketch through R.
     """
+    check_count(trials, "trials", 2)
     A = np.asarray(A, dtype=float)
-    if trials < 2:
-        raise ValueError("trials must be >= 2")
     if R is None:
         R = row_factor(A)
     total = float(np.sum(R * R))

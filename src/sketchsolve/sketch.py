@@ -282,20 +282,23 @@ def sketched_bases(spec: SketchSpec, A: np.ndarray, trials: int,
     as ``(b, min(k, n), n)`` blocks of b <= :data:`TRIAL_BLOCK` trials, from one
     stacked QR with an SVD for the trials it cannot certify (:func:`_row_bases`).
     Rows past a trial's rank (the ``orth_rowspace`` cutoff) are zero, so
-    ``V[t].T @ V[t]`` projects onto rowspan(S_t A).  The trials' streams are
-    seated in batches (:func:`rng.streams`)."""
+    ``V[t].T @ V[t]`` projects onto rowspan(S_t A)."""
     A = np.asarray(A, dtype=float)
     if spec.family == "gaussian" and R is None:
         R = row_factor(A)
-    rngs = streams(spec.seed_stream, range(trials))
-    for lo in range(0, trials, TRIAL_BLOCK):
-        SA = np.empty((min(TRIAL_BLOCK, trials - lo), spec.k, A.shape[1]))
-        yield _row_bases(_fill_times(spec, A, rngs, R, SA))
+    return map(_row_bases, _sketch_blocks(spec, A, range(trials), trials, R, TRIAL_BLOCK))
 
 
-def _fill_times(spec: SketchSpec, A: np.ndarray, rngs, R: np.ndarray | None, out: np.ndarray):
-    """``out[i] = sketch_times(spec, A, next(rngs), R)`` for each i, in place
-    (stacking a list of them raised peak RSS); returns ``out``."""
-    for i in range(len(out)):
-        out[i] = sketch_times(spec, A, next(rngs), R)
-    return out
+def _sketch_blocks(spec: SketchSpec, A: np.ndarray, keys, count: int,
+                   R: np.ndarray | None, size: int):
+    """Yield ``(b, k, cols)`` blocks of b <= ``size`` products
+    ``sketch_times(spec, A, key, R)``, one for each of the ``count`` stream
+    keys in ``keys``, each block filled in place (stacking a list of them
+    raised peak RSS).  The streams are seated in batches (:func:`rng.streams`)
+    as the blocks are taken."""
+    rngs = streams(spec.seed_stream, keys)
+    for lo in range(0, count, size):
+        out = np.empty((min(size, count - lo), spec.k, A.shape[1]))
+        for i in range(len(out)):
+            out[i] = sketch_times(spec, A, next(rngs), R)
+        yield out

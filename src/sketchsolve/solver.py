@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _certified, _lu_solve, _pinv_solve, solve_psd
+from .linalg import _certified, _lu_solve, _pinv_solve, check_count, solve_psd
 from .matgen import LinearSystem
-from .rng import KeyPath, as_key, streams
-from .sketch import SketchSpec, _fill_times, apply_sketch, draw_sketch  # noqa: F401 (perfbench)
+from .rng import KeyPath, as_key
+from .sketch import SketchSpec, _sketch_blocks, apply_sketch, draw_sketch  # noqa: F401 (perfbench)
 
 __all__ = [
     "SolverConfig",
@@ -47,9 +47,7 @@ class SolverConfig:
     stop_tol: float = 1e-5
 
     def __post_init__(self):
-        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, (int, np.integer)) \
-                or self.max_iters < 1:
-            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
+        check_count(self.max_iters, "max_iters", 1)
         if not self.stop_tol > 0.0:
             raise ValueError("stop_tol must be positive")
 
@@ -108,23 +106,22 @@ def solve(system: LinearSystem, config: SolverConfig, trial: KeyPath = 0):
     """Run the iteration from x_0 = 0 with a fresh sketch per step.
 
     A pure function of (system, config, trial): iteration t draws its sketch
-    from the stream keyed by ``(*trial, t)``, seated in batches
-    (:func:`rng.streams`).  Each step sketches the augmented ``[A | b]`` with
-    ``sketch_times``, so S A and S b come from one k x (n+1) product
-    (Gaussian steps through the system's factor of ``[A | b]``, exact in law
-    for any b and metric), and then projects as :func:`_project` does: steps
-    are drawn :data:`_STEP_BLOCK` at a time, one stacked Cholesky applies
-    :func:`solve_psd`'s guard to each W_t, a certified step takes its LU
-    solve directly (:data:`linalg._lu_solve`), and any other step takes
-    :func:`solve_psd`'s pseudoinverse (:func:`linalg._pinv_solve`).
+    from the stream keyed by ``(*trial, t)``.  Each step sketches the augmented
+    ``[A | b]`` with ``sketch_times``, so S A and S b come from one k x (n+1)
+    product (Gaussian steps through the system's factor of ``[A | b]``, exact
+    in law for any b and metric), and then projects as :func:`_project` does:
+    steps are drawn :data:`_STEP_BLOCK` at a time by
+    :func:`sketch._sketch_blocks` (a stop draws no further block), one
+    stacked Cholesky applies :func:`solve_psd`'s guard to each W_t, a
+    certified step takes its LU solve directly (:data:`linalg._lu_solve`),
+    and any other step takes :func:`solve_psd`'s pseudoinverse
+    (:func:`linalg._pinv_solve`).
     Returns the final iterate and the full :class:`IterLog`.
     """
     spec = config.sketch
     spec.validate(system.m)
-    key = as_key(trial)
     n = system.n
     x = np.zeros(n)
-    Ab = system._augmented
     R = system._augmented_R if spec.family == "gaussian" else None
     x_star = system.x_star
     Binv = None if system.metric is None else np.linalg.inv(system.metric)
@@ -132,12 +129,10 @@ def solve(system: LinearSystem, config: SolverConfig, trial: KeyPath = 0):
     dist = [system.metric_norm(err[0])]
     denom = dist[0]  # ||x*||_B, since x_0 = 0; with x* = 0 no step runs
     fall = [False]
-    rngs = streams(spec.seed_stream, (key + (t,) for t in range(config.max_iters)))
-    for lo in range(0, config.max_iters if denom > 0.0 else 0, _STEP_BLOCK):
-        if not dist[-1] / denom > config.stop_tol:
-            break
-        SAb = np.empty((min(_STEP_BLOCK, config.max_iters - lo), spec.k, n + 1))
-        _fill_times(spec, Ab, rngs, R, SAb)
+    key = as_key(trial)
+    count = config.max_iters if denom > 0.0 and config.stop_tol < 1.0 else 0
+    keys = (key + (t,) for t in range(count))
+    for SAb in _sketch_blocks(spec, system._augmented, keys, count, R, _STEP_BLOCK):
         M, c = SAb[:, :, :n], SAb[:, :, n]
         Mt = M.transpose(0, 2, 1) if Binv is None else Binv @ M.transpose(0, 2, 1)
         W = M @ Mt
@@ -150,6 +145,9 @@ def solve(system: LinearSystem, config: SolverConfig, trial: KeyPath = 0):
             fall.append(not ok[i])
             if not dist[-1] / denom > config.stop_tol:
                 break
+        else:
+            continue
+        break
     log = IterLog(
         err=np.asarray(err),
         dist=np.asarray(dist),
@@ -170,8 +168,8 @@ def estimate_rate(
     flagged short, when it stopped earlier); steps from all runs are pooled
     with equal weight.
     """
-    if runs < 1 or tail < 1:
-        raise ValueError("runs and tail must be >= 1")
+    check_count(runs, "runs", 1)
+    check_count(tail, "tail", 1)
     samples: list[float] = []
     short = False
     for r in range(runs):
@@ -207,8 +205,7 @@ def eigencomponent_decay(
     ``c_{t+1} / c_t`` targets the same quantity but has unbounded variance
     whenever a component crosses zero, so it never stabilizes.)
     """
-    if runs < 1:
-        raise ValueError("runs must be >= 1")
+    check_count(runs, "runs", 1)
     V = np.asarray(V, dtype=float)
     n = system.n
     if V.shape[0] != n:

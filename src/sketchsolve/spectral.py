@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import orth_rowspace, symmetrize
+from .linalg import check_count, orth_rowspace, symmetrize
 from .randsvd import err_km1
 from .rng import child_seed
 from .sketch import SketchSpec, apply_sketch, row_factor, sketched_bases
@@ -119,8 +119,7 @@ def expected_projection(A: np.ndarray, spec: SketchSpec, trials: int,
     P unchanged.  Each block of ``sketched_bases`` adds ``sum_t V_t^T V_t`` in
     one product; the mean is symmetrized before its eigendecomposition.
     """
-    if trials < 2:
-        raise ValueError("trials must be >= 2")
+    check_count(trials, "trials", 2)
     A = np.asarray(A, dtype=float)
     n = A.shape[1]
     acc = np.zeros((n, n))

@@ -202,6 +202,13 @@ def _match_oracle(spec, A, trials):
     return [_rank(V) for V in bases]
 
 
+@pytest.mark.parametrize("shape", [(3, 5), (7, 4), (0, 5)])
+def test_orth_rowspace_of_a_zero_or_empty_matrix_is_empty(shape):
+    # the SVD's cutoff keeps no row of a zero or empty M
+    Q = orth_rowspace(np.zeros(shape))
+    assert Q.shape == (shape[1], 0) and Q.dtype == np.float64
+
+
 @pytest.mark.parametrize("k", [6, 8])
 @pytest.mark.parametrize("family", ["gaussian", "rademacher", "less_uniform"])
 def test_guard_ranks_straddling_the_cutoff(monkeypatch, family, k):

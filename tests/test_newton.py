@@ -42,7 +42,7 @@ class TestRsnStep:
         b = rng.standard_normal(6)
         obj = quadratic_objective(H, b)
         S = rng.standard_normal((6, 6))  # invertible a.s.
-        x_new = rsn_step(obj, rng.standard_normal(6), S, eta=1.0)
+        x_new = rsn_step(obj, rng.standard_normal(6), S)
         np.testing.assert_allclose(x_new, np.linalg.solve(H, b), atol=1e-8)
 
     def test_stationary_point_unchanged(self):
@@ -59,7 +59,7 @@ class TestRsnStep:
         system = LinearSystem(A=np.eye(7), b=b, x_star=b)
         x = rng.standard_normal(7)
         S = draw_sketch(SketchSpec("gaussian", k=3, seed_stream=3), 7, trial=0)
-        x_rsn = rsn_step(obj, x, S, eta=1.0)
+        x_rsn = rsn_step(obj, x, S)
         x_proj, _ = project_step(x, system, S)
         np.testing.assert_allclose(x_rsn, x_proj, atol=1e-10)
 
@@ -78,7 +78,7 @@ class TestRsnStep:
         x = rng.standard_normal(6)
         S_tall = draw_sketch(SketchSpec("gaussian", k=3, seed_stream=4), 30, trial=0)
         S_tilde = S_tall @ A  # k x n sketch of the Newton system
-        x_rsn = rsn_step(obj, x, S_tilde, eta=1.0)
+        x_rsn = rsn_step(obj, x, S_tilde)
         x_proj, _ = project_step(x, normal_system, S_tilde)
         np.testing.assert_allclose(x_rsn, x_proj, atol=1e-8)
 
@@ -153,11 +153,11 @@ class TestRsnSolve:
         np.testing.assert_allclose(x, x0)
 
 
-def _rsn_step_full_hessian(obj, x, S, eta=1.0):
+def _rsn_step_full_hessian(obj, x, S):
     """RSN step from the explicit d x d Hessian, sketched from both sides."""
     W = symmetrize(apply_sketch(S, apply_sketch(S, obj.hessian(x)).T))
     z, _ = solve_psd(W, apply_sketch(S, obj.gradient(x)), n_ambient=obj.dim)
-    return x + eta * -apply_sketch_t(S, z)
+    return x - apply_sketch_t(S, z)
 
 
 class TestSketchedHessian:
@@ -204,8 +204,8 @@ class TestSketchedHessian:
         for obj in (quad, hand):
             for t in range(3):
                 S = draw_sketch(spec, 8, trial=t)
-                np.testing.assert_array_equal(rsn_step(obj, x, S, eta=0.5),
-                                              _rsn_step_full_hessian(obj, x, S, eta=0.5))
+                np.testing.assert_array_equal(rsn_step(obj, x, S),
+                                              _rsn_step_full_hessian(obj, x, S))
 
     def test_rsn_solve_never_forms_logistic_hessian(self):
         X, y = _logistic_data(100, 12, seed=39)

@@ -111,8 +111,9 @@ class TestErrMonteCarlo:
         assert best_rank_error(sigma, 4) <= est.mean + 3 * est.stderr
 
     def test_trials_lower_bound(self):
-        with pytest.raises(ValueError):
-            err_monte_carlo(np.eye(4), SketchSpec("gaussian", k=2), trials=1)
+        for trials in (1, True, 3.0):
+            with pytest.raises(ValueError, match="trials must be an integer >= 2"):
+                err_monte_carlo(np.eye(4), SketchSpec("gaussian", k=2), trials=trials)
 
 
 class TestErrKm1:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sketchsolve import linalg, matgen, solver
+from sketchsolve import linalg, matgen, sketch, solver
 from sketchsolve.linalg import row_factor, symmetrize
 from sketchsolve.matgen import LinearSystem, gen_gaussian_unit_rows, make_system
 from sketchsolve.rng import as_key, stream
@@ -266,6 +266,18 @@ def _kernel_case(family, metric, A=None, k=3):
     return system, spec
 
 
+def _stop_inside_a_block(system, spec, stop):
+    """A 40-step config for run 4 whose tolerance lies between the errors after
+    steps ``stop - 1`` and ``stop``, a step that does not end a block."""
+    loose = SolverConfig(sketch=spec, max_iters=40, stop_tol=1e-300)
+    ref = _per_step_reference(system, loose, 4)[0]
+    rel = np.array([system.metric_norm(e) for e in ref - system.x_star])
+    rel /= system.metric_norm(system.x_star)
+    assert stop % solver._STEP_BLOCK != 0 and rel[stop] < rel[stop - 1]
+    return SolverConfig(sketch=spec, max_iters=40,
+                        stop_tol=float(np.sqrt(rel[stop] * rel[stop - 1])))
+
+
 def _assert_matches_per_step(system, cfg, trial):
     """``solve`` takes the same steps, bit for bit, with the same flags."""
     x, log = solve(system, cfg, trial)
@@ -293,15 +305,21 @@ class TestBlockKernel:
     @pytest.mark.parametrize("family", _FAMILIES)
     def test_stop_inside_a_block(self, family, metric):
         system, spec = _kernel_case(family, metric)
-        loose = SolverConfig(sketch=spec, max_iters=40, stop_tol=1e-300)
-        ref = _per_step_reference(system, loose, 4)[0]
-        rel = np.array([system.metric_norm(e) for e in ref - system.x_star])
-        rel /= system.metric_norm(system.x_star)
-        stop = 13  # tolerance between the errors after steps 12 and 13
-        assert stop % solver._STEP_BLOCK != 0 and rel[stop] < rel[stop - 1]
-        cfg = SolverConfig(sketch=spec, max_iters=40,
-                           stop_tol=float(np.sqrt(rel[stop] * rel[stop - 1])))
-        assert _assert_matches_per_step(system, cfg, 4).iterations == stop
+        cfg = _stop_inside_a_block(system, spec, 13)
+        assert _assert_matches_per_step(system, cfg, 4).iterations == 13
+
+    @pytest.mark.parametrize("family", ["gaussian", "less_uniform"])
+    def test_a_stop_draws_no_further_block(self, family, monkeypatch):
+        system, spec = _kernel_case(family, "euclidean")
+        cfg = _stop_inside_a_block(system, spec, 13)
+        draws, sketch_times = [], sketch.sketch_times
+        monkeypatch.setattr(sketch, "sketch_times",
+                            lambda *args: draws.append(1) or sketch_times(*args))
+        assert solve(system, cfg, 4)[1].iterations == 13
+        assert len(draws) == 2 * solver._STEP_BLOCK == 16
+        draws.clear()
+        assert solve(system, SolverConfig(sketch=spec, stop_tol=2.0), 4)[1].iterations == 0
+        assert draws == []
 
     @pytest.mark.parametrize("metric", ["euclidean", "spd"])
     def test_row_sampling_with_repeated_rows(self, metric, monkeypatch):
@@ -406,6 +424,15 @@ class TestEstimateRate:
         report = estimate_rate(system, cfg, runs=100, tail=50)
         assert report.empirical_rate == pytest.approx(k / n, abs=0.02)
 
+    @pytest.mark.parametrize("runs, tail, name", [(0, 5, "runs"), (True, 5, "runs"),
+                                                   (2.5, 5, "runs"), (2, 0, "tail"),
+                                                   (2, True, "tail"), (2, 5.0, "tail")])
+    def test_runs_and_tail_must_be_positive_integers(self, runs, tail, name):
+        system = _random_system(m=30, n=5, seed=25)
+        cfg = SolverConfig(sketch=SketchSpec("gaussian", k=2, seed_stream=26))
+        with pytest.raises(ValueError, match=f"{name} must be an integer >= 1"):
+            estimate_rate(system, cfg, runs, tail)
+
     def test_insufficient_iterations(self):
         A = gen_gaussian_unit_rows(20, 4, seed=29)
         system = LinearSystem(A=A, b=np.zeros(20), x_star=np.zeros(4))
@@ -471,11 +498,11 @@ class TestEigencomponentDecay:
         contraction = eigencomponent_decay(system, cfg, V, runs)
         np.testing.assert_allclose(contraction, cross / energy, rtol=1e-12, atol=0)
 
-    @pytest.mark.parametrize("runs", [0, -1])
+    @pytest.mark.parametrize("runs", [0, -1, True, 2.5])
     def test_runs_must_be_positive(self, runs):
         system = _random_system(seed=37)
         cfg = SolverConfig(sketch=SketchSpec("gaussian", k=2, seed_stream=38))
-        with pytest.raises(ValueError, match="runs must be >= 1"):
+        with pytest.raises(ValueError, match="runs must be an integer >= 1"):
             eigencomponent_decay(system, cfg, np.eye(8), runs=runs)
 
     def test_non_orthonormal_basis_rejected(self):
