@@ -17,8 +17,8 @@ spectra (1000 x 50 and 4096 x 128) and k in {5, 10, 20, 40}:
 
 - ``stream/per_key/k=<k>``: ``rng.stream`` for one ``(run, t)`` key plus a
   k x 51 Gaussian draw from it (one solver step's draw on an n = 50 system);
-- ``stream/batched/k=<k>``: the same draws from ``rng.streams``, per key over
-  128 keys;
+- ``stream/batched/k=<k>``: the same draws from ``rng.streams(7, (3,), 128)``,
+  per key (or from the same 128 keys, for a tree whose ``streams`` takes keys);
 - ``apply_sketch/<size>/<family>/k=<k>``: ``apply_sketch(S, A)`` for a freshly
   drawn sketch (the draw is outside the timed region; ``less`` and
   ``less_uniform`` use s = 32);
@@ -62,6 +62,7 @@ from __future__ import annotations
 
 import argparse
 import importlib.metadata
+import inspect
 import json
 import os
 import platform
@@ -167,12 +168,18 @@ def measure() -> dict:
         out["calibration_s"][name] = calibrate()
         out["raw"][name] = _per_call(run, prepare) / keys
 
+    keyed_streams = "keys" in inspect.signature(rng_module.streams).parameters  # an older tree
+
+    def batched_streams():
+        if keyed_streams:
+            return rng_module.streams(7, ((3, t) for t in range(STREAM_KEYS)))
+        return rng_module.streams(7, (3,), STREAM_KEYS)
+
     for k in KS:
         case(f"stream/per_key/k={k}",
              lambda t: rng_module.stream(7, (3, t)).standard_normal((k, 51)), range)
         case(f"stream/batched/k={k}",
-             lambda _: [g.standard_normal((k, 51)) for g in
-                        rng_module.streams(7, ((3, t) for t in range(STREAM_KEYS)))],
+             lambda _: [g.standard_normal((k, 51)) for g in batched_streams()],
              keys=STREAM_KEYS)
 
     for m, n in SIZES:

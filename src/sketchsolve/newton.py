@@ -18,7 +18,7 @@ import numpy as np
 
 from .linalg import check_count, lambda_min_plus, positive_mask, solve_psd, symmetrize
 from .randsvd import err_km1
-from .rng import KeyPath, as_key, child_seed, streams
+from .rng import KeyPath, child_seed, streams
 from .sketch import SketchSpec, apply_sketch, apply_sketch_t, densify, draw_sketch, row_factor
 from .spectral import expected_projection, gaussian_rate_bound
 
@@ -137,10 +137,9 @@ def rsn_solve(
     if x.shape != (obj.dim,):
         raise ValueError(f"x0 has shape {x.shape}, expected ({obj.dim},)")
     check_count(max_iters, "max_iters", 1)
-    key = as_key(trial)
     trace = NewtonTrace()
     f_x, g, sketched = obj.at(x)
-    for rng in streams(spec.seed_stream, (key + (t,) for t in range(max_iters))):
+    for rng in streams(spec.seed_stream, trial, max_iters):
         gnorm = float(np.linalg.norm(g))
         trace.f.append(f_x)
         trace.grad_norm.append(gnorm)

@@ -107,8 +107,7 @@ def err_km1(A: np.ndarray, k: int, seed_stream: int, trials: int,
     """Err(A, k-1), which every rate bound for sketch size k divides by:
     :func:`err_monte_carlo` over Gaussian sketches of size k-1 on ``seed_stream``.
     Exact at k = 1 (``||A||_F^2``, standard error 0), where nothing is drawn."""
-    if k < 1:
-        raise ValueError(f"need k >= 1, got k={k}")
+    check_count(k, "k", 1)
     if k == 1:
         A = np.asarray(A, dtype=float)
         return ErrEstimate(mean=float(np.sum(A * A)), stderr=0.0, trials=0)

@@ -286,17 +286,16 @@ def sketched_bases(spec: SketchSpec, A: np.ndarray, trials: int,
     A = np.asarray(A, dtype=float)
     if spec.family == "gaussian" and R is None:
         R = row_factor(A)
-    return map(_row_bases, _sketch_blocks(spec, A, range(trials), trials, R, TRIAL_BLOCK))
+    return map(_row_bases, _sketch_blocks(spec, A, (), trials, R, TRIAL_BLOCK))
 
 
-def _sketch_blocks(spec: SketchSpec, A: np.ndarray, keys, count: int,
+def _sketch_blocks(spec: SketchSpec, A: np.ndarray, prefix: KeyPath, count: int,
                    R: np.ndarray | None, size: int):
     """Yield ``(b, k, cols)`` blocks of b <= ``size`` products
-    ``sketch_times(spec, A, key, R)``, one for each of the ``count`` stream
-    keys in ``keys``, each block filled in place (stacking a list of them
-    raised peak RSS).  The streams are seated in batches (:func:`rng.streams`)
-    as the blocks are taken."""
-    rngs = streams(spec.seed_stream, keys)
+    ``sketch_times(spec, A, (*prefix, t), R)``, t < ``count``, each block
+    filled in place (stacking a list of them raised peak RSS).  The streams
+    are seated in batches (:func:`rng.streams`) as the blocks are taken."""
+    rngs = streams(spec.seed_stream, prefix, count)
     for lo in range(0, count, size):
         out = np.empty((min(size, count - lo), spec.k, A.shape[1]))
         for i in range(len(out)):

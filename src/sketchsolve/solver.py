@@ -18,7 +18,7 @@ import numpy as np
 
 from .linalg import _certified, _lu_solve, _pinv_solve, check_count, solve_psd
 from .matgen import LinearSystem
-from .rng import KeyPath, as_key
+from .rng import KeyPath
 from .sketch import SketchSpec, _sketch_blocks, apply_sketch, draw_sketch  # noqa: F401 (perfbench)
 
 __all__ = [
@@ -129,10 +129,8 @@ def solve(system: LinearSystem, config: SolverConfig, trial: KeyPath = 0):
     dist = [system.metric_norm(err[0])]
     denom = dist[0]  # ||x*||_B, since x_0 = 0; with x* = 0 no step runs
     fall = [False]
-    key = as_key(trial)
     count = config.max_iters if denom > 0.0 and config.stop_tol < 1.0 else 0
-    keys = (key + (t,) for t in range(count))
-    for SAb in _sketch_blocks(spec, system._augmented, keys, count, R, _STEP_BLOCK):
+    for SAb in _sketch_blocks(spec, system._augmented, trial, count, R, _STEP_BLOCK):
         M, c = SAb[:, :, :n], SAb[:, :, n]
         Mt = M.transpose(0, 2, 1) if Binv is None else Binv @ M.transpose(0, 2, 1)
         W = M @ Mt

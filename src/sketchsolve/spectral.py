@@ -180,8 +180,9 @@ def gaussian_rate_bound(sigma_min_sq: float, err_km1: float, k: int, n: int) -> 
     eps = 4k/n + 8 ln(3n)/n; the bound is reported even when eps >= 1, in
     which case it is non-positive and flagged vacuous.
     """
-    if k < 1 or n < k or err_km1 <= 0.0:
-        raise ValueError("need k >= 1, n >= k, err_km1 > 0")
+    check_count(k, "k", 1)
+    if n < k or err_km1 <= 0.0:
+        raise ValueError("need n >= k, err_km1 > 0")
     epsilon = 4.0 * k / n + 8.0 * math.log(3.0 * n) / n
     epsilon_log10 = 4.0 * k / n + 8.0 * math.log10(3.0 * n) / n
     bound = (1.0 - epsilon) * k * sigma_min_sq / err_km1
@@ -227,8 +228,7 @@ def decay_rate_bound(
     """
     sigma = np.asarray(sigma, dtype=float)
     n = sigma.size
-    if k < 1:
-        raise ValueError("need k >= 1")
+    check_count(k, "k", 1)
     sig_min_sq = float(sigma[-1] ** 2)
     fro_sq = float(np.sum(sigma**2))
     if kind == "general":

@@ -132,9 +132,9 @@ class TestErrKm1:
         assert err_km1(A, k, 23, 20) == ref
         assert err_km1(A, k, 23, 20, R=np.linalg.qr(A, mode="r")) == ref
 
-    @pytest.mark.parametrize("k", [0, -1])
+    @pytest.mark.parametrize("k", [0, -1, True, 2.5])
     def test_k_below_one_rejected(self, k):
-        with pytest.raises(ValueError, match="k >= 1"):
+        with pytest.raises(ValueError, match="k must be an integer >= 1"):
             err_km1(np.eye(4), k, 0, 10)
 
 

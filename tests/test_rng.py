@@ -13,18 +13,15 @@ import pytest
 from sketchsolve import newton, rng, sketch, solver
 from sketchsolve.matgen import SpectralProfile, gen_spectral_matrix, make_system
 from sketchsolve.randsvd import err_monte_carlo
-from sketchsolve.rng import child_seed, stream, streams
+from sketchsolve.rng import as_key, child_seed, stream, streams
 from sketchsolve.sketch import SketchSpec, draw_sketch
 from sketchsolve.spectral import expected_projection
 
 SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 + 7, 2**64 - 1, 2**127 + 3,
          child_seed(1, 2), child_seed(4242, 3, 1)]
 TOP = 2**32 - 1
-KEYS = [
-    [(0,), (TOP,), (5,)],
-    [(0, 0), (TOP, 7), (3, TOP), (TOP, TOP)],
-    [(0, 0, 0), (1, 2, 3), (TOP, 0, TOP)],
-]
+PREFIXES = [(), (0,), (TOP,), (0, TOP), (TOP, 7), (3, 0)]  # keys of 1-3 words
+COUNT = 4  # keys (*prefix, t), t < COUNT
 M = 40
 P = np.arange(1.0, M + 1.0) / (M * (M + 1) / 2)
 
@@ -66,30 +63,32 @@ def test_seating_matches_this_numpy():
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("keys", KEYS, ids=["len1", "len2", "len3"])
-def test_draws_match_stream(seed, keys, monkeypatch):
+@pytest.mark.parametrize("prefixes", [PREFIXES[:1], PREFIXES[1:3], PREFIXES[3:]],
+                         ids=["len1", "len2", "len3"])
+def test_draws_match_stream(seed, prefixes, monkeypatch):
     calls = _count_stream_calls(monkeypatch)
-    for spec in _specs(seed):
-        for g, key in zip(streams(seed, keys), keys, strict=True):
-            assert _same(draw_sketch(spec, M, g), draw_sketch(spec, M, key)), (spec.family, key)
-    for g, key in zip(streams(seed, keys), keys, strict=True):
-        ref = stream(seed, key)
-        assert g.standard_normal(5).tolist() == ref.standard_normal(5).tolist()
-        assert g.integers(0, 2**40, 3).tolist() == ref.integers(0, 2**40, 3).tolist()
-        assert g.random(2).tolist() == ref.random(2).tolist()
+    for prefix in prefixes:
+        keys = [(*prefix, t) for t in range(COUNT)]
+        for spec in _specs(seed):
+            for g, key in zip(streams(seed, prefix, COUNT), keys, strict=True):
+                assert _same(draw_sketch(spec, M, g), draw_sketch(spec, M, key)), (spec.family, key)
+        for g, key in zip(streams(seed, prefix, COUNT), keys, strict=True):
+            ref = stream(seed, key)
+            assert g.standard_normal(5).tolist() == ref.standard_normal(5).tolist()
+            assert g.integers(0, 2**40, 3).tolist() == ref.integers(0, 2**40, 3).tolist()
+            assert g.random(2).tolist() == ref.random(2).tolist()
     assert calls == []
 
 
 def test_many_keys_across_batches():
-    keys = [(r, t) for r in range(3) for t in range(150)]
     spec = SketchSpec("less_uniform", k=4, s=3, seed_stream=child_seed(7, 1))
-    assert all(_same(draw_sketch(spec, M, g), draw_sketch(spec, M, key))
-               for g, key in zip(streams(spec.seed_stream, keys), keys, strict=True))
+    for r in range(3):
+        assert all(_same(draw_sketch(spec, M, g), draw_sketch(spec, M, (r, t)))
+                   for t, g in enumerate(streams(spec.seed_stream, (r,), 150)))
 
 
 def test_int_keys_are_one_word_keys():
-    assert [g.random() for g in streams(3, range(70))] == \
-        [stream(3, t).random() for t in range(70)]
+    assert [g.random() for g in streams(3, (), 70)] == [stream(3, t).random() for t in range(70)]
 
 
 @pytest.mark.parametrize("trial,key", [
@@ -103,25 +102,31 @@ def test_as_key_returns_python_ints(trial, key):
     assert got == key and type(got) is tuple and all(type(w) is int for w in got)
 
 
-@pytest.mark.parametrize("seed,keys", [
-    (5, [(2**32,), (7,)]),  # a key word of two or more uint32 words
-    (5, [(1, 2**40), (2, 3)]),
-    (2**128, [(0,), (1,)]),  # a seed of five uint32 words
-    (2**130 + 5, [(TOP, 3)]),
-    (9, [(1,), (1, 2)]),  # keys of mixed lengths in one batch
-], ids=["word_2^32", "word_2^40", "seed_2^128", "seed_2^130", "mixed_lengths"])
-def test_keys_outside_the_batch_take_the_stream_route(seed, keys, monkeypatch):
+@pytest.mark.parametrize("seed,prefix", [
+    (5, (2**32,)),  # a prefix word of two or more uint32 words
+    (5, (1, 2**40)),
+    (2**128, ()),  # a seed of five uint32 words
+    (2**130 + 5, (TOP,)),
+], ids=["word_2^32", "word_2^40", "seed_2^128", "seed_2^130"])
+def test_keys_outside_the_batch_take_the_stream_route(seed, prefix, monkeypatch):
     calls = _count_stream_calls(monkeypatch)
-    got = [g.standard_normal(4).tolist() for g in streams(seed, keys)]
-    assert got == [stream(seed, key).standard_normal(4).tolist() for key in keys]
-    assert len(calls) == len(keys)
+    got = [g.standard_normal(4).tolist() for g in streams(seed, prefix, 3)]
+    assert got == [stream(seed, (*prefix, t)).standard_normal(4).tolist() for t in range(3)]
+    assert len(calls) == 3
+
+
+def test_count_above_2_32_takes_the_stream_route_lazily(monkeypatch):
+    calls = _count_stream_calls(monkeypatch)
+    got = [g.random() for g in itertools.islice(streams(5, (1,), 2**32 + 1), 3)]
+    assert got == [stream(5, (1, t)).random() for t in range(3)]
+    assert len(calls) == 3
 
 
 def test_changed_seeding_takes_the_stream_route(monkeypatch):
     monkeypatch.setattr(rng, "_seat_matches", False)
     calls = _count_stream_calls(monkeypatch)
-    keys = [(0, t) for t in range(5)]
-    assert [g.random() for g in streams(1, keys)] == [stream(1, key).random() for key in keys]
+    got = [g.random() for g in streams(1, (0,), 5)]
+    assert got == [stream(1, (0, t)).random() for t in range(5)]
     assert len(calls) == 5
 
 
@@ -129,12 +134,19 @@ def test_negative_seed_raises_as_stream_does():
     with pytest.raises(ValueError) as ref:
         stream(-1, (0,))
     with pytest.raises(ValueError, match=str(ref.value)):
-        next(streams(-1, [(0,)]))
+        next(streams(-1, (), 1))
+
+
+def test_negative_prefix_word_raises_as_stream_does():
+    with pytest.raises(ValueError) as ref:
+        stream(1, (2, -1, 0))
+    with pytest.raises(ValueError, match=str(ref.value)):
+        next(streams(1, (2, -1), 1))
 
 
 def test_one_generator_is_reseated():
     # the Generator for a key is valid only until the next key
-    first, second = streams(1, [(0,), (1,)])
+    first, second = streams(1, (), 2)
     assert first is second
 
 
@@ -218,3 +230,27 @@ def test_rsn_solve_matches_per_key_loop(spec, monkeypatch):
     assert np.array_equal(x, ref_x)
     assert trace.f == ref.f and trace.grad_norm == ref.grad_norm
     assert trace.line_search_failures == ref.line_search_failures
+
+
+def test_no_per_step_key_work(monkeypatch):
+    # each loop converts its key prefix once, not one key per step or trial
+    calls = []
+
+    def counted(trial):
+        calls.append(trial)
+        return as_key(trial)
+
+    monkeypatch.setattr(rng, "as_key", counted)
+    spec = SketchSpec("gaussian", k=4, seed_stream=child_seed(9, 1))
+    system, obj = make_system(A_TALL, seed=4), _logistic()
+    config = solver.SolverConfig(sketch=spec, max_iters=64, stop_tol=1e-300)
+    runs = [  # each returns the steps or trials it drew
+        lambda: solver.solve(system, config, (2, 1))[1].iterations,
+        lambda: len(newton.rsn_solve(obj, np.zeros(12), spec, max_iters=20, tol=0.0,
+                                     trial=(4, 1))[1].f),
+        lambda: expected_projection(A_TALL, spec, 40).trials,
+    ]
+    for run, steps in zip(runs, [64, 20, 40]):
+        calls.clear()
+        assert run() == steps
+        assert len(calls) <= 1, calls

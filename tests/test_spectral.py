@@ -138,6 +138,16 @@ class TestGaussianRateBound:
         b = gaussian_rate_bound(1.0, 1.0, 10, 20)  # eps = 2 + ...
         assert b.vacuous and b.bound <= 0.0
 
+    @pytest.mark.parametrize("k", [0, True, 2.5])
+    def test_k_must_be_a_positive_integer(self, k):
+        with pytest.raises(ValueError, match="k must be an integer >= 1"):
+            gaussian_rate_bound(1.0, 1.0, k, 5)
+
+    @pytest.mark.parametrize("k,n,err", [(6, 5, 1.0), (2, 5, 0.0)], ids=["n_below_k", "err_zero"])
+    def test_n_and_err_checks_stay(self, k, n, err):
+        with pytest.raises(ValueError, match="need n >= k, err_km1 > 0"):
+            gaussian_rate_bound(1.0, err, k, n)
+
 
 class TestGaussianRateVariant:
     def test_frozen_arithmetic_n100_k50(self):
@@ -200,6 +210,11 @@ class TestDecayRateBound:
             decay_rate_bound("flat_tail", 5, sigma, r=10)  # k < 2r
         with pytest.raises(ValueError):
             decay_rate_bound("mystery", 1, sigma)
+
+    @pytest.mark.parametrize("k", [0, True, 2.5])
+    def test_k_must_be_a_positive_integer(self, k):
+        with pytest.raises(ValueError, match="k must be an integer >= 1"):
+            decay_rate_bound("general", k, np.ones(5))
 
 
 class TestRateBoundSet:
