@@ -16,7 +16,8 @@ core on a shared host.  Cases, on two matrices with polynomially decaying
 spectra (1000 x 50 and 4096 x 128) and k in {5, 10, 20, 40}:
 
 - ``stream/per_key/k=<k>``: ``rng.stream`` for one ``(run, t)`` key plus a
-  k x 51 Gaussian draw from it (one solver step's draw on an n = 50 system);
+  k x 51 Gaussian draw from it (one step's draw on an n = 50 system, as
+  solver steps drew before each run had one stream);
 - ``stream/batched/k=<k>``: the same draws from ``rng.streams(7, (3,), 128)``,
   per key (or from the same 128 keys, for a tree whose ``streams`` takes keys);
 - ``apply_sketch/<size>/<family>/k=<k>``: ``apply_sketch(S, A)`` for a freshly

@@ -192,8 +192,8 @@ def draw_sketch(spec: SketchSpec, m: int, trial: KeyPath | np.random.Generator =
 
     Dense families return a (k, m) ndarray, sparse families a
     :class:`SparseSketch`.  ``trial`` may be an int or a tuple of ints
-    addressing nested streams (e.g. ``(run, iteration)``), or a Generator
-    already seated on that trial's stream (as :func:`rng.streams` yields).
+    addressing nested streams (e.g. ``(run, 0)``), or a Generator to draw
+    from (as :func:`rng.streams` yields, or a solver run's one stream).
     """
     spec.validate(m)
     rng = _generator(spec, trial)
@@ -286,16 +286,17 @@ def sketched_bases(spec: SketchSpec, A: np.ndarray, trials: int,
     A = np.asarray(A, dtype=float)
     if spec.family == "gaussian" and R is None:
         R = row_factor(A)
-    return map(_row_bases, _sketch_blocks(spec, A, (), trials, R, TRIAL_BLOCK))
+    rngs = streams(spec.seed_stream, (), trials)
+    return map(_row_bases, _sketch_blocks(spec, A, rngs, trials, R, TRIAL_BLOCK))
 
 
-def _sketch_blocks(spec: SketchSpec, A: np.ndarray, prefix: KeyPath, count: int,
+def _sketch_blocks(spec: SketchSpec, A: np.ndarray, rngs, count: int,
                    R: np.ndarray | None, size: int):
     """Yield ``(b, k, cols)`` blocks of b <= ``size`` products
-    ``sketch_times(spec, A, (*prefix, t), R)``, t < ``count``, each block
-    filled in place (stacking a list of them raised peak RSS).  The streams
-    are seated in batches (:func:`rng.streams`) as the blocks are taken."""
-    rngs = streams(spec.seed_stream, prefix, count)
+    ``sketch_times(spec, A, g, R)``, one per Generator g taken in turn from
+    ``rngs`` (``count`` in all), each block filled in place (stacking a list
+    of them raised peak RSS).  A block takes its Generators only when it is
+    taken, so a caller that stops early draws no further block."""
     for lo in range(0, count, size):
         out = np.empty((min(size, count - lo), spec.k, A.shape[1]))
         for i in range(len(out)):

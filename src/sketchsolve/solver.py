@@ -12,13 +12,14 @@ stabilized convergence rate.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import _certified, _lu_solve, _pinv_solve, check_count, solve_psd
 from .matgen import LinearSystem
-from .rng import KeyPath
+from .rng import KeyPath, as_key, stream
 from .sketch import SketchSpec, _sketch_blocks, apply_sketch, draw_sketch  # noqa: F401 (perfbench)
 
 __all__ = [
@@ -105,17 +106,18 @@ def _project(x: np.ndarray, M: np.ndarray, Sb: np.ndarray, Binv: np.ndarray | No
 def solve(system: LinearSystem, config: SolverConfig, trial: KeyPath = 0):
     """Run the iteration from x_0 = 0 with a fresh sketch per step.
 
-    A pure function of (system, config, trial): iteration t draws its sketch
-    from the stream keyed by ``(*trial, t)``.  Each step sketches the augmented
-    ``[A | b]`` with ``sketch_times``, so S A and S b come from one k x (n+1)
-    product (Gaussian steps through the system's factor of ``[A | b]``, exact
-    in law for any b and metric), and then projects as :func:`_project` does:
-    steps are drawn :data:`_STEP_BLOCK` at a time by
-    :func:`sketch._sketch_blocks` (a stop draws no further block), one
-    stacked Cholesky applies :func:`solve_psd`'s guard to each W_t, a
-    certified step takes its LU solve directly (:data:`linalg._lu_solve`),
-    and any other step takes :func:`solve_psd`'s pseudoinverse
-    (:func:`linalg._pinv_solve`).
+    A pure function of (system, config, trial): the run seats one stream,
+    keyed by ``(*trial, 0)``, and step t's sketch is the (t+1)-th
+    ``sketch_times`` draw on it, whatever the block size.  Each step
+    sketches the augmented ``[A | b]`` with ``sketch_times``, so S A and S b
+    come from one k x (n+1) product (Gaussian steps through the system's
+    factor of ``[A | b]``, exact in law for any b and metric), and then
+    projects as :func:`_project` does: steps are drawn :data:`_STEP_BLOCK`
+    at a time by :func:`sketch._sketch_blocks` (a stop draws no further
+    block), one stacked Cholesky applies :func:`solve_psd`'s guard to each
+    W_t, a certified step takes its LU solve directly
+    (:data:`linalg._lu_solve`), and any other step takes :func:`solve_psd`'s
+    pseudoinverse (:func:`linalg._pinv_solve`).
     Returns the final iterate and the full :class:`IterLog`.
     """
     spec = config.sketch
@@ -130,7 +132,8 @@ def solve(system: LinearSystem, config: SolverConfig, trial: KeyPath = 0):
     denom = dist[0]  # ||x*||_B, since x_0 = 0; with x* = 0 no step runs
     fall = [False]
     count = config.max_iters if denom > 0.0 and config.stop_tol < 1.0 else 0
-    for SAb in _sketch_blocks(spec, system._augmented, trial, count, R, _STEP_BLOCK):
+    rngs = itertools.repeat(stream(spec.seed_stream, (*as_key(trial), 0)))
+    for SAb in _sketch_blocks(spec, system._augmented, rngs, count, R, _STEP_BLOCK):
         M, c = SAb[:, :, :n], SAb[:, :, n]
         Mt = M.transpose(0, 2, 1) if Binv is None else Binv @ M.transpose(0, 2, 1)
         W = M @ Mt

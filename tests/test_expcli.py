@@ -435,7 +435,8 @@ class TestOtherExperiments:
             experiment="eigendecay",
             matrix={"kind": "identity", "n": 12},
             sketch={"families": ["gaussian"], "k": [3]},
-            run={"runs": 10, "max_iters": 30, "trials": 200, "stop_tol": 1e-9},
+            # 80 runs: the largest deviation over master_seed 0-99 is 0.08 (10 runs: 0.29)
+            run={"runs": 80, "max_iters": 30, "trials": 200, "stop_tol": 1e-9},
         )
         table = run_experiment(parse_config(raw), tmp_path)
         rows = table.rows

@@ -36,8 +36,10 @@ def _known_q(M):
 
 
 def _lifted(spec, Q, trial):
-    """Dense k x m sketch ``G Q^T``, G from the trial's stream: ``S (Q R) = G R``."""
-    G = stream(spec.seed_stream, trial).standard_normal((spec.k, Q.shape[1]))
+    """Dense k x m sketch ``G Q^T``, G from the trial's stream (or the next draw
+    on a Generator): ``S (Q R) = G R``."""
+    g = trial if isinstance(trial, np.random.Generator) else stream(spec.seed_stream, trial)
+    G = g.standard_normal((spec.k, Q.shape[1]))
     return G @ Q.T
 
 
@@ -108,10 +110,10 @@ class TestReducedCallers:
         spec = SketchSpec("gaussian", k=3, seed_stream=9)
         cfg = SolverConfig(sketch=spec, max_iters=12, stop_tol=1e-300)
         x, log = solve(system, cfg, trial=(2,))
-        y = np.zeros(n)
+        y, run = np.zeros(n), stream(spec.seed_stream, (2, 0))  # the run's one stream
         dist = [system.metric_norm(y - x_star)]
-        for t in range(12):
-            y, _ = project_step(y, system, _lifted(spec, Q, (2, t)))
+        for _ in range(12):
+            y, _ = project_step(y, system, _lifted(spec, Q, run))
             dist.append(system.metric_norm(y - x_star))
         _close(x, y)
         _close(log.dist, dist)

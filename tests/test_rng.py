@@ -1,8 +1,10 @@
 """Batched stream seating (``rng.streams``) against the per-key ``rng.stream``.
 
-``rng.stream`` defines every stream.  The solver, trial and RSN loops seat
-the same streams in batches; these tests pin every draw of the batched path,
-and every output of its three users, to the per-key definition.
+``rng.stream`` defines every stream.  The trial and RSN loops seat the same
+streams in batches; these tests pin every draw of the batched path, and every
+output of its two users, to the per-key definition.  A solver run draws its
+steps in order from the one stream of ``(*trial, 0)``; its test pins it to
+that definition.
 """
 
 import itertools
@@ -155,14 +157,17 @@ def test_one_generator_is_reseated():
 
 def _per_key(monkeypatch, module, name, key_of):
     """Replace ``module.name`` (``draw_sketch`` or ``sketch_times``) by a draw
-    keyed by the call count: the i-th call draws from ``key_of(i)`` through
-    the original function, ignoring the batched Generator it was handed."""
+    keyed by the call count: the i-th call draws from ``key_of(i)`` (a key or
+    a Generator) through the original function, ignoring the Generator it
+    was handed."""
     original = getattr(module, name)
     count = itertools.count()
 
     def keyed(spec, data, trial, *rest):
         assert isinstance(trial, np.random.Generator)
-        return original(spec, data, key_of(next(count)), *rest)
+        key = key_of(next(count))
+        assert key is not trial
+        return original(spec, data, key, *rest)
 
     monkeypatch.setattr(module, name, keyed)
 
@@ -185,11 +190,12 @@ A_TALL = gen_spectral_matrix(SpectralProfile.polynomial(1.0, 8), 60, seed=3)
 @pytest.mark.parametrize("spec", _family_specs(A_TALL, child_seed(5, 2)),
                          ids=lambda s: s.family)
 def test_solve_matches_per_key_loop(spec, trial, monkeypatch):
+    # the run's key is (*trial, 0), and its steps are successive draws on it
     system = make_system(A_TALL, seed=4)
     config = solver.SolverConfig(sketch=spec, max_iters=150, stop_tol=1e-300)
     _, log = solver.solve(system, config, trial)
-    key = rng.as_key(trial)
-    _per_key(monkeypatch, sketch, "sketch_times", lambda t: key + (t,))  # solve's block fill
+    run = stream(spec.seed_stream, rng.as_key(trial) + (0,))
+    _per_key(monkeypatch, sketch, "sketch_times", lambda t: run)  # solve's block fill
     _, ref = solver.solve(system, config, trial)
     assert log.iterations == ref.iterations == 150
     for field in ("err", "dist", "rel_err", "fallback"):
