@@ -33,6 +33,10 @@ spectra (1000 x 50 and 4096 x 128) and k in {5, 10, 20, 40}:
 - ``solve/1000x50/<family>/k=<k>``: one ``solve`` run of 64 steps (stop
   tolerance 1e-300) on a system built once, after one untimed run, so a
   tree that keeps the ``[A | b]`` factor with the system has it warm;
+- ``block_fill/1000x50/<family>/k=<k>``: one block of ``SOLVE_BLOCK`` solver
+  steps' products ``S_t [A | b]`` from ``sketch._sketch_blocks`` on a fresh
+  run stream (drawn whole, or step by step for a tree whose blocks take an
+  iterator of Generators), on the system's own ``[A | b]`` and factor;
 - ``solve_psd/k=<k>``: one ``solve_psd`` on the certified k x k system
   ``W z = r`` of one Gaussian solver step on that 1000 x 50 system;
 - ``row_factor/<size>``: the factorization alone;
@@ -64,6 +68,7 @@ from __future__ import annotations
 import argparse
 import importlib.metadata
 import inspect
+import itertools
 import json
 import os
 import platform
@@ -90,6 +95,7 @@ RSN_SOLVE_STEPS = 20
 STREAM_KEYS = 128
 SOLVE_SIZE = (1000, 50)
 SOLVE_STEPS = 64
+SOLVE_BLOCK = 8  # solver._STEP_BLOCK
 CERT_TRIALS = 400
 CLI_SKETCH = {"families": ["gaussian", "less_uniform"], "k": [4, 10], "s": [8]}
 CLI_GRID = {"matrix": {"kind": "profile", "model": "poly1.5", "m": 200, "n": 20},
@@ -154,6 +160,7 @@ def measure() -> dict:
     import numpy as np
 
     from sketchsolve import rng as rng_module
+    from sketchsolve import sketch as sketch_module
     from sketchsolve.linalg import solve_psd
     from sketchsolve.matgen import SpectralProfile, gen_spectral_matrix, make_system
     from sketchsolve.newton import logistic_objective, rho_certificate, rsn_solve, rsn_step
@@ -170,6 +177,14 @@ def measure() -> dict:
         out["raw"][name] = _per_call(run, prepare) / keys
 
     keyed_streams = "keys" in inspect.signature(rng_module.streams).parameters  # an older tree
+    # a tree whose solver blocks draw step by step takes an iterator of Generators
+    whole_blocks = "block" in inspect.signature(sketch_times).parameters
+
+    def block_fill(spec, system, g):
+        R = system._augmented_R if spec.family == "gaussian" else None
+        rngs = g if whole_blocks else itertools.repeat(g)
+        return next(sketch_module._sketch_blocks(spec, system._augmented, rngs, SOLVE_BLOCK,
+                                                 R, SOLVE_BLOCK))
 
     def batched_streams():
         if keyed_streams:
@@ -216,6 +231,8 @@ def measure() -> dict:
                 if system is not None:
                     solver_cfg = SolverConfig(sketch=spec, max_iters=SOLVE_STEPS, stop_tol=1e-300)
                     case(f"solve/{cell}", lambda _: solve(system, solver_cfg, 0))
+                    case(f"block_fill/{cell}", lambda g: block_fill(spec, system, g),
+                         lambda count: [rng_module.stream(7, (t, 0)) for t in range(count)])
         if system is not None:
             Ab = np.column_stack([system.A, system.b])
             R_ab = row_factor(Ab)

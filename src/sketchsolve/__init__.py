@@ -3,7 +3,7 @@ distributions, randomized SVD error estimation, and the spectral machinery
 connecting the two, plus a reproducible benchmark CLI.
 """
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from .matgen import LinearSystem, SpectralProfile, gen_gaussian_unit_rows, \
     gen_spectral_matrix, make_system, parse_libsvm

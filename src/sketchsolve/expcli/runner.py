@@ -146,7 +146,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> ResultTable:
         _check_rows(cfg, system.m)  # a dataset's rows are known only now
         if "less" in cfg.families:
             try:
-                leverage_p = build_less_distribution(system.A, system.R)
+                leverage_p = build_less_distribution(system.A, system.R, system.sigma)
             except ValueError as exc:
                 raise ConfigError(f"sketch.families: less needs a full-column-rank A "
                                   f"({exc})") from exc
@@ -242,7 +242,7 @@ def _exp_surrogate_compare(cfg, system):
                           f"got {system.rank} < {system.n}")
 
     def rows(cell, spec):
-        comp = surrogate_vs_empirical(system.A, spec, cfg.trials, cfg.err_trials, system.R)
+        comp = surrogate_vs_empirical(system, spec, cfg.trials, cfg.err_trials)
         return [{
             "s_min": comp.s_min,
             "surrogate": comp.surrogate,

@@ -109,11 +109,12 @@ class SketchSpec:
 
 @dataclass
 class SparseSketch:
-    """k x m sparse sketching matrix stored as its drawn terms.
+    """k x m sparse sketching matrix stored as its drawn terms, or a block of
+    b such matrices (as :func:`draw_sketch` and :func:`apply_sketch` take it).
 
     Row i is ``sum_j values[i, j] * e_{indices[i, j]}``: ``indices`` and
-    ``values`` are (k, s) arrays, and an index drawn twice in one row stays
-    two terms, which every operation sums.
+    ``values`` are (k, s) arrays, (b, k, s) for a block, and an index drawn
+    twice in one row stays two terms, which every operation sums.
     """
 
     indices: np.ndarray
@@ -122,21 +123,21 @@ class SparseSketch:
 
     @property
     def k(self) -> int:
-        return self.indices.shape[0]
+        return self.indices.shape[-2]
 
     # s_drawn and nnz are read by perfbench's tracer
     @property
     def s_drawn(self) -> int:
-        return self.indices.shape[1]
+        return self.indices.shape[-1]
 
     @property
     def nnz(self) -> int:
-        """Stored terms, k * s (duplicates counted)."""
+        """Stored terms, k * s per matrix (duplicates counted)."""
         return int(self.indices.size)
 
     @property
-    def shape(self) -> tuple[int, int]:
-        return (self.k, self.m)
+    def shape(self) -> tuple[int, ...]:
+        return self.indices.shape[:-1] + (self.m,)
 
     def to_dense(self) -> np.ndarray:
         S = np.zeros((self.k, self.m))
@@ -144,18 +145,20 @@ class SparseSketch:
         return S
 
 
-def leverage_scores(A: np.ndarray, R: np.ndarray | None = None) -> np.ndarray:
+def leverage_scores(A: np.ndarray, R: np.ndarray | None = None,
+                    sigma: np.ndarray | None = None) -> np.ndarray:
     """Leverage scores l_i = ||row i of A R^{-1}||^2 = a_i^T (A^T A)^{-1} a_i.
 
     ``R`` is the triangular factor of ``A = Q R`` (:func:`row_factor`, computed
     unless given), so A R^{-1} = Q and l_i is the squared norm of row i of Q.
     A wide A of full row rank has an m x m orthogonal Q, so every score is 1.
-    Raises if rank(A) < min(m, n).
+    Raises if rank(A) < min(m, n), read from ``sigma``, the singular values
+    of R (computed unless given; a system keeps them as ``system.sigma``).
     """
     A = np.asarray(A, dtype=float)
     R = row_factor(A) if R is None else R
     m, n = A.shape
-    sigma = np.linalg.svd(R, compute_uv=False)
+    sigma = np.linalg.svd(R, compute_uv=False) if sigma is None else sigma
     if sigma.size == 0 or numerical_rank(sigma, m, n) < min(m, n):
         raise ValueError("rank-deficient input: leverage scores undefined")
     if m < n:
@@ -163,23 +166,26 @@ def leverage_scores(A: np.ndarray, R: np.ndarray | None = None) -> np.ndarray:
     return np.sum((A @ np.linalg.inv(R)) ** 2, axis=1)
 
 
-def build_less_distribution(A: np.ndarray, R: np.ndarray | None = None) -> np.ndarray:
-    """Exact leverage-score sampling distribution p_i = l_i / n, the
-    probability vector over the rows of A (``R`` as in :func:`leverage_scores`)."""
-    scores = leverage_scores(A, R)
+def build_less_distribution(A: np.ndarray, R: np.ndarray | None = None,
+                            sigma: np.ndarray | None = None) -> np.ndarray:
+    """Exact leverage-score sampling distribution p_i = l_i / n over the rows
+    of A (``R`` and ``sigma`` as in :func:`leverage_scores`)."""
+    scores = leverage_scores(A, R, sigma)
     return scores / scores.sum()
 
 
-def _draw_sparse(spec: SketchSpec, m: int, rng: np.random.Generator) -> SparseSketch:
+def _draw_sparse(spec: SketchSpec, m: int, rng: np.random.Generator,
+                 block: tuple[int, ...]) -> SparseSketch:
     k = spec.k
     s = 1 if spec.family == "row_sampling" else int(spec.s)
     p = None if spec.family == "less_uniform" else spec.sampling
+    shape = (*block, k, s)
     if p is None:
-        idx = rng.integers(0, m, size=(k, s))
+        idx = rng.integers(0, m, size=shape)
     else:
-        idx = np.searchsorted(spec._cdf, rng.random((k, s)), side="right")
+        idx = np.searchsorted(spec._cdf, rng.random(shape), side="right")
     p_drawn = 1.0 / m if p is None else p[idx]
-    r = rng.standard_normal((k, s))
+    r = rng.standard_normal(shape)
     return SparseSketch(indices=idx, values=r / np.sqrt(k * s * p_drawn), m=m)
 
 
@@ -187,21 +193,26 @@ def _generator(spec: SketchSpec, trial) -> np.random.Generator:
     return trial if isinstance(trial, np.random.Generator) else stream(spec.seed_stream, trial)
 
 
-def draw_sketch(spec: SketchSpec, m: int, trial: KeyPath | np.random.Generator = 0):
+def draw_sketch(spec: SketchSpec, m: int, trial: KeyPath | np.random.Generator = 0,
+                block: tuple[int, ...] = ()):
     """Draw one sketching matrix; a pure function of (spec, m, trial).
 
     Dense families return a (k, m) ndarray, sparse families a
     :class:`SparseSketch`.  ``trial`` may be an int or a tuple of ints
     addressing nested streams (e.g. ``(run, 0)``), or a Generator to draw
     from (as :func:`rng.streams` yields, or a solver run's one stream).
+    ``block=(b,)`` draws b matrices in one call per array, with a leading
+    block axis: a dense block holds b successive single draws, while a
+    sparse block draws all its (b, k, s) indices and then all its normals.
     """
     spec.validate(m)
     rng = _generator(spec, trial)
+    shape = (*block, spec.k, m)
     if spec.family == "gaussian":
-        return rng.standard_normal((spec.k, m))
-    if spec.family == "rademacher":
-        return rng.integers(0, 2, size=(spec.k, m)).astype(float) * 2.0 - 1.0
-    return _draw_sparse(spec, m, rng)
+        return rng.standard_normal(shape)
+    if spec.family == "rademacher":  # int32 draws the words int64 does, in half the memory
+        return rng.integers(0, 2, size=shape, dtype=np.int32) * 2.0 - 1.0
+    return _draw_sparse(spec, m, rng, block)
 
 
 def densify(S) -> np.ndarray:
@@ -209,18 +220,24 @@ def densify(S) -> np.ndarray:
 
 
 def apply_sketch(S, A: np.ndarray) -> np.ndarray:
-    """Compute ``S A`` for a vector or matrix A; the sparse path is one
-    (1 x s) @ (s x cols) product per sketch row over the rows of A it draws."""
+    """Compute ``S A`` for a vector or matrix A (each ``S_i A`` for a block
+    S); the sparse path is one (1 x s) @ (s x cols) product per sketch row
+    over the rows of A it draws, one matrix of a block at a time."""
     A = np.asarray(A, dtype=float)
     if isinstance(S, SparseSketch):
         if S.m != A.shape[0]:
             raise ValueError(f"sketch columns {S.m} != matrix rows {A.shape[0]}")
         if A.ndim == 1:
-            return np.add.reduce(S.values * A[S.indices], axis=1)
-        return np.matmul(S.values[:, None, :], A[S.indices])[:, 0]
+            return np.add.reduce(S.values * A[S.indices], axis=-1)
+        if S.indices.ndim == 2:
+            return np.matmul(S.values[:, None, :], A[S.indices])[:, 0]
+        out = np.empty(S.shape[:-1] + A.shape[1:])
+        for i, (idx, v) in enumerate(zip(S.indices, S.values)):
+            out[i] = np.matmul(v[:, None, :], A[idx])[:, 0]
+        return out
     S = np.asarray(S, dtype=float)
-    if S.shape[1] != A.shape[0]:
-        raise ValueError(f"sketch columns {S.shape[1]} != matrix rows {A.shape[0]}")
+    if S.shape[-1] != A.shape[0]:
+        raise ValueError(f"sketch columns {S.shape[-1]} != matrix rows {A.shape[0]}")
     return S @ A
 
 
@@ -238,7 +255,7 @@ def apply_sketch_t(S, Y: np.ndarray) -> np.ndarray:
 
 
 def sketch_times(spec: SketchSpec, A: np.ndarray, trial: KeyPath | np.random.Generator = 0,
-                 R: np.ndarray | None = None) -> np.ndarray:
+                 R: np.ndarray | None = None, block: tuple[int, ...] = ()) -> np.ndarray:
     """``S A`` for a fresh sketch of ``spec``; a pure function of (spec, A, trial).
 
     Gaussian sketches use rotational invariance: with ``A = Q R``, ``S Q`` is
@@ -246,14 +263,15 @@ def sketch_times(spec: SketchSpec, A: np.ndarray, trial: KeyPath | np.random.Gen
     G a k x rows(R) Gaussian drawn from the trial's stream.  That draws k n
     numbers instead of k m.  ``R`` defaults to :func:`row_factor` of A; pass
     it to share one factorization across trials.  Every other family returns
-    ``apply_sketch(draw_sketch(spec, m, trial), A)``; ``trial`` is as there.
+    ``apply_sketch(draw_sketch(spec, m, trial, block), A)``; ``trial`` and
+    ``block`` are as there (a Gaussian block is one (b, k, rows(R)) draw).
     """
     A = np.asarray(A, dtype=float)
     if spec.family != "gaussian":
-        return apply_sketch(draw_sketch(spec, A.shape[0], trial), A)
+        return apply_sketch(draw_sketch(spec, A.shape[0], trial, block), A)
     spec.validate(A.shape[0])
     R = row_factor(A) if R is None else R
-    return _generator(spec, trial).standard_normal((spec.k, R.shape[0])) @ R
+    return _generator(spec, trial).standard_normal((*block, spec.k, R.shape[0])) @ R
 
 
 def _row_bases(SA: np.ndarray) -> np.ndarray:
@@ -292,13 +310,17 @@ def sketched_bases(spec: SketchSpec, A: np.ndarray, trials: int,
 
 def _sketch_blocks(spec: SketchSpec, A: np.ndarray, rngs, count: int,
                    R: np.ndarray | None, size: int):
-    """Yield ``(b, k, cols)`` blocks of b <= ``size`` products
-    ``sketch_times(spec, A, g, R)``, one per Generator g taken in turn from
-    ``rngs`` (``count`` in all), each block filled in place (stacking a list
-    of them raised peak RSS).  A block takes its Generators only when it is
-    taken, so a caller that stops early draws no further block."""
+    """Yield ``(b, k, cols)`` blocks of b <= ``size`` products ``S A``,
+    ``count`` in all: ``sketch_times(spec, A, rngs, R, (b,))`` from one
+    Generator (a solver run), else ``sketch_times(spec, A, g, R)`` for each
+    next Generator g of ``rngs`` (one per trial), filled in place (stacking
+    a list raised peak RSS).  A block draws only when it is taken."""
     for lo in range(0, count, size):
-        out = np.empty((min(size, count - lo), spec.k, A.shape[1]))
-        for i in range(len(out)):
+        b = min(size, count - lo)
+        if isinstance(rngs, np.random.Generator):
+            yield sketch_times(spec, A, rngs, R, (b,))
+            continue
+        out = np.empty((b, spec.k, A.shape[1]))
+        for i in range(b):
             out[i] = sketch_times(spec, A, next(rngs), R)
         yield out

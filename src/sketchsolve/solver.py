@@ -12,7 +12,6 @@ stabilized convergence rate.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,17 +106,18 @@ def solve(system: LinearSystem, config: SolverConfig, trial: KeyPath = 0):
     """Run the iteration from x_0 = 0 with a fresh sketch per step.
 
     A pure function of (system, config, trial): the run seats one stream,
-    keyed by ``(*trial, 0)``, and step t's sketch is the (t+1)-th
-    ``sketch_times`` draw on it, whatever the block size.  Each step
-    sketches the augmented ``[A | b]`` with ``sketch_times``, so S A and S b
-    come from one k x (n+1) product (Gaussian steps through the system's
-    factor of ``[A | b]``, exact in law for any b and metric), and then
-    projects as :func:`_project` does: steps are drawn :data:`_STEP_BLOCK`
-    at a time by :func:`sketch._sketch_blocks` (a stop draws no further
-    block), one stacked Cholesky applies :func:`solve_psd`'s guard to each
-    W_t, a certified step takes its LU solve directly
-    (:data:`linalg._lu_solve`), and any other step takes :func:`solve_psd`'s
-    pseudoinverse (:func:`linalg._pinv_solve`).
+    keyed by ``(*trial, 0)``, and draws its steps from it in blocks of
+    :data:`_STEP_BLOCK`, one ``sketch_times(..., block=(b,))`` call each
+    (:func:`sketch._sketch_blocks`; a stop draws no further block).  A dense
+    block equals b successive single draws; a sparse block draws all its
+    indices, then all its normals, so the block size is part of its law.
+    Each step sketches the augmented ``[A | b]``, so S A and S b come from
+    one k x (n+1) product (Gaussian steps through the system's factor of
+    ``[A | b]``, exact in law for any b and metric), and projects as
+    :func:`_project` does: one stacked Cholesky applies :func:`solve_psd`'s
+    guard to each W_t, a certified step takes its LU solve directly
+    (:data:`linalg._lu_solve`), any other step :func:`linalg._pinv_solve`.
+    A block's errors and distances are computed together after its steps.
     Returns the final iterate and the full :class:`IterLog`.
     """
     spec = config.sketch
@@ -125,33 +125,37 @@ def solve(system: LinearSystem, config: SolverConfig, trial: KeyPath = 0):
     n = system.n
     x = np.zeros(n)
     R = system._augmented_R if spec.family == "gaussian" else None
-    x_star = system.x_star
-    Binv = None if system.metric is None else np.linalg.inv(system.metric)
+    x_star, B = system.x_star, system.metric
+    Binv = None if B is None else np.linalg.inv(B)
     err = [x - x_star]
     dist = [system.metric_norm(err[0])]
     denom = dist[0]  # ||x*||_B, since x_0 = 0; with x* = 0 no step runs
     fall = [False]
     count = config.max_iters if denom > 0.0 and config.stop_tol < 1.0 else 0
-    rngs = itertools.repeat(stream(spec.seed_stream, (*as_key(trial), 0)))
-    for SAb in _sketch_blocks(spec, system._augmented, rngs, count, R, _STEP_BLOCK):
+    rng = stream(spec.seed_stream, (*as_key(trial), 0))
+    for SAb in _sketch_blocks(spec, system._augmented, rng, count, R, _STEP_BLOCK):
         M, c = SAb[:, :, :n], SAb[:, :, n]
         Mt = M.transpose(0, 2, 1) if Binv is None else Binv @ M.transpose(0, 2, 1)
         W = M @ Mt
         ok = _certified(W).tolist()  # each W_t's own verdict, as solve_psd reads it
+        xs = np.empty((len(SAb), n))
         for i in range(len(SAb)):
             r = M[i] @ x - c[i]
-            x = x - Mt[i] @ (_lu_solve(W[i], r) if ok[i] else _pinv_solve(W[i], r, n))
-            err.append(x - x_star)
-            dist.append(system.metric_norm(err[-1]))
-            fall.append(not ok[i])
-            if not dist[-1] / denom > config.stop_tol:
-                break
-        else:
-            continue
-        break
+            x = xs[i] = x - Mt[i] @ (_lu_solve(W[i], r) if ok[i] else _pinv_solve(W[i], r, n))
+        E = xs - x_star  # metric_norm of each row, bit for bit, in stacked products
+        BE = E[:, :, None] if B is None else B @ E[:, :, None]
+        D = np.sqrt(np.maximum((E[:, None, :] @ BE)[:, 0, 0], 0.0))
+        stop = np.flatnonzero(~(D / denom > config.stop_tol))[:1]
+        b = int(stop[0]) + 1 if stop.size else len(SAb)
+        err.append(E[:b])
+        dist.append(D[:b])
+        fall.extend(not v for v in ok[:b])
+        if stop.size:
+            x = xs[b - 1]
+            break
     log = IterLog(
-        err=np.asarray(err),
-        dist=np.asarray(dist),
+        err=np.vstack(err),
+        dist=np.hstack(dist),
         fallback=np.asarray(fall, dtype=bool),
     )
     return x, log

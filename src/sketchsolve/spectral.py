@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import check_count, orth_rowspace, symmetrize
+from .matgen import LinearSystem
 from .randsvd import err_km1
 from .rng import child_seed
 from .sketch import SketchSpec, apply_sketch, row_factor, sketched_bases
@@ -257,26 +258,23 @@ def decay_rate_bound(
 
 
 def surrogate_vs_empirical(
-    A: np.ndarray,
+    system: LinearSystem,
     spec: SketchSpec,
     trials: int,
     err_trials: int = 50,
-    R: np.ndarray | None = None,
 ) -> SurrogateComparison:
     """Compare lambda_min of the Monte-Carlo mean projection with the
     surrogate bound ``k s_min^2 / (k s_min^2 + Err(A, k-1))``, k = ``spec.k``.
 
     Err(A, k-1) is estimated from Gaussian sketches of size k-1 on a seed
-    stream derived from (but independent of) the projection stream.  A is
-    factored once (``R``, computed here unless given); sigma_min comes from R.
+    stream derived from (but independent of) the projection stream.  A and
+    its one factorization come from ``system`` as :func:`make_system` builds
+    it: ``R`` serves both estimates, and sigma_min is ``system.sigma[-1]``.
     """
-    A = np.asarray(A, dtype=float)
-    k = spec.k
-    if R is None:
-        R = row_factor(A)
+    A, R, k = system.A, system.R, spec.k
     est = expected_projection(A, spec, trials, R)
     s_min = worst_case_rate(est)
-    sigma_min_sq = float(np.linalg.svd(R, compute_uv=False)[-1] ** 2)
+    sigma_min_sq = float(system.sigma[-1] ** 2)
     err = err_km1(A, k, child_seed(spec.seed_stream, 1), err_trials, R)
     surrogate = _surrogate_rate(sigma_min_sq, k, err.mean)
     rel_gap = abs(s_min - surrogate) / s_min if s_min > 0 else float("inf")

@@ -103,6 +103,26 @@ def test_leverage_scores_need_full_rank(case):
             leverage_scores(A, R)
 
 
+@pytest.mark.parametrize("case", ["tall", "wide", "coherent", "rank_deficient"])
+def test_leverage_rank_check_reads_the_system_sigma(case, monkeypatch):
+    # given the system's singular values, the rank check takes no SVD of R,
+    # and the scores (or the error) are what the SVD route gives
+    A = _inputs()[case]
+    system = make_system(A, seed=1)
+    try:
+        expected = leverage_scores(A, system.R)
+    except ValueError:
+        expected = None
+    calls, svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(a) or svd(*a, **kw))
+    if expected is None:
+        with pytest.raises(ValueError, match="rank-deficient"):
+            leverage_scores(A, system.R, system.sigma)
+    else:
+        assert np.array_equal(leverage_scores(A, system.R, system.sigma), expected)
+    assert calls == []
+
+
 def test_leverage_scores_match_thin_svd_on_a_profile():
     A = gen_spectral_matrix(SpectralProfile.polynomial(1.5, 50), 1000, seed=7)
     U = np.linalg.svd(A, full_matrices=False)[0]

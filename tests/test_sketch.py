@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sketchsolve.matgen import gen_gaussian_unit_rows
+from sketchsolve.rng import stream
 from sketchsolve.sketch import (
     SketchSpec,
     SparseSketch,
@@ -158,6 +159,50 @@ class TestDrawSketch:
             for arr in self._merged_csr(S):
                 h.update(arr.tobytes())
             assert h.hexdigest() == digest, spec.family
+
+    _P40 = np.arange(1.0, 41.0) / 820.0
+    _SINGLE = [
+        (SketchSpec("gaussian", k=5, seed_stream=21),
+         "b5eb2cbe497a8f50eb84db8c7d54453b112d318b7b311fdbb5c0cf65ba1135ae"),
+        (SketchSpec("rademacher", k=5, seed_stream=21),
+         "6dc7cc8c9c97a1872412dd3dc9075d98a0a4fd9ab7ae4e5283581acb28fa3ee2"),
+        (SketchSpec("less", k=5, s=6, sampling=_P40, seed_stream=21),
+         "f7cbd235407499afc479b6930830fd0ca6332ae4752c3936f812b78e82fe0d53"),
+        (SketchSpec("less_uniform", k=5, s=6, seed_stream=21),
+         "1049dace8557b02809a55300664dc7c57dd3de892fc1812e42115e3f1792abc4"),
+        (SketchSpec("row_sampling", k=5, sampling=_P40, seed_stream=21),
+         "9e5e922822afc54480b7f4fcd36d152ab082e3bb9ecd07956cc45041b6d88859"),
+    ]
+
+    @pytest.mark.parametrize("spec,digest", _SINGLE, ids=lambda c: getattr(c, "family", ""))
+    def test_single_draw_pinned(self, spec, digest):
+        # sha256 of the raw drawn arrays: a draw without a block axis (every
+        # Monte-Carlo trial) keeps the bytes it had before solver runs drew
+        # block by block
+        S = draw_sketch(spec, 40, trial=(3, 0))
+        h = hashlib.sha256()
+        for arr in ((S.indices, S.values) if isinstance(S, SparseSketch) else (S,)):
+            h.update(np.ascontiguousarray(arr).tobytes())
+        assert h.hexdigest() == digest
+
+    @pytest.mark.parametrize("spec", [spec for spec, _ in _SINGLE], ids=lambda s: s.family)
+    def test_block_draw(self, spec):
+        # a dense block is b successive single draws; a sparse block draws
+        # its (b, k, s) indices and then its normals, and each S_i applies alone
+        block = draw_sketch(spec, 40, stream(5, (1,)), (3,))
+        g = stream(5, (1,))
+        if spec.family in ("gaussian", "rademacher"):
+            assert np.array_equal(block, [draw_sketch(spec, 40, g) for _ in range(3)])
+            return
+        s = block.s_drawn
+        assert block.shape == (3, 5, 40) and block.indices.shape == (3, 5, s) == block.values.shape
+        first = draw_sketch(spec, 40, g)
+        assert not np.array_equal(block.values[0], first.values)
+        for i in range(3):
+            S_i = SparseSketch(block.indices[i], block.values[i], 40)
+            A = np.random.default_rng(i).standard_normal((40, 7))
+            assert np.array_equal(apply_sketch(block, A)[i], apply_sketch(S_i, A))
+            assert np.array_equal(apply_sketch(block, A[:, 0])[i], apply_sketch(S_i, A[:, 0]))
 
     @pytest.mark.parametrize(
         "family,s,scale_k",

@@ -232,24 +232,43 @@ class TestSolve:
 _FAMILIES = ("gaussian", "rademacher", "less", "less_uniform", "row_sampling")
 
 
-def _per_step_reference(system, config, trial):
-    """The iterates and fallback flags of one step at a time: successive
-    ``sketch_times`` calls on the run's stream ``(*trial, 0)``, each followed
-    by ``solver._project``."""
-    spec, n = config.sketch, system.n
+def _reference(system, config, trial, block=None):
+    """The iterates and fallback flags of one step at a time, each step's
+    sketch taken from the run's stream ``(*trial, 0)`` in blocks of ``block``
+    (default :data:`solver._STEP_BLOCK`) steps, each step followed by
+    ``solver._project``.  A dense block is b successive ``sketch_times`` draws;
+    a sparse block draws its (b, k, s) indices, then its (b, k, s) normals,
+    and each step applies its own slice."""
+    spec, (m, n) = config.sketch, system.A.shape
+    block = solver._STEP_BLOCK if block is None else block
     Ab = np.column_stack([system.A, system.b])
     R = row_factor(Ab) if spec.family == "gaussian" else None
     Binv = None if system.metric is None else np.linalg.inv(system.metric)
     denom = system.metric_norm(system.x_star)
     g = stream(spec.seed_stream, as_key(trial) + (0,))
     x, xs, flags = np.zeros(n), [np.zeros(n)], [False]
-    for _ in range(config.max_iters):
-        if not system.metric_norm(x - system.x_star) / denom > config.stop_tol:
-            break
-        SAb = sketch_times(spec, Ab, g, R)
-        x, fallback = solver._project(x, SAb[:, :n], SAb[:, n], Binv)
-        xs.append(x)
-        flags.append(fallback)
+    for lo in range(0, config.max_iters, block):
+        b = min(block, config.max_iters - lo)
+        if spec.family in ("gaussian", "rademacher"):
+            steps = [sketch_times(spec, Ab, g, R) for _ in range(b)]
+        else:
+            k, s = spec.k, 1 if spec.family == "row_sampling" else spec.s
+            p = None if spec.family == "less_uniform" else spec.sampling
+            if p is None:
+                idx = g.integers(0, m, size=(b, k, s))
+            else:
+                cdf = np.cumsum(p)
+                cdf[-1] = 1.0
+                idx = np.searchsorted(cdf, g.random((b, k, s)), side="right")
+            vals = g.standard_normal((b, k, s)) / np.sqrt(k * s * (1.0 / m if p is None else p[idx]))
+            steps = [sketch.apply_sketch(sketch.SparseSketch(i, v, m), Ab)
+                     for i, v in zip(idx, vals)]
+        for SAb in steps:
+            if not system.metric_norm(x - system.x_star) / denom > config.stop_tol:
+                return np.array(xs), np.array(flags)
+            x, fallback = solver._project(x, SAb[:, :n], SAb[:, n], Binv)
+            xs.append(x)
+            flags.append(fallback)
     return np.array(xs), np.array(flags)
 
 
@@ -272,7 +291,7 @@ def _stop_inside_a_block(system, spec, stop):
     """A 40-step config for run 4 whose tolerance lies between the errors after
     steps ``stop - 1`` and ``stop``, a step that does not end a block."""
     loose = SolverConfig(sketch=spec, max_iters=40, stop_tol=1e-300)
-    ref = _per_step_reference(system, loose, 4)[0]
+    ref = _reference(system, loose, 4)[0]
     rel = np.array([system.metric_norm(e) for e in ref - system.x_star])
     rel /= system.metric_norm(system.x_star)
     assert stop % solver._STEP_BLOCK != 0 and rel[stop] < rel[stop - 1]
@@ -280,10 +299,10 @@ def _stop_inside_a_block(system, spec, stop):
                         stop_tol=float(np.sqrt(rel[stop] * rel[stop - 1])))
 
 
-def _assert_matches_per_step(system, cfg, trial):
+def _assert_matches_reference(system, cfg, trial):
     """``solve`` takes the same steps, bit for bit, with the same flags."""
     x, log = solve(system, cfg, trial)
-    ref, ref_fallback = _per_step_reference(system, cfg, trial)
+    ref, ref_fallback = _reference(system, cfg, trial)
     assert log.iterations == len(ref) - 1
     assert np.array_equal(log.fallback, ref_fallback)
     assert np.array_equal(log.err, ref - system.x_star)
@@ -292,8 +311,9 @@ def _assert_matches_per_step(system, cfg, trial):
 
 
 class TestBlockKernel:
-    """``solve`` steps in blocks of ``solver._STEP_BLOCK``; each step must be
-    the one-step-at-a-time path it replaces."""
+    """``solve`` steps in blocks of ``solver._STEP_BLOCK``, each block drawn
+    from the run's stream in one call per array; each step must be the
+    one-step-at-a-time path of :func:`_reference`."""
 
     @pytest.mark.parametrize("metric", ["euclidean", "spd"])
     @pytest.mark.parametrize("family", _FAMILIES)
@@ -301,27 +321,27 @@ class TestBlockKernel:
         system, spec = _kernel_case(family, metric)
         cfg = SolverConfig(sketch=spec, max_iters=37, stop_tol=1e-300)
         assert cfg.max_iters % solver._STEP_BLOCK != 0
-        assert _assert_matches_per_step(system, cfg, (2, 1)).iterations == 37
+        assert _assert_matches_reference(system, cfg, (2, 1)).iterations == 37
 
     @pytest.mark.parametrize("metric", ["euclidean", "spd"])
     @pytest.mark.parametrize("family", _FAMILIES)
     def test_stop_inside_a_block(self, family, metric):
         system, spec = _kernel_case(family, metric)
         cfg = _stop_inside_a_block(system, spec, 13)
-        assert _assert_matches_per_step(system, cfg, 4).iterations == 13
+        assert _assert_matches_reference(system, cfg, 4).iterations == 13
 
     @pytest.mark.parametrize("family", ["gaussian", "less_uniform"])
     def test_a_stop_draws_no_further_block(self, family, monkeypatch):
         system, spec = _kernel_case(family, "euclidean")
         cfg = _stop_inside_a_block(system, spec, 13)
-        draws, sketch_times = [], sketch.sketch_times
+        blocks, sketch_times = [], sketch.sketch_times
         monkeypatch.setattr(sketch, "sketch_times",
-                            lambda *args: draws.append(1) or sketch_times(*args))
+                            lambda *args: blocks.append(args[-1]) or sketch_times(*args))
         assert solve(system, cfg, 4)[1].iterations == 13
-        assert len(draws) == 2 * solver._STEP_BLOCK == 16
-        draws.clear()
+        assert blocks == [(solver._STEP_BLOCK,)] * 2  # steps 1-8 and 9-16
+        blocks.clear()
         assert solve(system, SolverConfig(sketch=spec, stop_tol=2.0), 4)[1].iterations == 0
-        assert draws == []
+        assert blocks == []
 
     @pytest.mark.parametrize("metric", ["euclidean", "spd"])
     def test_row_sampling_with_repeated_rows(self, metric, monkeypatch):
@@ -358,7 +378,7 @@ class TestBlockKernel:
         else:
             pytest.fail("no run of the first eight holds both kinds of uncertified W_t")
         monkeypatch.undo()
-        log = _assert_matches_per_step(system, cfg, run)
+        log = _assert_matches_reference(system, cfg, run)
         assert log.fallback.sum() == sum(int((~verdict).sum()) for _, verdict in blocks)
 
     @pytest.mark.parametrize("family", _FAMILIES)
@@ -375,16 +395,22 @@ class TestBlockKernel:
     @pytest.mark.parametrize("metric", ["euclidean", "spd"])
     @pytest.mark.parametrize("family", _FAMILIES)
     def test_logs_do_not_depend_on_the_block_size(self, family, metric, monkeypatch):
+        # a dense run's log is the same at every block size; a sparse block
+        # draws indices before normals, so a sparse run's log is the
+        # reference drawn at its own block size, and differs between sizes
         system, spec = _kernel_case(family, metric)
         cfg = _stop_inside_a_block(system, spec, 13)
         logs = []
         for size in (1, 3, 16):
             monkeypatch.setattr(solver, "_STEP_BLOCK", size)
-            logs.append(solve(system, cfg, 4)[1])
-        for log in logs[1:]:
-            for field in ("err", "dist", "fallback"):
-                assert np.array_equal(getattr(log, field), getattr(logs[0], field)), field
-        assert logs[0].iterations == 13
+            logs.append(_assert_matches_reference(system, cfg, 4))
+        dense = family in ("gaussian", "rademacher")
+        for log in logs:
+            assert np.array_equal(log.err, logs[0].err) == (dense or log is logs[0])
+            if dense:
+                assert np.array_equal(log.dist, logs[0].dist)
+                assert np.array_equal(log.fallback, logs[0].fallback)
+                assert log.iterations == 13
 
     def test_one_stream_per_run(self, monkeypatch):
         system, spec = _kernel_case("less_uniform", "euclidean")

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from sketchsolve.matgen import SpectralProfile, gen_gaussian_unit_rows, gen_spectral_matrix
+from sketchsolve.matgen import (SpectralProfile, gen_gaussian_unit_rows, gen_spectral_matrix,
+                               make_system)
 from sketchsolve.randsvd import err_km1
 from sketchsolve.sketch import SketchSpec, draw_sketch
 from sketchsolve.spectral import (
@@ -234,8 +235,8 @@ class TestSurrogateVsEmpirical:
         # mean carries an O(sqrt(n/trials)) edge bias; 2e4 trials push it
         # below the 5% gap target
         trials = 20000
-        comp = surrogate_vs_empirical(np.eye(100), SketchSpec("gaussian", k=10, seed_stream=16),
-                                      trials=trials)
+        comp = surrogate_vs_empirical(make_system(np.eye(100), seed=15),
+                                      SketchSpec("gaussian", k=10, seed_stream=16), trials=trials)
         assert comp.rel_gap <= 0.05
         # both quantities are lower bounds for the true rate; up to MC noise
         # the surrogate cannot exceed s_min by much

@@ -20,8 +20,9 @@ from sketchsolve import sketch, solver
 from sketchsolve.expcli import runner
 from sketchsolve.expcli.config import parse_config
 from sketchsolve.expcli.runner import ResultTable, run_experiment
+from sketchsolve.matgen import gen_gaussian_unit_rows, make_system
 from sketchsolve.newton import NewtonTrace
-from sketchsolve.sketch import SparseSketch
+from sketchsolve.sketch import SketchSpec, SparseSketch, build_less_distribution
 from sketchsolve.solver import IterLog, RateReport, SolverConfig
 from sketchsolve.spectral import ProjectionEstimate
 
@@ -102,3 +103,26 @@ def test_rate_sweep_runs_rebuild_from_grid_and_cell_spec(tmp_path, monkeypatch):
     monkeypatch.setattr(solver, "solve", counted)
     run_experiment(cfg, tmp_path)
     assert calls == rebuilt and sum(calls) > 0
+
+
+@pytest.mark.parametrize("family", ["less", "less_uniform", "row_sampling"])
+def test_sparse_solve_draws_once_per_block_through_draw_sketch(family, monkeypatch):
+    # the tracer's sketch.draw counters see a run's sparse draws only through
+    # sketch.draw_sketch, looked up at call time: one (b, k, s) draw per block
+    A = gen_gaussian_unit_rows(60, 8, seed=5)
+    system = make_system(A, seed=6)
+    spec = SketchSpec(family, k=4, s=None if family == "row_sampling" else 6,
+                      sampling=build_less_distribution(A) if family == "less" else None,
+                      seed_stream=7)
+    blocks, draw_sketch = [], sketch.draw_sketch
+
+    def counted(*args, **kwargs):
+        S = draw_sketch(*args, **kwargs)
+        blocks.append(S.indices.shape[:-2] if isinstance(S, SparseSketch) else None)
+        return S
+
+    monkeypatch.setattr(sketch, "draw_sketch", counted)
+    cfg = SolverConfig(sketch=spec, max_iters=37, stop_tol=1e-300)
+    assert solver.solve(system, cfg, 1)[1].iterations == 37
+    size = solver._STEP_BLOCK
+    assert blocks == [(size,)] * (37 // size) + [(37 % size,)]
